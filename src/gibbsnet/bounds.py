@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LambdaOutOfRange, ThetaOutOfRange
+from .gibbs import log_binom, prior_support_normalizer
 from .markov import (
     StationaryDist,
     TransitionKernel,
@@ -26,6 +27,7 @@ from .markov import (
 )
 from .model import (
     TargetSpec,
+    _draw_noise,
     conditional_excess_logistic,
     logistic_loss,
     logistic_target,
@@ -77,7 +79,7 @@ def chain_mgf_rhs(n: int, var_f: float, gap: float, theta: float) -> float:
     if not 0.0 < theta < gap / 10.0:
         raise ThetaOutOfRange(f"theta must lie in (0, {gap / 10.0})")
     factor = 1.0 / (1.0 - 10.0 * theta / gap)
-    return math.exp(2.0 * (n + 1) * var_f * theta**2 / gap * factor)
+    return _exp_or_inf(2.0 * (n + 1) * var_f * theta**2 / gap * factor)
 
 
 def bernstein_mgf_rhs(
@@ -98,15 +100,15 @@ def bernstein_mgf_rhs(
         raise LambdaOutOfRange(f"lambda must lie in (0, {n * gap / 10.0})")
     moment = 1.0 if (excess == 0.0 and kappa == 0.0) else excess**kappa
     factor = 1.0 / (1.0 - 10.0 * lam / (n * gap))
-    return math.exp(16.0 * k_bernstein * lam**2 * moment / (n * gap) * factor)
+    return _exp_or_inf(16.0 * k_bernstein * lam**2 * moment / (n * gap) * factor)
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def _support_normalizer(decay: float, n_max: int) -> float:
-    return (1.0 - decay ** (-n_max)) / (decay - 1.0)
+def _exp_or_inf(exponent: float) -> float:
+    """exp(exponent), or inf where it overflows a float."""
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def kl_truncated_uniform_rhs(
@@ -118,7 +120,7 @@ def kl_truncated_uniform_rhs(
         raise ValueError("support cardinality must be positive")
     if not 0.0 < eta <= 1.0:
         raise ValueError("ball radius parameter must lie in (0, 1]")
-    c_s = _support_normalizer(decay, n_max)
+    c_s = prior_support_normalizer(decay, n_max)
     return card * math.log(2.0 * decay * c_s * slab * n_max * math.e / eta)
 
 
@@ -315,15 +317,7 @@ def mc_check_bernstein(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB5)))
     if loss == "square":
         d = h - target_values(target)
-        family, scale = noise
-        if family == "gaussian":
-            eps = scale * rng.standard_normal(paths.shape)
-        elif family == "uniform":
-            eps = rng.uniform(-scale, scale, size=paths.shape)
-        elif family == "rademacher":
-            eps = scale * rng.choice((-1.0, 1.0), size=paths.shape)
-        else:
-            raise ValueError(f"unknown noise family {family!r}")
+        eps = _draw_noise(rng, *noise, paths.shape)
         # (h-y)^2 - (h*-y)^2 with y = h* + eps collapses to d^2 - 2 d eps.
         gaps = d[paths] ** 2 - 2.0 * d[paths] * eps
     elif loss == "logistic":
@@ -386,8 +380,8 @@ def kl_numeric_check(
     exact = (
         float(np.sum(np.log(2.0 * slab / lengths)))
         + card * math.log(decay)
-        + _log_binom(n_max, card)
-        + math.log(_support_normalizer(decay, n_max))
+        + log_binom(n_max, card)
+        + math.log(prior_support_normalizer(decay, n_max))
     )
     rhs = kl_truncated_uniform_rhs(card, eta, decay, slab, n_max)
     return BoundReport(

@@ -16,23 +16,20 @@ import numpy as np
 
 from .bounds import kl_numeric_check, mc_check_bernstein, mc_check_chain_mgf
 from .errors import ConfigError, GibbsNetError
-from .gibbs import ClassDef, GibbsConfig, sample_posterior, temperature
+from .gibbs import GibbsConfig, sample_posterior, temperature
 from .harness import (
     ExperimentConfig,
     build_chain,
     build_target,
+    check_noise,
     emit_report,
     fit_rate_slope,
+    resolve_classdef,
     run_effective_sample_experiment,
     run_rate_sweep,
+    solve_chain,
 )
-from .markov import (
-    mixing_time,
-    pseudo_spectral_gap,
-    simulate,
-    spectral_gap,
-    stationary_distribution,
-)
+from .markov import mixing_time, simulate, spectral_gap, stationary_distribution
 from .model import generate_classification, generate_regression, target_eta
 from .network import SparseNetwork
 
@@ -55,10 +52,8 @@ def _out_dir(doc: dict, args) -> Path:
 
 
 def cmd_gap(doc: dict, args) -> int:
-    kernel = build_chain(doc["chain"])
-    pi = stationary_distribution(kernel)
     k_max = int(doc.get("k_max", 10))
-    gap = pseudo_spectral_gap(kernel, pi, k_max=k_max)
+    kernel, pi, gap = solve_chain(doc["chain"], k_max)
     result = {
         "states": kernel.states,
         "stationary": pi.weights.tolist(),
@@ -89,45 +84,24 @@ def cmd_simulate(doc: dict, args) -> int:
 
 
 def cmd_sample(doc: dict, args) -> int:
-    kernel = build_chain(doc["chain"])
-    pi = stationary_distribution(kernel)
+    kernel, pi, gamma = solve_chain(doc["chain"], int(doc.get("k_max", 10)))
     target = build_target(doc["target"], kernel.states)
     seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
     loss = doc.get("loss", "square")
     n = int(doc["n"])
     if loss == "square":
-        family, scale = doc.get("noise", ["gaussian", 0.5])
-        data = generate_regression(target, kernel, pi, n=n, noise=(family, scale), seed=seed)
+        noise = check_noise(doc.get("noise", ["gaussian", 0.5]))
+        data = generate_regression(target, kernel, pi, n=n, noise=noise, seed=seed)
     else:
         data = generate_classification(
             target_eta(target), kernel, pi, n=n, seed=seed, points=target.points
         )
-    cd = doc["classdef"]
-    classdef = ClassDef(
-        depth=int(cd["depth"]),
-        width=int(cd["width"]),
-        sparsity=int(cd["sparsity"]),
-        weight_bound=float(cd["weight_bound"]),
-        output_clip=float(cd.get("output_clip", 5.0)),
-        activation=cd.get("activation", "relu"),
-    )
-    gamma = pseudo_spectral_gap(kernel, pi, k_max=int(doc.get("k_max", 10)))
-    gdoc = doc.get("gibbs", {})
-    lam = gdoc.get("temperature")
+    classdef = resolve_classdef(doc["classdef"], doc["target"], n * gamma)
+    gdoc = dict(doc.get("gibbs", {}))
+    lam = gdoc.pop("temperature", None)
     if lam is None:
         lam = temperature(n, gamma, float(doc.get("bernstein_k", 1.0)))
-    cfg = GibbsConfig(
-        support_decay=float(gdoc.get("support_decay", 2.0)),
-        weight_bound=classdef.weight_bound,
-        output_clip=classdef.output_clip,
-        temperature=float(lam),
-        move_probs=tuple(gdoc.get("move_probs", (0.25, 0.25, 0.5))),
-        step=gdoc.get("step"),
-        iters=int(gdoc.get("iters", 10_000)),
-        burn_in=int(gdoc.get("burn_in", 2_000)),
-        thin=int(gdoc.get("thin", 1)),
-        seed=seed,
-    )
+    cfg = GibbsConfig.from_doc(gdoc, classdef, lam, seed)
     draws = sample_posterior(data, loss, classdef, cfg)
     out = _out_dir(doc, args)
     path = out / "draws.jsonl"

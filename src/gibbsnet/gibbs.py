@@ -25,17 +25,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDataset, InvalidClass, NoDraws, OutOfSupport
+from .errors import ConfigError, EmptyDataset, InvalidClass, NoDraws, OutOfSupport
 from .model import Dataset
 from .network import (
     ACTIVATIONS,
     Architecture,
     SparseNetwork,
+    compose,
     forward,
     layer_slices,
     max_param_count,
     param_count,
 )
+
+GIBBS_KEYS = ("support_decay", "move_probs", "step", "iters", "burn_in", "thin")
 
 
 @dataclass(frozen=True)
@@ -109,12 +112,36 @@ class GibbsConfig:
             raise ValueError("thin must be at least 1")
 
     @classmethod
-    def for_class(cls, classdef: ClassDef, **kwargs) -> "GibbsConfig":
-        return cls(
-            weight_bound=classdef.weight_bound,
-            output_clip=classdef.output_clip,
-            **kwargs,
-        )
+    def from_doc(
+        cls, doc: dict, classdef: ClassDef, temperature: float, seed: int
+    ) -> "GibbsConfig":
+        """Sampler settings from a config's ``gibbs`` table (keys
+        :data:`GIBBS_KEYS`, each optional), bounded by the class; any
+        malformed value raises :class:`ConfigError`."""
+        unknown = set(doc) - set(GIBBS_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown gibbs keys: {sorted(unknown)}")
+        step = doc.get("step")
+        try:
+            return cls(
+                support_decay=float(doc.get("support_decay", 2.0)),
+                weight_bound=classdef.weight_bound,
+                output_clip=classdef.output_clip,
+                temperature=float(temperature),
+                move_probs=tuple(doc.get("move_probs", (0.25, 0.25, 0.5))),
+                step=None if step is None else float(step),
+                iters=int(doc.get("iters", 10_000)),
+                burn_in=int(doc.get("burn_in", 2_000)),
+                thin=int(doc.get("thin", 1)),
+                seed=seed,
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"gibbs: {exc}") from exc
+
+
+def log_binom(n: int, k: int) -> float:
+    """log of the binomial coefficient C(n, k)."""
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def prior_support_normalizer(decay: float, n_max: int) -> float:
@@ -137,12 +164,9 @@ def log_prior(net: SparseNetwork, cfg: GibbsConfig, n_max: int) -> float:
     if np.any(np.abs(net.theta[net.active]) > cfg.weight_bound):
         raise OutOfSupport("an active weight exceeds the slab half-width")
     decay = cfg.support_decay
-    log_binom = (
-        math.lgamma(n_max + 1) - math.lgamma(k + 1) - math.lgamma(n_max - k + 1)
-    )
     return (
         -k * math.log(decay)
-        - log_binom
+        - log_binom(n_max, k)
         - k * math.log(2.0 * cfg.weight_bound)
         - math.log(prior_support_normalizer(decay, n_max))
     )
@@ -272,31 +296,18 @@ def sample_posterior(
     slices = layer_slices(arch)
     points, risk_fn = _per_state_risk(data, loss)
 
-    def outputs(theta):
-        a = points
-        last = len(slices) - 1
-        for idx, (w_sl, b_sl, (rows, cols)) in enumerate(slices):
-            w = theta[w_sl].reshape((rows, cols), order="F")
-            a = a @ w.T + theta[b_sl]
-            if idx < last:
-                a = act_fn(a)
-        return np.clip(a[:, 0], -clip, clip)
-
     rng = np.random.default_rng(cfg.seed)
     theta = np.zeros(n_params)
     active = np.zeros(n_params, dtype=bool)
     active[rng.integers(n_params)] = True  # one active coordinate, value 0
-    risk = risk_fn(outputs(theta))
+    risk = risk_fn(compose(slices, theta, points, act_fn, clip)[:, 0])
 
     lam = cfg.temperature
     p_add, p_remove, _ = cfg.move_probs
     log_decay = math.log(cfg.support_decay)
-    log_add_ratio = (
-        math.log(p_remove / p_add) - log_decay if p_add > 0 and p_remove > 0 else None
-    )
-    log_remove_ratio = (
-        math.log(p_add / p_remove) + log_decay if p_add > 0 and p_remove > 0 else None
-    )
+    jumps = p_add > 0 and p_remove > 0
+    log_add_ratio = math.log(p_remove / p_add) - log_decay if jumps else 0.0
+    log_remove_ratio = math.log(p_add / p_remove) + log_decay if jumps else 0.0
 
     n_keep = (cfg.iters - cfg.burn_in + cfg.thin - 1) // cfg.thin
     thetas = np.empty((n_keep, n_params))
@@ -307,49 +318,34 @@ def sample_posterior(
     accepted = {"add": 0, "remove": 0, "perturb": 0}
 
     for it in range(cfg.iters):
+        # Pick the move, the pool its coordinate is drawn from and its
+        # prior/proposal log ratio; the support is counted only for jumps.
         u = rng.random()
         if u < p_add:
-            proposed["add"] += 1
-            k = int(active.sum())
-            if k < cap and log_add_ratio is not None:
-                inactive_idx = np.flatnonzero(~active)
-                j = int(inactive_idx[rng.integers(inactive_idx.size)])
-                value = rng.uniform(-slab, slab)
-                theta[j] = value
-                new_risk = risk_fn(outputs(theta))
-                log_alpha = -lam * (new_risk - risk) + log_add_ratio
-                if math.log(rng.random()) < log_alpha:
-                    active[j] = True
-                    risk = new_risk
-                    accepted["add"] += 1
-                else:
-                    theta[j] = 0.0
+            move, pool, log_ratio = "add", ~active, log_add_ratio
+            feasible = jumps and active.sum() < cap
         elif u < p_add + p_remove:
-            proposed["remove"] += 1
-            k = int(active.sum())
-            if k > 1 and log_remove_ratio is not None:
-                active_idx = np.flatnonzero(active)
-                j = int(active_idx[rng.integers(active_idx.size)])
-                old = theta[j]
-                theta[j] = 0.0
-                new_risk = risk_fn(outputs(theta))
-                log_alpha = -lam * (new_risk - risk) + log_remove_ratio
-                if math.log(rng.random()) < log_alpha:
-                    active[j] = False
-                    risk = new_risk
-                    accepted["remove"] += 1
-                else:
-                    theta[j] = old
+            move, pool, log_ratio = "remove", active, log_remove_ratio
+            feasible = jumps and active.sum() > 1
         else:
-            proposed["perturb"] += 1
-            active_idx = np.flatnonzero(active)
-            j = int(active_idx[rng.integers(active_idx.size)])
+            move, pool, log_ratio, feasible = "perturb", active, 0.0, True
+        proposed[move] += 1
+
+        if feasible:
+            idx = np.flatnonzero(pool)
+            j = int(idx[rng.integers(idx.size)])
             old = theta[j]
-            theta[j] = _reflect(old + rng.uniform(-cfg.step, cfg.step), slab)
-            new_risk = risk_fn(outputs(theta))
-            if math.log(rng.random()) < -lam * (new_risk - risk):
+            if move == "add":
+                theta[j] = rng.uniform(-slab, slab)
+            elif move == "remove":
+                theta[j] = 0.0
+            else:
+                theta[j] = _reflect(old + rng.uniform(-cfg.step, cfg.step), slab)
+            new_risk = risk_fn(compose(slices, theta, points, act_fn, clip)[:, 0])
+            if math.log(rng.random()) < -lam * (new_risk - risk) + log_ratio:
+                active[j] = move != "remove"
                 risk = new_risk
-                accepted["perturb"] += 1
+                accepted[move] += 1
             else:
                 theta[j] = old
 

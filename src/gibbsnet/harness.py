@@ -28,6 +28,7 @@ from .markov import (
     two_source_kernel,
 )
 from .model import (
+    NOISE_FAMILIES,
     Dataset,
     TargetSpec,
     excess_risk_mc,
@@ -57,13 +58,37 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
     ``explicit`` (a full probability matrix).
     """
     family = spec.get("family")
-    if family == "two_source":
-        p = float(spec["p"] if p_override is None else p_override)
-        return two_source_kernel(p, states=int(spec.get("states", 2)))
-    if family == "explicit":
-        probs = np.asarray(spec["probs"], dtype=float)
-        return TransitionKernel(states=probs.shape[0], probs=probs)
+    try:
+        if family == "two_source":
+            p = float(spec["p"] if p_override is None else p_override)
+            return two_source_kernel(p, states=int(spec.get("states", 2)))
+        if family == "explicit":
+            probs = np.asarray(spec["probs"], dtype=float)
+            return TransitionKernel(states=probs.shape[0], probs=probs)
+    except ValueError as exc:
+        raise ConfigError(f"chain: {exc}") from exc
     raise ConfigError(f"unknown chain family {family!r}")
+
+
+def solve_chain(spec: dict, k_max: int, p_override: float | None = None):
+    """(kernel, stationary law, pseudo-spectral gap) of a config chain spec;
+    see :func:`build_chain` for ``p_override``."""
+    kernel = build_chain(spec, p_override=p_override)
+    pi = stationary_distribution(kernel)
+    return kernel, pi, pseudo_spectral_gap(kernel, pi, k_max=k_max)
+
+
+def check_noise(noise) -> tuple:
+    """A config's ``[family, scale]`` noise entry as a tuple; an unknown
+    family or a negative or non-numeric scale raises ConfigError."""
+    noise = tuple(noise)
+    family, scale = noise if len(noise) == 2 else (None, None)
+    if family not in NOISE_FAMILIES or not isinstance(scale, (int, float)) or scale < 0:
+        raise ConfigError(
+            f"noise must be [family, scale >= 0] with family in {NOISE_FAMILIES}, "
+            f"got {list(noise)}"
+        )
+    return noise
 
 
 def build_target(spec: dict, states: int) -> TargetSpec:
@@ -235,7 +260,7 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be nonempty and strictly increasing")
         if self.p_grid is not None:
             object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
-        object.__setattr__(self, "noise", tuple(self.noise))
+        object.__setattr__(self, "noise", check_noise(self.noise))
         if self.replications < 1:
             raise ConfigError("replications must be positive")
         if not 0.0 < self.delta < 1.0:
@@ -253,27 +278,31 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _resolve_classdef(cfg: ExperimentConfig, n: int, n_eff: float) -> ClassDef:
-    doc = cfg.classdef
-    clip = float(doc.get("output_clip", 5.0))
-    activation = doc.get("activation", "relu")
-    if "rule" in doc:
-        beta = float(cfg.target.get("beta", 1.0))
-        input_dim = int(cfg.target.get("dim", 1))
-        depth, width, sparsity, bound = architecture_rule(
-            n_eff, beta, input_dim, rule=doc["rule"], constants=doc.get("constants")
+def resolve_classdef(classdef_doc: dict, target_doc: dict, n_eff: float) -> ClassDef:
+    """The network class a config's ``classdef`` table describes: explicit
+    depth, width, sparsity and weight bound, or sizes from a scaling
+    ``rule`` at the effective sample size ``n_eff``."""
+    if "rule" in classdef_doc:
+        sizes = architecture_rule(
+            n_eff,
+            float(target_doc.get("beta", 1.0)),
+            int(target_doc.get("dim", 1)),
+            rule=classdef_doc["rule"],
+            constants=classdef_doc.get("constants"),
         )
-        return ClassDef(
-            depth=depth, width=width, sparsity=sparsity,
-            weight_bound=bound, output_clip=clip, activation=activation,
-        )
+    else:
+        try:
+            sizes = [classdef_doc[key] for key in ("depth", "width", "sparsity", "weight_bound")]
+        except KeyError as exc:
+            raise ConfigError(f"classdef needs a rule or an explicit {exc}") from exc
+    depth, width, sparsity, bound = sizes
     return ClassDef(
-        depth=int(doc["depth"]),
-        width=int(doc["width"]),
-        sparsity=int(doc["sparsity"]),
-        weight_bound=float(doc["weight_bound"]),
-        output_clip=clip,
-        activation=activation,
+        depth=int(depth),
+        width=int(width),
+        sparsity=int(sparsity),
+        weight_bound=float(bound),
+        output_clip=float(classdef_doc.get("output_clip", 5.0)),
+        activation=classdef_doc.get("activation", "relu"),
     )
 
 
@@ -324,32 +353,18 @@ def _generate(cfg: ExperimentConfig, target, kernel, pi, n: int, seed: int, gamm
     return Dataset(inputs=data.inputs, outputs=data.outputs, chain_meta=meta)
 
 
-def run_cell(cfg: ExperimentConfig, n: int, p: float | None, row_seed: int) -> SweepRow:
-    """One grid cell: build the chain, calibrate the temperature, size the
-    class, draw data, sample the posterior and score the predictor."""
+def run_cell(cfg: ExperimentConfig, n: int, chain, row_seed: int) -> SweepRow:
+    """One grid cell on a precomputed ``chain = (kernel, pi, gamma)``:
+    calibrate the temperature, size the class, draw data, sample the
+    posterior and score the predictor."""
     start = time.perf_counter()
-    kernel = build_chain(cfg.chain, p_override=p)
-    pi = stationary_distribution(kernel)
-    gamma = pseudo_spectral_gap(kernel, pi, k_max=cfg.k_max)
+    kernel, pi, gamma = chain
     n_eff = n * gamma
     lam = temperature(n, gamma, cfg.bernstein_k)
-    classdef = _resolve_classdef(cfg, n, n_eff)
+    classdef = resolve_classdef(cfg.classdef, cfg.target, n_eff)
     target = build_target(cfg.target, kernel.states)
     data = _generate(cfg, target, kernel, pi, n, row_seed, gamma)
-    gdoc = cfg.gibbs
-    step = gdoc.get("step")
-    gibbs_cfg = GibbsConfig(
-        support_decay=float(gdoc.get("support_decay", 2.0)),
-        weight_bound=classdef.weight_bound,
-        output_clip=classdef.output_clip,
-        temperature=lam,
-        move_probs=tuple(gdoc.get("move_probs", (0.25, 0.25, 0.5))),
-        step=float(step) if step is not None else None,
-        iters=int(gdoc.get("iters", 10_000)),
-        burn_in=int(gdoc.get("burn_in", 2_000)),
-        thin=int(gdoc.get("thin", 1)),
-        seed=row_seed,
-    )
+    gibbs_cfg = GibbsConfig.from_doc(cfg.gibbs, classdef, lam, row_seed)
     draws = sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
     predictor = posterior_predictor(draws, mode=cfg.predictor)
     excess = excess_risk_mc(predictor, target, kernel, pi, loss=cfg.loss)
@@ -364,36 +379,38 @@ def run_cell(cfg: ExperimentConfig, n: int, p: float | None, row_seed: int) -> S
     )
 
 
-def run_rate_sweep(cfg: ExperimentConfig, csv_path=None) -> SweepResult:
-    """Full grid sweep over (p_grid x n_grid x replications).
-
-    Rows are produced in a fixed order with derived seeds (base seed XOR
-    row index) and flushed to ``csv_path`` as they complete, so partial
-    results survive a mid-sweep failure.
-    """
-    p_values = cfg.p_grid if cfg.p_grid is not None else (None,)
+def _run_cells(cfg: ExperimentConfig, cells, chains: dict, csv_path) -> list:
+    """Run each (n, p) cell ``cfg.replications`` times in order, on
+    ``chains[p]``, with row seeds base seed XOR row index; rows are flushed
+    to ``csv_path`` as they complete, so partial results survive a
+    failure."""
     rows = []
-    handle = None
-    if csv_path is not None:
-        handle = open(csv_path, "w")
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        handle.flush()
+    handle = None if csv_path is None else open(csv_path, "w")
     try:
-        row_index = 0
-        for p in p_values:
-            for n in cfg.n_grid:
-                for _ in range(cfg.replications):
-                    row = run_cell(cfg, n, p, row_seed=cfg.seed ^ row_index)
-                    rows.append(row)
-                    if handle is not None:
-                        handle.write(row.to_csv_line() + "\n")
-                        handle.flush()
-                    row_index += 1
+        if handle is not None:
+            handle.write(",".join(CSV_COLUMNS) + "\n")
+            handle.flush()
+        for n, p in cells:
+            for _ in range(cfg.replications):
+                row = run_cell(cfg, n, chains[p], row_seed=cfg.seed ^ len(rows))
+                rows.append(row)
+                if handle is not None:
+                    handle.write(row.to_csv_line() + "\n")
+                    handle.flush()
     finally:
         if handle is not None:
             handle.close()
-    meta = {"theory_exponent": theory_exponent(cfg)}
-    return SweepResult(rows=rows, meta=meta)
+    return rows
+
+
+def run_rate_sweep(cfg: ExperimentConfig, csv_path=None) -> SweepResult:
+    """Full grid sweep over (p_grid x n_grid x replications), streamed to
+    ``csv_path`` by :func:`_run_cells`; the chain is solved once per p."""
+    p_values = cfg.p_grid if cfg.p_grid is not None else (None,)
+    chains = {p: solve_chain(cfg.chain, cfg.k_max, p) for p in p_values}
+    cells = [(n, p) for p in p_values for n in cfg.n_grid]
+    rows = _run_cells(cfg, cells, chains, csv_path)
+    return SweepResult(rows=rows, meta={"theory_exponent": theory_exponent(cfg)})
 
 
 def theory_exponent(cfg: ExperimentConfig) -> float | None:
@@ -444,37 +461,16 @@ def run_effective_sample_experiment(
 ) -> SweepResult:
     """Compare grid cells whose (n, p) pairs share one effective sample
     size n * gamma(p) within 1%."""
-    effective = []
-    for n, p in pairs:
-        kernel = build_chain(cfg.chain, p_override=p)
-        pi = stationary_distribution(kernel)
-        gamma = pseudo_spectral_gap(kernel, pi, k_max=cfg.k_max)
-        effective.append(n * gamma)
+    cells = [(int(n), float(p)) for n, p in pairs]
+    chains = {p: solve_chain(cfg.chain, cfg.k_max, p) for _, p in cells}
+    effective = [n * chains[p][2] for n, p in cells]
     center = float(np.mean(effective))
-    for (n, p), n_eff in zip(pairs, effective):
+    for (n, p), n_eff in zip(cells, effective):
         if abs(n_eff - center) > 0.01 * center:
             raise MismatchedEffectiveSize(
                 f"pair (n={n}, p={p}) has n_eff={n_eff:.2f}, expected ~{center:.2f}"
             )
-    rows = []
-    handle = None
-    if csv_path is not None:
-        handle = open(csv_path, "w")
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        handle.flush()
-    try:
-        row_index = 0
-        for n, p in pairs:
-            for _ in range(cfg.replications):
-                row = run_cell(cfg, int(n), float(p), row_seed=cfg.seed ^ row_index)
-                rows.append(row)
-                if handle is not None:
-                    handle.write(row.to_csv_line() + "\n")
-                    handle.flush()
-                row_index += 1
-    finally:
-        if handle is not None:
-            handle.close()
+    rows = _run_cells(cfg, cells, chains, csv_path)
     return SweepResult(rows=rows, meta={"pairs": [list(pair) for pair in pairs]})
 
 

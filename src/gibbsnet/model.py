@@ -313,13 +313,15 @@ def noise_variance(family: str, scale: float) -> float:
     raise ValueError(f"unknown noise family {family!r}")
 
 
-def _draw_noise(rng: np.random.Generator, family: str, scale: float, n: int) -> np.ndarray:
+def _draw_noise(rng: np.random.Generator, family: str, scale: float, shape) -> np.ndarray:
+    """Centered noise of the given family and scale, an array of ``shape``
+    (an int or a tuple)."""
     if family == "gaussian":
-        return scale * rng.standard_normal(n)
+        return scale * rng.standard_normal(shape)
     if family == "uniform":
-        return rng.uniform(-scale, scale, size=n)
+        return rng.uniform(-scale, scale, size=shape)
     if family == "rademacher":
-        return scale * rng.choice((-1.0, 1.0), size=n)
+        return scale * rng.choice((-1.0, 1.0), size=shape)
     raise ValueError(f"unknown noise family {family!r}")
 
 

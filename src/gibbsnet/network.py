@@ -160,6 +160,22 @@ def layer_matrices(arch: Architecture, theta: np.ndarray):
     return out
 
 
+def compose(slices, theta: np.ndarray, x: np.ndarray, act_fn, clip: float | None):
+    """The affine/activation composition over ``slices`` (see
+    :func:`layer_slices`) of the flat vector ``theta`` at the batch ``x``,
+    then a clip to [-clip, clip] unless ``clip`` is None.
+
+    Does no validation: it is the sampler's hot path.
+    """
+    a = x
+    last = len(slices) - 1
+    for idx, (w_sl, b_sl, (rows, cols)) in enumerate(slices):
+        a = a @ theta[w_sl].reshape((rows, cols), order="F").T + theta[b_sl]
+        if idx < last:
+            a = act_fn(a)
+    return a if clip is None else np.clip(a, -clip, clip)
+
+
 def forward(
     net: SparseNetwork,
     x: np.ndarray,
@@ -181,14 +197,10 @@ def forward(
         raise DimensionMismatch(
             f"input dimension {arr.shape[1]} != {net.arch.input_dim}"
         )
-    layers = layer_matrices(net.arch, net.theta)
-    a = arr
-    for idx, (w, b) in enumerate(layers):
-        a = a @ w.T + b
-        if idx < len(layers) - 1:
-            a = act.fn(a)
-    if clip:
-        a = np.clip(a, -net.output_clip, net.output_clip)
+    a = compose(
+        layer_slices(net.arch), net.theta, arr, act.fn,
+        net.output_clip if clip else None,
+    )
     return a[0] if single else a
 
 
@@ -264,7 +276,9 @@ def embed_to_max(net: SparseNetwork, depth: int, width: int) -> np.ndarray:
     width x width frame (column-major), biases in the leading bias slots.
     Padding widths preserves the computed function; padding depth is
     parameter bookkeeping only, since inserted all-zero layers change the
-    composition.
+    composition.  In C order a (depth+1, width+1, width) array is exactly
+    the :func:`max_frame_slot` layout: weight (row, col) of layer l sits at
+    [l, col, row] and its bias at [l, width, row].
     """
     arch = net.arch
     if arch.depth > depth or max(arch.widths) > width:
@@ -272,15 +286,12 @@ def embed_to_max(net: SparseNetwork, depth: int, width: int) -> np.ndarray:
             f"net of depth {arch.depth} / width {max(arch.widths)} does not fit "
             f"inside frame ({depth}, {width})"
         )
-    flat = np.zeros(max_param_count(depth, width))
+    frame = np.zeros((depth + 1, width + 1, width))
     for layer, (w, b) in enumerate(layer_matrices(arch, net.theta)):
         rows, cols = w.shape
-        for j in range(cols):
-            for i in range(rows):
-                flat[max_frame_slot(depth, width, layer, i, j)] = w[i, j]
-        for i in range(rows):
-            flat[max_frame_slot(depth, width, layer, i, None)] = b[i]
-    return flat
+        frame[layer, :cols, :rows] = w.T
+        frame[layer, width, :rows] = b
+    return frame.reshape(-1)
 
 
 def network_from_max_embedding(
@@ -297,17 +308,11 @@ def network_from_max_embedding(
     arch = Architecture(
         depth=depth, widths=(input_dim,) + (width,) * depth + (output_dim,)
     )
+    frame = np.asarray(flat, dtype=float).reshape(depth + 1, width + 1, width)
     theta = np.zeros(param_count(arch))
     for layer, (w_sl, b_sl, (rows, cols)) in enumerate(layer_slices(arch)):
-        w = np.empty((rows, cols))
-        b = np.empty(rows)
-        for j in range(cols):
-            for i in range(rows):
-                w[i, j] = flat[max_frame_slot(depth, width, layer, i, j)]
-        for i in range(rows):
-            b[i] = flat[max_frame_slot(depth, width, layer, i, None)]
-        theta[w_sl] = w.flatten(order="F")
-        theta[b_sl] = b
+        theta[w_sl] = frame[layer, :cols, :rows].reshape(-1)
+        theta[b_sl] = frame[layer, width, :rows]
     active = np.flatnonzero(theta != 0.0)
     return SparseNetwork(
         arch=arch,

@@ -58,6 +58,9 @@ class TestChainMgfRhs:
         assert chain_mgf_rhs(50, 2.0, 0.8, 0.01) > base
         assert chain_mgf_rhs(50, 1.0, 0.9, 0.01) < base
 
+    def test_overflow_is_inf(self):
+        assert chain_mgf_rhs(n=100_000, var_f=1.0, gap=1.0, theta=0.099) == math.inf
+
 
 class TestBernsteinMgfRhs:
     def test_zero_excess(self):
@@ -82,6 +85,12 @@ class TestBernsteinMgfRhs:
         ]
         assert values[1] == pytest.approx(2 * values[0])
         assert values[2] == pytest.approx(2 * values[1])
+
+    def test_overflow_is_inf(self):
+        rhs = bernstein_mgf_rhs(
+            lam=10.9, n=110, gap=1.0, k_bernstein=50.0, kappa=1.0, excess=1.0
+        )
+        assert rhs == math.inf
 
 
 class TestKlRhs:

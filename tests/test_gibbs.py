@@ -21,6 +21,7 @@ from gibbsnet.markov import stationary_distribution, two_source_kernel
 from gibbsnet.model import (
     Dataset,
     empirical_risk,
+    generate_classification,
     generate_regression,
     holder_target,
 )
@@ -163,6 +164,32 @@ class TestSamplerBasics:
         assert np.all(draws.thetas[~draws.actives] == 0.0)
         for i in range(0, len(draws), 200):
             draws.network(i)  # constructor re-checks the invariants
+
+    @pytest.mark.parametrize("loss, activation", [("square", "relu"), ("logistic", "sigmoid")])
+    def test_log_scores_match_public_forward(self, loss, activation):
+        # The sampler scores networks through its own per-state risk; each
+        # retained score must equal -lambda times the empirical risk of the
+        # public forward pass (clip included) of the retained network.
+        kernel = two_source_kernel(0.3, states=4)
+        pi = stationary_distribution(kernel)
+        if loss == "square":
+            data = generate_regression(
+                holder_target(beta=1.0, m=4), kernel, pi, n=200,
+                noise=("gaussian", 0.3), seed=4,
+            )
+        else:
+            data = generate_classification([0.1, 0.4, 0.7, 0.9], kernel, pi, n=200, seed=4)
+        classdef = ClassDef(depth=1, width=3, sparsity=8, weight_bound=2.0,
+                            output_clip=0.4, activation=activation)
+        cfg = GibbsConfig(
+            support_decay=2.0, weight_bound=2.0, output_clip=0.4, temperature=5.0,
+            iters=3000, burn_in=1000, thin=50, seed=6,
+        )
+        draws = sample_posterior(data, loss, classdef, cfg)
+        for i in range(len(draws)):
+            net = draws.network(i)
+            risk = empirical_risk(lambda x: forward(net, x, activation=activation), data, loss)
+            assert draws.log_scores[i] == pytest.approx(-5.0 * risk, abs=1e-12)
 
     def test_jsonl_round_trip_line(self):
         data, _, _ = tiny_regression_data()

@@ -151,6 +151,31 @@ def small_sweep_config(tmp_path, **overrides):
     return ExperimentConfig.from_dict(doc)
 
 
+SMALL_CLASS = {"depth": 1, "width": 2, "sparsity": 4, "weight_bound": 1.5,
+               "output_clip": 2.0}
+
+# Frozen fixed-seed runs, each compared against tests/data/golden_<name>.csv.
+GOLDEN_RUNS = {
+    "sweep": lambda tmp_path: run_rate_sweep(small_sweep_config(tmp_path)),
+    "sweep_uniform_grid": lambda tmp_path: run_rate_sweep(small_sweep_config(
+        tmp_path, n_grid=[200, 400], p_grid=[0.3, 0.5], replications=2,
+        noise=("uniform", 0.3), classdef={**SMALL_CLASS, "activation": "sigmoid"},
+        gibbs={"iters": 1000, "burn_in": 200, "thin": 5}, bernstein_k=0.01,
+    )),
+    "sweep_logistic_average": lambda tmp_path: run_rate_sweep(small_sweep_config(
+        tmp_path, n_grid=[200, 400], bernstein_k=0.01,
+        target={"kind": "logistic_link", "eta": [0.2, 0.4, 0.7, 0.9]},
+        loss="logistic", predictor="average", classdef=SMALL_CLASS,
+        gibbs={"iters": 500, "burn_in": 100, "thin": 10},
+    )),
+    "effsample": lambda tmp_path: run_effective_sample_experiment(
+        small_sweep_config(tmp_path, replications=2,
+                           gibbs={"iters": 400, "burn_in": 100, "thin": 5}),
+        pairs=[(1000, 0.5), (1334, 0.25)],
+    ),
+}
+
+
 class TestRunRateSweep:
     def test_degenerate_sweep_reproducible(self, tmp_path):
         cfg = small_sweep_config(tmp_path)
@@ -249,12 +274,12 @@ class TestEmitReport:
             [r.excess_risk for r in result.rows],
         )
 
-    def test_golden_file(self, tmp_path):
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_golden_file(self, tmp_path, name):
         # Frozen output of a fixed-seed run (timing column zeroed); guards
         # the whole pipeline against silent behavioural drift.
-        cfg = small_sweep_config(tmp_path)
-        text = run_rate_sweep(cfg).to_csv(include_timing=False)
-        golden = Path(__file__).parent / "data" / "golden_sweep.csv"
+        text = GOLDEN_RUNS[name](tmp_path).to_csv(include_timing=False)
+        golden = Path(__file__).parent / "data" / f"golden_{name}.csv"
         assert text == golden.read_text()
 
 

@@ -10,6 +10,7 @@ from gibbsnet.network import (
     SparseNetwork,
     embed_to_max,
     forward,
+    layer_matrices,
     layer_slices,
     lipschitz_parameter_bound,
     max_frame_slot,
@@ -304,6 +305,34 @@ class TestEmbedToMax:
             np.testing.assert_allclose(
                 forward(padded, x), forward(net, x), atol=1e-12
             )
+
+
+class TestEmbedSlots:
+    def test_every_small_net_lands_on_its_frame_slots(self):
+        # max_frame_slot is the documented layout and serves as the oracle,
+        # for every depth <= 2 and width <= 3 inside the (2, 3) frame,
+        # including the all-zero slots of padded depth.
+        rng = np.random.default_rng(41)
+        for depth in range(3):
+            for width in range(1, 4):
+                for in_dim, out_dim in [(1, 1), (3, 2), (2, 3)]:
+                    widths = (in_dim,) + (width,) * depth + (out_dim,)
+                    arch = Architecture(depth, widths)
+                    net = dense_net(widths, rng.uniform(-1, 1, size=param_count(arch)))
+                    flat = embed_to_max(net, 2, 3)
+                    want = np.zeros(max_param_count(2, 3))
+                    for layer, (w, b) in enumerate(layer_matrices(arch, net.theta)):
+                        for (i, j), value in np.ndenumerate(w):
+                            want[max_frame_slot(2, 3, layer, i, j)] = value
+                        for i, value in enumerate(b):
+                            want[max_frame_slot(2, 3, layer, i, None)] = value
+                    np.testing.assert_array_equal(flat, want)
+                    if depth == 2 and width == 3:
+                        back = network_from_max_embedding(
+                            flat, 2, 3, in_dim, out_dim, weight_bound=1.0, output_clip=5.0
+                        )
+                        assert back.arch == arch
+                        np.testing.assert_array_equal(back.theta, net.theta)
 
 
 class TestSerialization:
