@@ -32,6 +32,7 @@ from .model import (
     logistic_loss,
     logistic_target,
     noise_variance,
+    rate_exponents,
     target_eta,
     target_values,
 )
@@ -189,8 +190,6 @@ def composition_rate_rhs(
 
     with phi the composition rate value of :func:`gibbsnet.model.rate_exponents`.
     """
-    from .model import rate_exponents
-
     _, phi = rate_exponents(betas, active_dims, n_eff)
     return xi3 * (
         phi * math.log(n_eff) ** 3

@@ -16,21 +16,21 @@ import numpy as np
 
 from .bounds import kl_numeric_check, mc_check_bernstein, mc_check_chain_mgf
 from .errors import ConfigError, GibbsNetError
-from .gibbs import GibbsConfig, sample_posterior, temperature
+from .gibbs import temperature
 from .harness import (
     ExperimentConfig,
+    SweepResult,
     build_chain,
     build_target,
     check_noise,
     emit_report,
+    fit_cell,
     fit_rate_slope,
-    resolve_classdef,
     run_effective_sample_experiment,
     run_rate_sweep,
     solve_chain,
 )
 from .markov import mixing_time, simulate, spectral_gap, stationary_distribution
-from .model import generate_classification, generate_regression, target_eta
 from .network import SparseNetwork
 
 
@@ -84,25 +84,20 @@ def cmd_simulate(doc: dict, args) -> int:
 
 
 def cmd_sample(doc: dict, args) -> int:
-    kernel, pi, gamma = solve_chain(doc["chain"], int(doc.get("k_max", 10)))
-    target = build_target(doc["target"], kernel.states)
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
-    loss = doc.get("loss", "square")
-    n = int(doc["n"])
-    if loss == "square":
-        noise = check_noise(doc.get("noise", ["gaussian", 0.5]))
-        data = generate_regression(target, kernel, pi, n=n, noise=noise, seed=seed)
-    else:
-        data = generate_classification(
-            target_eta(target), kernel, pi, n=n, seed=seed, points=target.points
-        )
-    classdef = resolve_classdef(doc["classdef"], doc["target"], n * gamma)
-    gdoc = dict(doc.get("gibbs", {}))
-    lam = gdoc.pop("temperature", None)
+    """The fit half of one sweep cell: the sweep schema with ``n`` in place
+    of ``n_grid``, and an optional ``gibbs.temperature`` override."""
+    doc = dict(doc)
+    n_grid = [doc.pop("n")]
+    gibbs = dict(doc.get("gibbs", {}))
+    lam = gibbs.pop("temperature", None)
+    cfg = _experiment_config({**doc, "gibbs": gibbs, "n_grid": n_grid}, args)
+    n = cfg.n_grid[0]
+    chain = solve_chain(cfg.chain, cfg.k_max)
+    kernel, _, gamma = chain
+    target = build_target(cfg.target, kernel.states)
     if lam is None:
-        lam = temperature(n, gamma, float(doc.get("bernstein_k", 1.0)))
-    cfg = GibbsConfig.from_doc(gdoc, classdef, lam, seed)
-    draws = sample_posterior(data, loss, classdef, cfg)
+        lam = temperature(n, gamma, cfg.bernstein_k)
+    _, draws = fit_cell(cfg, n, chain, target, cfg.seed, lam)
     out = _out_dir(doc, args)
     path = out / "draws.jsonl"
     path.write_text(draws.to_jsonl())
@@ -117,55 +112,58 @@ def cmd_bounds(doc: dict, args) -> int:
     reports = []
     for check in doc.get("checks", []):
         kind = check.get("kind")
-        if kind == "chain_mgf":
-            kernel = build_chain(check["chain"])
-            pi = stationary_distribution(kernel)
-            reports.append(
-                mc_check_chain_mgf(
-                    kernel,
-                    pi,
-                    check["f_table"],
-                    n=int(check["n"]),
-                    theta=float(check["theta"]),
-                    replications=int(check.get("replications", 1000)),
-                    seed=int(check.get("seed", 0)),
-                    k_max=int(check.get("k_max", 10)),
+        try:
+            if kind == "chain_mgf":
+                kernel = build_chain(check["chain"])
+                pi = stationary_distribution(kernel)
+                reports.append(
+                    mc_check_chain_mgf(
+                        kernel,
+                        pi,
+                        check["f_table"],
+                        n=int(check["n"]),
+                        theta=float(check["theta"]),
+                        replications=int(check.get("replications", 1000)),
+                        seed=int(check.get("seed", 0)),
+                        k_max=int(check.get("k_max", 10)),
+                    )
                 )
-            )
-        elif kind == "bernstein_mgf":
-            kernel = build_chain(check["chain"])
-            pi = stationary_distribution(kernel)
-            target = build_target(check["target"], kernel.states)
-            net = SparseNetwork.from_json(json.dumps(check["network"]))
-            family, scale = check.get("noise", ["gaussian", 0.0])
-            reports.append(
-                mc_check_bernstein(
-                    net,
-                    target,
-                    kernel,
-                    pi,
-                    check.get("loss", "square"),
-                    lam=float(check["lambda"]),
-                    n=int(check["n"]),
-                    replications=int(check.get("replications", 1000)),
-                    seed=int(check.get("seed", 0)),
-                    noise=(family, float(scale)),
-                    bernstein_k=check.get("bernstein_k"),
+            elif kind == "bernstein_mgf":
+                kernel = build_chain(check["chain"])
+                pi = stationary_distribution(kernel)
+                target = build_target(check["target"], kernel.states)
+                net = SparseNetwork.from_json(json.dumps(check["network"]))
+                family, scale = check_noise(check.get("noise", ["gaussian", 0.0]))
+                reports.append(
+                    mc_check_bernstein(
+                        net,
+                        target,
+                        kernel,
+                        pi,
+                        check.get("loss", "square"),
+                        lam=float(check["lambda"]),
+                        n=int(check["n"]),
+                        replications=int(check.get("replications", 1000)),
+                        seed=int(check.get("seed", 0)),
+                        noise=(family, float(scale)),
+                        bernstein_k=check.get("bernstein_k"),
+                    )
                 )
-            )
-        elif kind == "kl":
-            reports.append(
-                kl_numeric_check(
-                    card=int(check["card"]),
-                    eta=float(check["eta"]),
-                    decay=float(check["decay"]),
-                    slab=float(check["slab"]),
-                    n_max=int(check["n_max"]),
-                    center=check.get("center"),
+            elif kind == "kl":
+                reports.append(
+                    kl_numeric_check(
+                        card=int(check["card"]),
+                        eta=float(check["eta"]),
+                        decay=float(check["decay"]),
+                        slab=float(check["slab"]),
+                        n_max=int(check["n_max"]),
+                        center=check.get("center"),
+                    )
                 )
-            )
-        else:
-            raise ConfigError(f"unknown bound check kind {kind!r}")
+            else:
+                raise ConfigError(f"unknown bound check kind {kind!r}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{kind} check: {exc}") from exc
     width = max((len(r.label) for r in reports), default=10)
     print(f"{'check':<{width}}  {'rhs':>12}  {'empirical':>12}  holds")
     for r in reports:
@@ -179,18 +177,14 @@ def cmd_bounds(doc: dict, args) -> int:
 
 def _experiment_config(doc: dict, args) -> ExperimentConfig:
     doc = dict(doc)
-    doc.pop("pairs", None)
     if args.seed is not None:
         doc["seed"] = int(args.seed)
-    if args.out is not None:
-        doc["output_dir"] = args.out
     return ExperimentConfig.from_dict(doc)
 
 
 def cmd_sweep(doc: dict, args) -> int:
     cfg = _experiment_config(doc, args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(doc, args)
     result = run_rate_sweep(cfg, csv_path=out / "sweep_partial.csv")
     emit_report(result, [], str(out / "sweep"))
     slope_txt = "n/a"
@@ -207,9 +201,8 @@ def cmd_effsample(doc: dict, args) -> int:
     pairs = [tuple(pair) for pair in doc.get("pairs", [])]
     if not pairs:
         raise ConfigError("effsample needs a nonempty 'pairs' list of [n, p]")
-    cfg = _experiment_config(doc, args)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    cfg = _experiment_config({k: v for k, v in doc.items() if k != "pairs"}, args)
+    out = _out_dir(doc, args)
     result = run_effective_sample_experiment(
         cfg, pairs, csv_path=out / "effsample_partial.csv"
     )
@@ -223,8 +216,6 @@ def cmd_effsample(doc: dict, args) -> int:
 
 
 def cmd_slope(doc: dict, args) -> int:
-    from .harness import SweepResult
-
     csv_path = doc["csv"]
     result = SweepResult.from_csv(Path(csv_path).read_text())
     slope, stderr = fit_rate_slope(result)
@@ -266,6 +257,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](doc, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:
+        print(f"config error: missing key {exc}", file=sys.stderr)
         return 2
     except (GibbsNetError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -29,8 +29,8 @@ from .markov import (
 )
 from .model import (
     NOISE_FAMILIES,
-    Dataset,
     TargetSpec,
+    composition_target,
     excess_risk_mc,
     generate_classification,
     generate_regression,
@@ -39,8 +39,16 @@ from .model import (
     rate_exponents,
     target_eta,
 )
+from .network import max_param_count
 
 CSV_COLUMNS = ("n", "gamma", "n_eff", "excess_risk", "bound_rhs", "seed", "wall_time")
+
+LOSSES = ("square", "logistic")
+
+CHAIN_KEYS = {"two_source": {"family", "p", "states"}, "explicit": {"family", "probs"}}
+
+CLASSDEF_KEYS = {"rule", "constants", "depth", "width", "sparsity", "weight_bound",
+                 "output_clip", "activation", "lipschitz_const"}
 
 RULE_DEFAULTS = {
     "depth_scale": 1.0,
@@ -58,16 +66,19 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
     ``explicit`` (a full probability matrix).
     """
     family = spec.get("family")
+    if family not in CHAIN_KEYS:
+        raise ConfigError(f"unknown chain family {family!r}")
+    unknown = set(spec) - CHAIN_KEYS[family]
+    if unknown:
+        raise ConfigError(f"unknown {family} chain keys: {sorted(unknown)}")
     try:
         if family == "two_source":
             p = float(spec["p"] if p_override is None else p_override)
             return two_source_kernel(p, states=int(spec.get("states", 2)))
-        if family == "explicit":
-            probs = np.asarray(spec["probs"], dtype=float)
-            return TransitionKernel(states=probs.shape[0], probs=probs)
-    except ValueError as exc:
+        probs = np.asarray(spec["probs"], dtype=float)
+        return TransitionKernel(states=probs.shape[0], probs=probs)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"chain: {exc}") from exc
-    raise ConfigError(f"unknown chain family {family!r}")
 
 
 def solve_chain(spec: dict, k_max: int, p_override: float | None = None):
@@ -92,31 +103,29 @@ def check_noise(noise) -> tuple:
 
 
 def build_target(spec: dict, states: int) -> TargetSpec:
+    """The ground truth a config's ``target`` table describes on a chain
+    with ``states`` states; malformed values raise ConfigError."""
     kind = spec.get("kind")
-    if kind == "holder":
-        return holder_target(
-            beta=float(spec.get("beta", 1.0)),
-            m=states,
-            scale=float(spec.get("scale", 1.0)),
-            dim=int(spec.get("dim", 1)),
-        )
-    if kind == "logistic_link":
-        eta = spec.get("eta")
-        if eta is None:
-            raise ConfigError("logistic_link target needs a per-state eta table")
-        if len(eta) != states:
-            raise ConfigError("eta table length must match the chain's state count")
-        return logistic_link_target(eta)
-    if kind == "composition":
-        from .model import composition_target
-
-        return composition_target(
-            dims=spec["dims"],
-            active_coords=spec["active_coords"],
-            betas=spec["betas"],
-            m=states,
-            scale=float(spec.get("scale", 1.0)),
-        )
+    try:
+        if kind == "holder":
+            return holder_target(
+                beta=float(spec.get("beta", 1.0)),
+                m=states,
+                scale=float(spec.get("scale", 1.0)),
+                dim=int(spec.get("dim", 1)),
+            )
+        if kind == "logistic_link":
+            return logistic_link_target(spec["eta"], m=states)
+        if kind == "composition":
+            return composition_target(
+                dims=spec["dims"],
+                active_coords=spec["active_coords"],
+                betas=spec["betas"],
+                m=states,
+                scale=float(spec.get("scale", 1.0)),
+            )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"target: {exc}") from exc
     raise ConfigError(f"unknown target kind {kind!r}")
 
 
@@ -139,6 +148,9 @@ def architecture_rule(
     """
     if n_eff <= math.e:
         raise ConfigError("effective sample size must exceed e")
+    unknown = set(constants or {}) - set(RULE_DEFAULTS)
+    if unknown:
+        raise ConfigError(f"unknown rule constants: {sorted(unknown)}")
     cs = dict(RULE_DEFAULTS)
     cs.update(constants or {})
     log_n = math.log(n_eff)
@@ -256,15 +268,19 @@ class ExperimentConfig:
     def __post_init__(self):
         grid = tuple(int(n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("n_grid must be nonempty and strictly increasing")
+        if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError("n_grid must be nonempty, positive and strictly increasing")
         if self.p_grid is not None:
             object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         object.__setattr__(self, "noise", check_noise(self.noise))
-        if self.replications < 1:
-            raise ConfigError("replications must be positive")
+        if self.replications < 1 or self.k_max < 1 or self.bernstein_k <= 0:
+            raise ConfigError("replications, k_max and bernstein_k must be positive")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
+        if self.loss not in LOSSES:
+            raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
+        if self.predictor not in ("single_draw", "average"):
+            raise ConfigError(f"unknown predictor {self.predictor!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -274,7 +290,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             return cls(**doc)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -282,28 +298,34 @@ def resolve_classdef(classdef_doc: dict, target_doc: dict, n_eff: float) -> Clas
     """The network class a config's ``classdef`` table describes: explicit
     depth, width, sparsity and weight bound, or sizes from a scaling
     ``rule`` at the effective sample size ``n_eff``."""
-    if "rule" in classdef_doc:
-        sizes = architecture_rule(
-            n_eff,
-            float(target_doc.get("beta", 1.0)),
-            int(target_doc.get("dim", 1)),
-            rule=classdef_doc["rule"],
-            constants=classdef_doc.get("constants"),
+    unknown = set(classdef_doc) - CLASSDEF_KEYS
+    if unknown:
+        raise ConfigError(f"unknown classdef keys: {sorted(unknown)}")
+    try:
+        if "rule" in classdef_doc:
+            sizes = architecture_rule(
+                n_eff,
+                float(target_doc.get("beta", 1.0)),
+                int(target_doc.get("dim", 1)),
+                rule=classdef_doc["rule"],
+                constants=classdef_doc.get("constants"),
+            )
+        else:
+            try:
+                sizes = [classdef_doc[key] for key in ("depth", "width", "sparsity", "weight_bound")]
+            except KeyError as exc:
+                raise ConfigError(f"classdef needs a rule or an explicit {exc}") from exc
+        depth, width, sparsity, bound = sizes
+        return ClassDef(
+            depth=int(depth),
+            width=int(width),
+            sparsity=int(sparsity),
+            weight_bound=float(bound),
+            output_clip=float(classdef_doc.get("output_clip", 5.0)),
+            activation=classdef_doc.get("activation", "relu"),
         )
-    else:
-        try:
-            sizes = [classdef_doc[key] for key in ("depth", "width", "sparsity", "weight_bound")]
-        except KeyError as exc:
-            raise ConfigError(f"classdef needs a rule or an explicit {exc}") from exc
-    depth, width, sparsity, bound = sizes
-    return ClassDef(
-        depth=int(depth),
-        width=int(width),
-        sparsity=int(sparsity),
-        weight_bound=float(bound),
-        output_clip=float(classdef_doc.get("output_clip", 5.0)),
-        activation=classdef_doc.get("activation", "relu"),
-    )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"classdef: {exc}") from exc
 
 
 def _bound_rhs(cfg: ExperimentConfig, classdef: ClassDef, n: int, gamma: float) -> float:
@@ -323,8 +345,6 @@ def _bound_rhs(cfg: ExperimentConfig, classdef: ClassDef, n: int, gamma: float) 
         return composition_rate_rhs(
             n_eff, rule["betas"], rule["active_coords"], cfg.delta, lip, cfg.xi
         )
-    from .network import max_param_count
-
     return oracle_rhs(
         excess_at_best=0.0,
         card=classdef.sparsity,
@@ -339,39 +359,37 @@ def _bound_rhs(cfg: ExperimentConfig, classdef: ClassDef, n: int, gamma: float) 
     )
 
 
-def _generate(cfg: ExperimentConfig, target, kernel, pi, n: int, seed: int, gamma: float):
+def fit_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, seed: int, lam: float):
+    """The fit half of a cell on ``chain = (kernel, pi, gamma)``: size the
+    class at n * gamma, draw n observations of ``target`` and sample the
+    posterior at temperature ``lam``; data and sampler share ``seed``.
+    Returns ``(classdef, draws)``."""
+    kernel, pi, gamma = chain
+    classdef = resolve_classdef(cfg.classdef, cfg.target, n * gamma)
     if cfg.loss == "square":
         data = generate_regression(target, kernel, pi, n=n, noise=cfg.noise, seed=seed)
-    elif cfg.loss == "logistic":
+    else:
         data = generate_classification(
             target_eta(target), kernel, pi, n=n, seed=seed, points=target.points
         )
-    else:
-        raise ConfigError(f"unknown loss {cfg.loss!r}")
-    meta = dict(data.chain_meta)
-    meta["gamma"] = gamma
-    return Dataset(inputs=data.inputs, outputs=data.outputs, chain_meta=meta)
+    gibbs_cfg = GibbsConfig.from_doc(cfg.gibbs, classdef, lam, seed)
+    return classdef, sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
 
 
-def run_cell(cfg: ExperimentConfig, n: int, chain, row_seed: int) -> SweepRow:
-    """One grid cell on a precomputed ``chain = (kernel, pi, gamma)``:
-    calibrate the temperature, size the class, draw data, sample the
-    posterior and score the predictor."""
+def run_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, row_seed: int) -> SweepRow:
+    """One grid cell on a precomputed ``chain = (kernel, pi, gamma)`` and
+    the sweep's ``target``: calibrate the temperature, fit (see
+    :func:`fit_cell`) and score the predictor."""
     start = time.perf_counter()
     kernel, pi, gamma = chain
-    n_eff = n * gamma
     lam = temperature(n, gamma, cfg.bernstein_k)
-    classdef = resolve_classdef(cfg.classdef, cfg.target, n_eff)
-    target = build_target(cfg.target, kernel.states)
-    data = _generate(cfg, target, kernel, pi, n, row_seed, gamma)
-    gibbs_cfg = GibbsConfig.from_doc(cfg.gibbs, classdef, lam, row_seed)
-    draws = sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
+    classdef, draws = fit_cell(cfg, n, chain, target, row_seed, lam)
     predictor = posterior_predictor(draws, mode=cfg.predictor)
     excess = excess_risk_mc(predictor, target, kernel, pi, loss=cfg.loss)
     return SweepRow(
         n=n,
         gamma=gamma,
-        n_eff=n_eff,
+        n_eff=n * gamma,
         excess_risk=excess,
         bound_rhs=_bound_rhs(cfg, classdef, n, gamma),
         seed=row_seed,
@@ -381,25 +399,21 @@ def run_cell(cfg: ExperimentConfig, n: int, chain, row_seed: int) -> SweepRow:
 
 def _run_cells(cfg: ExperimentConfig, cells, chains: dict, csv_path) -> list:
     """Run each (n, p) cell ``cfg.replications`` times in order, on
-    ``chains[p]``, with row seeds base seed XOR row index; rows are flushed
-    to ``csv_path`` as they complete, so partial results survive a
-    failure."""
+    ``chains[p]`` and one target built for the sweep, with row seeds base
+    seed XOR row index; rows are flushed to ``csv_path`` as they complete,
+    so partial results survive a failure."""
+    kernel = next(iter(chains.values()))[0]
+    target = build_target(cfg.target, kernel.states)
     rows = []
-    handle = None if csv_path is None else open(csv_path, "w")
-    try:
-        if handle is not None:
-            handle.write(",".join(CSV_COLUMNS) + "\n")
-            handle.flush()
+    with io.StringIO() if csv_path is None else open(csv_path, "w") as handle:
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        handle.flush()
         for n, p in cells:
             for _ in range(cfg.replications):
-                row = run_cell(cfg, n, chains[p], row_seed=cfg.seed ^ len(rows))
+                row = run_cell(cfg, n, chains[p], target, row_seed=cfg.seed ^ len(rows))
                 rows.append(row)
-                if handle is not None:
-                    handle.write(row.to_csv_line() + "\n")
-                    handle.flush()
-    finally:
-        if handle is not None:
-            handle.close()
+                handle.write(row.to_csv_line() + "\n")
+                handle.flush()
     return rows
 
 

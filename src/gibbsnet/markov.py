@@ -120,13 +120,8 @@ def two_source_kernel(p: float, states: int = 2) -> TransitionKernel:
     if not 0.0 <= p <= 1.0:
         raise ValueError("switch probability must lie in [0, 1]")
     half = states // 2
-    probs = np.empty((states, states))
-    same = (1.0 - p) / half
-    other = p / half
-    for z in range(states):
-        left = z < half
-        for u in range(states):
-            probs[z, u] = same if (u < half) == left else other
+    left = np.arange(states) < half
+    probs = np.where(left[:, None] == left[None, :], (1.0 - p) / half, p / half)
     return TransitionKernel(states=states, probs=probs)
 
 

@@ -344,7 +344,6 @@ def generate_regression(
     meta = {
         "kernel": kernel.to_json(),
         "seed": seed,
-        "gamma": None,
         "noise": [family, scale],
     }
     return Dataset(inputs=x, outputs=y, chain_meta=meta)
@@ -366,7 +365,7 @@ def generate_classification(
     traj = simulate(kernel, pi, n=n, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC1)))
     labels = np.where(rng.random(n) < eta[traj.states], 1.0, -1.0)
-    meta = {"kernel": kernel.to_json(), "seed": seed, "gamma": None}
+    meta = {"kernel": kernel.to_json(), "seed": seed}
     return Dataset(inputs=embedding[traj.states], outputs=labels, chain_meta=meta)
 
 

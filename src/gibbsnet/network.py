@@ -230,14 +230,17 @@ def lipschitz_parameter_bound(
     )
 
 
+def _layer_norm(arch: Architecture, theta: np.ndarray) -> float:
+    worst = 0.0
+    for w, b in layer_matrices(arch, theta):
+        worst = max(worst, float(np.abs(w).sum(axis=1).max()), float(np.abs(b).max()))
+    return worst
+
+
 def weight_norm(net: SparseNetwork) -> float:
     """Layerwise class norm: max over layers of the weight matrix's maximum
     row sum and the bias vector's sup norm."""
-    worst = 0.0
-    for w, b in layer_matrices(net.arch, net.theta):
-        worst = max(worst, float(np.abs(w).sum(axis=1).max()))
-        worst = max(worst, float(np.abs(b).max()))
-    return worst
+    return _layer_norm(net.arch, net.theta)
 
 
 def param_distance(net1: SparseNetwork, net2: SparseNetwork) -> float:
@@ -245,13 +248,7 @@ def param_distance(net1: SparseNetwork, net2: SparseNetwork) -> float:
     :func:`weight_norm` (max row sum for weights, sup norm for biases)."""
     if net1.arch != net2.arch:
         raise DimensionMismatch("networks must share an architecture")
-    worst = 0.0
-    for (w1, b1), (w2, b2) in zip(
-        layer_matrices(net1.arch, net1.theta), layer_matrices(net2.arch, net2.theta)
-    ):
-        worst = max(worst, float(np.abs(w1 - w2).sum(axis=1).max()))
-        worst = max(worst, float(np.abs(b1 - b2).max()))
-    return worst
+    return _layer_norm(net1.arch, net1.theta - net2.theta)
 
 
 def max_frame_slot(depth_frame: int, width_frame: int, layer: int, row: int, col: int | None):

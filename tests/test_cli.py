@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,39 @@ SAMPLE = {
 }
 
 
+# Fixed-seed `sample` runs, each compared with tests/data/golden_sample_<name>.jsonl.
+GOLDEN_SAMPLES = {
+    "rule_temperature": {
+        **SAMPLE,
+        "n": 300,
+        "classdef": {"rule": "holder", "output_clip": 1.2,
+                     "constants": {"depth_scale": 0.1, "width_scale": 0.2,
+                                   "sparsity_scale": 0.5, "bound_cap": 1.5}},
+        "gibbs": {"iters": 600, "burn_in": 200, "thin": 10, "step": 0.3, "temperature": 5.0},
+        "noise": ["uniform", 0.3],
+        "seed": 11,
+    },
+    "logistic": {
+        **SAMPLE,
+        "target": {"kind": "logistic_link", "eta": [0.2, 0.4, 0.7, 0.9]},
+        "loss": "logistic",
+        "classdef": {"depth": 1, "width": 2, "sparsity": 4, "weight_bound": 1.5,
+                     "output_clip": 2.0},
+        "gibbs": {"iters": 500, "burn_in": 100, "thin": 10},
+        "bernstein_k": 0.01,
+        "seed": 5,
+    },
+}
+
+
+CHAIN = {"family": "two_source", "p": 0.5, "states": 4}
+NETWORK = {"depth": 0, "widths": [1, 1], "active_indices": [1], "values": [1.0],
+           "weight_bound": 1.0, "output_clip": 5.0}
+BERNSTEIN = {"kind": "bernstein_mgf", "chain": CHAIN, "target": {"kind": "holder"},
+             "network": NETWORK, "lambda": 1.0, "n": 100, "replications": 20}
+KL = {"kind": "kl", "card": 2, "eta": 0.1, "decay": 2.0, "slab": 1.0, "n_max": 5}
+
+
 def run(tmp_path, command, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -42,12 +76,35 @@ def run(tmp_path, command, doc):
         ("sample", {**SAMPLE, "gibbs": {"temperature": 2.0, "burnin": 10}}),
         ("sample", {**SAMPLE, "gibbs": {"iters": 100, "burn_in": 200}}),
         ("sample", {**SAMPLE, "noise": ["uniform", -0.5]}),
+        ("gap", {}),
+        ("simulate", {"chain": CHAIN}),
+        ("sample", {k: v for k, v in SAMPLE.items() if k != "n"}),
+        ("bounds", {"checks": [{**BERNSTEIN, "noise": ["cauchy", 0.3]}]}),
+        ("bounds", {"checks": [{**KL, "decay": 1.5}]}),
+        ("sweep", {**SWEEP, "classdef": {**SWEEP["classdef"], "depth": "one"}}),
+        ("sweep", {**SWEEP, "classdef": {**SWEEP["classdef"], "ouput_clip": 1.0}}),
+        ("sweep", {**SWEEP, "chain": {"family": "two_source", "p": 0.5, "state": 4}}),
+        ("sweep", {**SWEEP, "classdef": {"rule": "holder", "constants": {"depth_scal": 0.1}}}),
+        ("sweep", {**SWEEP, "target": {"kind": "holder", "beta": -1.0}}),
+        ("sweep", {**SWEEP, "n_grid": ["many"]}),
+        ("sample", {**SAMPLE, "nosie": ["gaussian", 0.5]}),
+        ("sample", {**SAMPLE, "loss": "hinge"}),
+        ("sample", {**SAMPLE, "pairs": [[100, 0.5]]}),
+        ("sample", {**SAMPLE, "n": 0}),
+        ("sweep", {**SWEEP, "bernstein_k": 0}),
+        ("sweep", {**SWEEP, "k_max": 0}),
+        ("sweep", {**SWEEP, "predictor": "mean"}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
         "iters-below-burn-in", "negative-noise-scale", "unknown-noise-family",
         "classdef-without-sizes", "sample-burnin-typo", "sample-iters-below-burn-in",
-        "sample-negative-noise-scale",
+        "sample-negative-noise-scale", "gap-without-chain", "simulate-without-n",
+        "sample-without-n", "bounds-unknown-noise-family", "bounds-kl-decay-below-2",
+        "classdef-non-numeric-depth", "classdef-key-typo", "chain-key-typo",
+        "rule-constant-typo", "target-negative-beta", "non-numeric-n-grid",
+        "sample-top-level-key-typo", "sample-unknown-loss", "sample-pairs-key",
+        "sample-zero-n", "zero-bernstein-k", "zero-k-max", "unknown-predictor",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -55,9 +112,21 @@ def test_config_errors_exit_2(tmp_path, capsys, command, doc):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_unknown_loss_writes_no_partial_csv(tmp_path):
+    assert run(tmp_path, "sweep", {**SWEEP, "loss": "hinge"}) == 2
+    assert not (tmp_path / "sweep_partial.csv").exists()
+
+
 def test_sample_temperature_override_accepted(tmp_path):
     assert run(tmp_path, "sample", SAMPLE) == 0
     assert len((tmp_path / "draws.jsonl").read_text().splitlines()) == 100
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SAMPLES))
+def test_sample_golden_draws(tmp_path, name):
+    assert run(tmp_path, "sample", GOLDEN_SAMPLES[name]) == 0
+    golden = Path(__file__).parent / "data" / f"golden_sample_{name}.jsonl"
+    assert (tmp_path / "draws.jsonl").read_text() == golden.read_text()
 
 
 def test_bounds_overflowing_rhs_reports_inf(tmp_path):
@@ -68,9 +137,7 @@ def test_bounds_overflowing_rhs_reports_inf(tmp_path):
         {"kind": "chain_mgf", "chain": chain, "f_table": [1.0, -1.0], "n": 100_000,
          "theta": 0.099, "replications": 20},
         {"kind": "bernstein_mgf", "chain": chain, "target": {"kind": "holder"},
-         "network": {"depth": 0, "widths": [1, 1], "active_indices": [1], "values": [1.0],
-                     "weight_bound": 1.0, "output_clip": 5.0},
-         "lambda": 10.9, "n": 110, "replications": 20, "bernstein_k": 50.0,
+         "network": NETWORK, "lambda": 10.9, "n": 110, "replications": 20, "bernstein_k": 50.0,
          "noise": ["gaussian", 0.3]},
     ]}
     assert run(tmp_path, "bounds", doc) == 0

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gibbsnet import harness
 from gibbsnet.errors import ConfigError, MismatchedEffectiveSize, TooFewPoints
 from gibbsnet.harness import (
     CSV_COLUMNS,
@@ -82,6 +83,13 @@ class TestExperimentConfig:
             ExperimentConfig(
                 target={"kind": "holder"}, chain={"family": "two_source", "p": 0.5},
                 n_grid=[100, 100],
+            )
+
+    def test_unknown_loss_rejected(self):
+        with pytest.raises(ConfigError, match="hinge"):
+            ExperimentConfig(
+                target={"kind": "holder"}, chain={"family": "two_source", "p": 0.5},
+                n_grid=[100], loss="hinge",
             )
 
     def test_unknown_keys_rejected(self):
@@ -214,6 +222,19 @@ class TestRunRateSweep:
         )
         result = run_rate_sweep(cfg)
         assert np.median([r.excess_risk for r in result.rows]) < 1e-3
+
+    def test_target_built_once_per_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        original = harness.build_target
+        monkeypatch.setattr(
+            harness, "build_target", lambda *args: calls.append(args) or original(*args)
+        )
+        cfg = small_sweep_config(
+            tmp_path, n_grid=[50, 100], p_grid=[0.3, 0.5], replications=2,
+            gibbs={"iters": 200, "burn_in": 100, "thin": 5},
+        )
+        assert len(run_rate_sweep(cfg).rows) == 8
+        assert len(calls) == 1
 
     def test_partial_csv_flushed(self, tmp_path):
         cfg = small_sweep_config(tmp_path)

@@ -64,6 +64,16 @@ class TestKernelValidation:
         with pytest.raises(ValueError):
             TransitionKernel(states=2, probs=np.array([[1.5, -0.5], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("states", [2, 4, 6, 16])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+    def test_two_source_matches_loop_reference(self, states, p):
+        half = states // 2
+        expected = np.empty((states, states))
+        for z in range(states):
+            for u in range(states):
+                expected[z, u] = ((1.0 - p) if (u < half) == (z < half) else p) / half
+        np.testing.assert_array_equal(two_source_kernel(p, states).probs, expected)
+
     def test_json_round_trip(self):
         kernel = random_positive_kernel(3, seed=1)
         restored = TransitionKernel.from_json(kernel.to_json())

@@ -228,6 +228,19 @@ class TestParameterLipschitzProperty:
             rhs = rate * param_distance(net1, net2)
             assert lhs <= rhs * (1 + 1e-9) + 1e-12
 
+    def test_norms_match_loop_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            net1, net2, _ = random_sparse_pair(rng, "relu")
+            pairs = zip(layer_matrices(net1.arch, net1.theta), layer_matrices(net2.arch, net2.theta))
+            norm, dist = 0.0, 0.0
+            for (w1, b1), (w2, b2) in pairs:
+                norm = max(norm, float(np.abs(w1).sum(axis=1).max()), float(np.abs(b1).max()))
+                dist = max(dist, float(np.abs(w1 - w2).sum(axis=1).max()),
+                           float(np.abs(b1 - b2).max()))
+            assert weight_norm(net1) == norm
+            assert param_distance(net1, net2) == dist
+
     def test_weight_norm_respects_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
