@@ -6,7 +6,6 @@ from .bounds import (
     bernstein_mgf_rhs,
     chain_mgf_rhs,
     composition_rate_rhs,
-    holder_rate_rhs,
     kl_numeric_check,
     kl_truncated_uniform_rhs,
     mc_check_bernstein,
@@ -60,6 +59,7 @@ from .model import (
     logistic_link_target,
     logistic_loss,
     logistic_target,
+    rate_exponent,
     rate_exponents,
     square_loss,
     subgaussian_envelope,

@@ -32,7 +32,7 @@ from .model import (
     logistic_loss,
     logistic_target,
     noise_variance,
-    rate_exponents,
+    rate_exponent,
     target_eta,
     target_values,
 )
@@ -157,25 +157,6 @@ def oracle_rhs(
     return 3.0 * excess_at_best + xi1 / (n * gap) * penalty
 
 
-def holder_rate_rhs(
-    n_eff: float,
-    beta: float,
-    input_dim: int,
-    delta: float,
-    lipschitz_const: float,
-    xi2: float = 1.0,
-) -> float:
-    """Rate-shaped excess-risk bound for a smoothness-beta target:
-
-        xi2 * ( log^3(n_eff) / n_eff^{2 beta/(2 beta + d)}
-                + (log(1/delta) + C) / n_eff )
-    """
-    if n_eff <= 1:
-        raise ValueError("effective sample size must exceed 1")
-    main = math.log(n_eff) ** 3 / n_eff ** (2.0 * beta / (2.0 * beta + input_dim))
-    return xi2 * (main + (math.log(1.0 / delta) + lipschitz_const) / n_eff)
-
-
 def composition_rate_rhs(
     n_eff: float,
     betas,
@@ -186,15 +167,16 @@ def composition_rate_rhs(
 ) -> float:
     """Rate-shaped excess-risk bound for a composition-structured target:
 
-        xi3 * ( phi(n_eff) log^3(n_eff) + (log(1/delta) + C) / n_eff )
+        xi3 * ( log^3(n_eff) / n_eff^{-e} + (log(1/delta) + C) / n_eff )
 
-    with phi the composition rate value of :func:`gibbsnet.model.rate_exponents`.
+    with e the rate exponent of :func:`gibbsnet.model.rate_exponent`; a
+    smoothness-beta target on d inputs is the one stage ([beta], [d]),
+    with n_eff^{-e} = n_eff^{2 beta/(2 beta + d)}.
     """
-    _, phi = rate_exponents(betas, active_dims, n_eff)
-    return xi3 * (
-        phi * math.log(n_eff) ** 3
-        + (math.log(1.0 / delta) + lipschitz_const) / n_eff
-    )
+    if n_eff <= 1:
+        raise ValueError("effective sample size must exceed 1")
+    main = math.log(n_eff) ** 3 / n_eff ** -rate_exponent(betas, active_dims)
+    return xi3 * (main + (math.log(1.0 / delta) + lipschitz_const) / n_eff)
 
 
 def _estimate_with_batched_se(values: np.ndarray, groups: int = 20):

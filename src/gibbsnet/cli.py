@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,8 +31,15 @@ from .harness import (
     run_rate_sweep,
     solve_chain,
 )
-from .markov import mixing_time, simulate, spectral_gap, stationary_distribution
+from .markov import mixing_time, pseudo_spectral_gap, simulate, spectral_gap, stationary_distribution
 from .network import SparseNetwork
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -42,18 +50,23 @@ def load_config(path: str) -> dict:
         except ImportError as exc:
             raise ConfigError("TOML configs need Python >= 3.11; use JSON") from exc
         return tomllib.loads(text)
-    return json.loads(text)
+    return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
 
 
 def _out_dir(doc: dict, args) -> Path:
-    out = Path(args.out if args.out else doc.get("output_dir", "."))
+    out = args.out if args.out else doc.get("output_dir", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"output_dir must be a path, got {out!r}")
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_gap(doc: dict, args) -> int:
     k_max = int(doc.get("k_max", 10))
-    kernel, pi, gap = solve_chain(doc["chain"], k_max)
+    kernel = build_chain(doc["chain"])
+    pi = stationary_distribution(kernel)
+    gap = pseudo_spectral_gap(kernel, pi, k_max=k_max)
     result = {
         "states": kernel.states,
         "stationary": pi.weights.tolist(),
@@ -74,8 +87,11 @@ def cmd_gap(doc: dict, args) -> int:
 def cmd_simulate(doc: dict, args) -> int:
     kernel = build_chain(doc["chain"])
     pi = stationary_distribution(kernel)
-    seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
-    traj = simulate(kernel, pi, n=int(doc["n"]), seed=seed)
+    try:
+        seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
+        traj = simulate(kernel, pi, n=int(doc["n"]), seed=seed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"simulate: {exc}") from exc
     out = _out_dir(doc, args)
     path = out / "trajectory.txt"
     path.write_text(traj.to_text())
@@ -88,8 +104,10 @@ def cmd_sample(doc: dict, args) -> int:
     of ``n_grid``, and an optional ``gibbs.temperature`` override."""
     doc = dict(doc)
     n_grid = [doc.pop("n")]
-    gibbs = dict(doc.get("gibbs", {}))
-    lam = gibbs.pop("temperature", None)
+    gibbs, lam = doc.get("gibbs", {}), None
+    if isinstance(gibbs, dict):
+        gibbs = dict(gibbs)
+        lam = gibbs.pop("temperature", None)
     cfg = _experiment_config({**doc, "gibbs": gibbs, "n_grid": n_grid}, args)
     n = cfg.n_grid[0]
     chain = solve_chain(cfg.chain, cfg.k_max)
@@ -198,9 +216,7 @@ def cmd_sweep(doc: dict, args) -> int:
 
 
 def cmd_effsample(doc: dict, args) -> int:
-    pairs = [tuple(pair) for pair in doc.get("pairs", [])]
-    if not pairs:
-        raise ConfigError("effsample needs a nonempty 'pairs' list of [n, p]")
+    pairs = doc.get("pairs", [])
     cfg = _experiment_config({k: v for k, v in doc.items() if k != "pairs"}, args)
     out = _out_dir(doc, args)
     result = run_effective_sample_experiment(

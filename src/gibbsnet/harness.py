@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import composition_rate_rhs, holder_rate_rhs, oracle_rhs
-from .errors import ConfigError, MismatchedEffectiveSize, TooFewPoints
+from .bounds import composition_rate_rhs, oracle_rhs
+from .errors import ConfigError, InvalidClass, MismatchedEffectiveSize, TooFewPoints
 from .gibbs import ClassDef, GibbsConfig, posterior_predictor, sample_posterior, temperature
 from .markov import (
     TransitionKernel,
@@ -36,6 +36,7 @@ from .model import (
     generate_regression,
     holder_target,
     logistic_link_target,
+    rate_exponent,
     rate_exponents,
     target_eta,
 )
@@ -46,6 +47,12 @@ CSV_COLUMNS = ("n", "gamma", "n_eff", "excess_risk", "bound_rhs", "seed", "wall_
 LOSSES = ("square", "logistic")
 
 CHAIN_KEYS = {"two_source": {"family", "p", "states"}, "explicit": {"family", "probs"}}
+
+TARGET_KEYS = {
+    "holder": {"kind", "beta", "scale", "dim"},
+    "composition": {"kind", "dims", "active_coords", "betas", "scale"},
+    "logistic_link": {"kind", "eta"},
+}
 
 CLASSDEF_KEYS = {"rule", "constants", "depth", "width", "sparsity", "weight_bound",
                  "output_clip", "activation", "lipschitz_const"}
@@ -65,12 +72,7 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
     Families: ``two_source`` (switch probability p, even state count) and
     ``explicit`` (a full probability matrix).
     """
-    family = spec.get("family")
-    if family not in CHAIN_KEYS:
-        raise ConfigError(f"unknown chain family {family!r}")
-    unknown = set(spec) - CHAIN_KEYS[family]
-    if unknown:
-        raise ConfigError(f"unknown {family} chain keys: {sorted(unknown)}")
+    family = _table_kind(spec, CHAIN_KEYS, "chain", "family")
     try:
         if family == "two_source":
             p = float(spec["p"] if p_override is None else p_override)
@@ -81,12 +83,31 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
         raise ConfigError(f"chain: {exc}") from exc
 
 
+def _table_kind(spec, keys: dict, name: str, field: str) -> str:
+    """``spec[field]`` of a config table whose allowed keys depend on that
+    kind (``keys[kind]``); a non-table, an unknown kind or an unknown key
+    raises ConfigError."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name} must be a table, got {spec!r}")
+    kind = spec.get(field)
+    if not isinstance(kind, str) or kind not in keys:
+        raise ConfigError(f"unknown {name} {field} {kind!r}")
+    unknown = set(spec) - keys[kind]
+    if unknown:
+        raise ConfigError(f"unknown {kind} {name} keys: {sorted(unknown)}")
+    return kind
+
+
 def solve_chain(spec: dict, k_max: int, p_override: float | None = None):
-    """(kernel, stationary law, pseudo-spectral gap) of a config chain spec;
-    see :func:`build_chain` for ``p_override``."""
+    """(kernel, stationary law, pseudo-spectral gap) of a config chain spec
+    that a fit can use (see :func:`build_chain` for ``p_override``); a chain
+    with a zero gap, so zero effective sample size, raises ConfigError."""
     kernel = build_chain(spec, p_override=p_override)
     pi = stationary_distribution(kernel)
-    return kernel, pi, pseudo_spectral_gap(kernel, pi, k_max=k_max)
+    gap = pseudo_spectral_gap(kernel, pi, k_max=k_max)
+    if gap <= 0:
+        raise ConfigError(f"chain has pseudo-spectral gap {gap}, so n * gamma = 0")
+    return kernel, pi, gap
 
 
 def check_noise(noise) -> tuple:
@@ -104,8 +125,9 @@ def check_noise(noise) -> tuple:
 
 def build_target(spec: dict, states: int) -> TargetSpec:
     """The ground truth a config's ``target`` table describes on a chain
-    with ``states`` states; malformed values raise ConfigError."""
-    kind = spec.get("kind")
+    with ``states`` states (a ``holder`` target is the one-stage
+    composition); unknown keys and malformed values raise ConfigError."""
+    kind = _table_kind(spec, TARGET_KEYS, "target", "kind")
     try:
         if kind == "holder":
             return holder_target(
@@ -116,17 +138,15 @@ def build_target(spec: dict, states: int) -> TargetSpec:
             )
         if kind == "logistic_link":
             return logistic_link_target(spec["eta"], m=states)
-        if kind == "composition":
-            return composition_target(
-                dims=spec["dims"],
-                active_coords=spec["active_coords"],
-                betas=spec["betas"],
-                m=states,
-                scale=float(spec.get("scale", 1.0)),
-            )
-    except (TypeError, ValueError) as exc:
+        return composition_target(
+            dims=spec["dims"],
+            active_coords=spec["active_coords"],
+            betas=spec["betas"],
+            m=states,
+            scale=float(spec.get("scale", 1.0)),
+        )
+    except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"target: {exc}") from exc
-    raise ConfigError(f"unknown target kind {kind!r}")
 
 
 def architecture_rule(
@@ -169,6 +189,8 @@ def architecture_rule(
     if isinstance(rule, dict) and rule.get("kind") == "composition":
         betas = [float(b) for b in rule["betas"]]
         active = [float(t) for t in rule["active_coords"]]
+        if not betas or len(betas) != len(active) or min(betas) <= 0 or min(active) < 1:
+            raise ConfigError("a composition rule needs one beta > 0 and one t >= 1 per stage")
         c0 = sum(math.log(4.0 * max(t, b), 4.0) for t, b in zip(active, betas))
         _, phi = rate_exponents(betas, active, n_eff)
         depth = math.ceil(cs["depth_scale"] * c0 * log_n)
@@ -266,19 +288,35 @@ class ExperimentConfig:
     xi: float = 1.0
 
     def __post_init__(self):
+        for name in ("target", "chain", "classdef", "gibbs"):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(f"{name} must be a table, got {getattr(self, name)!r}")
         grid = tuple(int(n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be nonempty, positive and strictly increasing")
         if self.p_grid is not None:
             object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
+            if not self.p_grid:
+                raise ConfigError("p_grid must be nonempty when given")
         object.__setattr__(self, "noise", check_noise(self.noise))
+        counts = (self.replications, self.k_max, self.seed)
+        if not all(isinstance(v, (int, np.integer)) for v in counts):
+            raise ConfigError("replications, k_max and seed must be integers")
         if self.replications < 1 or self.k_max < 1 or self.bernstein_k <= 0:
             raise ConfigError("replications, k_max and bernstein_k must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if not isinstance(self.xi, (int, float)) or not self.xi > 0:
+            raise ConfigError(f"xi must be a positive number, got {self.xi!r}")
+        if not isinstance(self.classdef.get("lipschitz_const", 1.0), (int, float)):
+            raise ConfigError("classdef lipschitz_const must be a number")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
+        if self.loss == "logistic" and self.target.get("kind") != "logistic_link":
+            raise ConfigError("the logistic loss needs a logistic_link target")
         if self.predictor not in ("single_draw", "average"):
             raise ConfigError(f"unknown predictor {self.predictor!r}")
 
@@ -324,8 +362,13 @@ def resolve_classdef(classdef_doc: dict, target_doc: dict, n_eff: float) -> Clas
             output_clip=float(classdef_doc.get("output_clip", 5.0)),
             activation=classdef_doc.get("activation", "relu"),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InvalidClass) as exc:
         raise ConfigError(f"classdef: {exc}") from exc
+
+
+def _holder_stage(doc: dict) -> dict:
+    """The one composition stage ([beta], [dim]) of a ``holder`` target doc."""
+    return {"betas": [float(doc.get("beta", 1.0))], "active_coords": [int(doc.get("dim", 1))]}
 
 
 def _bound_rhs(cfg: ExperimentConfig, classdef: ClassDef, n: int, gamma: float) -> float:
@@ -333,15 +376,8 @@ def _bound_rhs(cfg: ExperimentConfig, classdef: ClassDef, n: int, gamma: float) 
     lip = float(cfg.classdef.get("lipschitz_const", 1.0))
     rule = cfg.classdef.get("rule")
     if rule == "holder":
-        return holder_rate_rhs(
-            n_eff,
-            float(cfg.target.get("beta", 1.0)),
-            int(cfg.target.get("dim", 1)),
-            cfg.delta,
-            lip,
-            cfg.xi,
-        )
-    if isinstance(rule, dict) and rule.get("kind") == "composition":
+        rule = _holder_stage(cfg.target)
+    if isinstance(rule, dict):
         return composition_rate_rhs(
             n_eff, rule["betas"], rule["active_coords"], cfg.delta, lip, cfg.xi
         )
@@ -428,20 +464,14 @@ def run_rate_sweep(cfg: ExperimentConfig, csv_path=None) -> SweepResult:
 
 
 def theory_exponent(cfg: ExperimentConfig) -> float | None:
-    """Rate exponent the sweep is probing: -2 beta/(2 beta + d) for a
-    smoothness-beta target, the composition value otherwise."""
+    """Rate exponent the sweep is probing (see
+    :func:`gibbsnet.model.rate_exponent`) for a smooth target, a
+    ``holder`` target being the one-stage composition; None otherwise."""
     kind = cfg.target.get("kind")
-    if kind in ("holder", "holder_sample"):
-        beta = float(cfg.target.get("beta", 1.0))
-        dim = int(cfg.target.get("dim", 1))
-        return -2.0 * beta / (2.0 * beta + dim)
-    if kind == "composition":
-        betas = cfg.target["betas"]
-        active = cfg.target["active_coords"]
-        beta_star, _ = rate_exponents(betas, active, math.e**2)
-        exps = -2.0 * beta_star / (2.0 * beta_star + np.asarray(active, dtype=float))
-        return float(np.max(exps))
-    return None
+    if kind not in ("holder", "composition"):
+        return None
+    stages = _holder_stage(cfg.target) if kind == "holder" else cfg.target
+    return rate_exponent(stages["betas"], stages["active_coords"])
 
 
 def fit_rate_slope(result: SweepResult) -> tuple[float, float]:
@@ -475,7 +505,12 @@ def run_effective_sample_experiment(
 ) -> SweepResult:
     """Compare grid cells whose (n, p) pairs share one effective sample
     size n * gamma(p) within 1%."""
-    cells = [(int(n), float(p)) for n, p in pairs]
+    try:
+        cells = [(int(n), float(p)) for n, p in pairs]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"pairs must be a list of [n, p], got {pairs!r}") from exc
+    if not cells or any(n < 1 for n, _ in cells):
+        raise ConfigError("effsample needs a nonempty 'pairs' list of [n, p] with n >= 1")
     chains = {p: solve_chain(cfg.chain, cfg.k_max, p) for _, p in cells}
     effective = [n * chains[p][2] for n, p in cells]
     center = float(np.mean(effective))

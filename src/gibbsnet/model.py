@@ -46,16 +46,20 @@ class TargetSpec:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         object.__setattr__(self, "points", pts)
-        if self.kind not in ("holder_sample", "composition", "logistic_link"):
+        if self.kind not in ("composition", "logistic_link"):
             raise ValueError(f"unknown target kind {self.kind!r}")
         if self.kind == "composition":
-            dims = self.params["dims"]
-            actives = self.params["active_coords"]
-            if len(actives) != len(dims) - 1:
-                raise ValueError("need one active-coordinate count per stage")
-            for t_i, d_i in zip(actives, dims[:-1]):
-                if t_i > d_i:
-                    raise ValueError("each stage may use at most its input dimension")
+            dims, actives, betas = (self.params[k] for k in ("dims", "active_coords", "betas"))
+            if not len(actives) == len(betas) == len(dims) - 1:
+                raise ValueError("need one active-coordinate count and one smoothness per stage")
+            if not all(isinstance(v, (int, np.integer)) for v in (*dims, *actives)):
+                raise ValueError("stage dimensions must be integers")
+            if pts.shape[1] != dims[0]:
+                raise ValueError("each state point needs dims[0] coordinates")
+            if min(dims) < 1 or not all(1 <= t_i <= d_i for t_i, d_i in zip(actives, dims)):
+                raise ValueError("each stage must use 1 to its input dimension coordinates")
+            if any(beta <= 0 for beta in betas):
+                raise ValueError("smoothness must be positive")
         if self.kind == "logistic_link":
             eta = np.asarray(self.params["eta"], dtype=float)
             if eta.shape[0] != pts.shape[0]:
@@ -88,11 +92,9 @@ class TargetSpec:
 
 def holder_target(beta: float, m: int, scale: float = 1.0, dim: int = 1,
                   points: np.ndarray | None = None) -> TargetSpec:
-    """Closed-form target scale * |mean(x) - 1/2|^beta, smoothness >= beta."""
-    if beta <= 0:
-        raise ValueError("smoothness must be positive")
-    pts = state_grid(m, dim) if points is None else points
-    return TargetSpec(kind="holder_sample", params={"beta": beta, "scale": scale}, points=pts)
+    """Closed-form target scale * |mean(x) - 1/2|^beta, smoothness >= beta:
+    the one-stage composition with betas [beta] and active dims [dim]."""
+    return composition_target([dim, 1], [dim], [beta], m, scale=scale, points=points)
 
 
 def composition_target(dims, active_coords, betas, m: int, scale: float = 1.0,
@@ -136,10 +138,6 @@ def target_values(target: TargetSpec, x: np.ndarray | None = None) -> np.ndarray
     For the logistic link this is the log-odds, with +-inf at eta in {0,1}.
     """
     pts = target.points if x is None else np.atleast_2d(np.asarray(x, dtype=float))
-    if target.kind == "holder_sample":
-        beta = target.params["beta"]
-        scale = target.params["scale"]
-        return scale * np.abs(pts.mean(axis=1) - 0.5) ** beta
     if target.kind == "composition":
         return _eval_composition(target.params, pts)
     if x is not None:
@@ -238,24 +236,28 @@ def conditional_excess_logistic(eta, score):
     return val if val.ndim else float(val)
 
 
-def rate_exponents(beta, t, n_eff: float):
-    """Effective smoothness per stage and the resulting rate value:
-
-        beta*_i = beta_i * prod_{k>i} min(beta_k, 1)
-        phi     = max_i n_eff^(-2 beta*_i / (2 beta*_i + t_i))
-    """
-    beta = np.asarray(beta, dtype=float)
-    t = np.asarray(t, dtype=float)
+def _stage_exponents(beta, t):
+    """beta*_i = beta_i * prod_{k>i} min(beta_k, 1) per stage, and the stage
+    rate exponents e_i = -2 beta*_i / (2 beta*_i + t_i)."""
+    beta, t = np.asarray(beta, dtype=float), np.asarray(t, dtype=float)
     if beta.shape != t.shape:
         raise DimensionMismatch("smoothness and dimension vectors must align")
+    beta_star = np.array([b * np.prod(np.minimum(beta[i + 1:], 1.0)) for i, b in enumerate(beta)])
+    return beta_star, -2.0 * beta_star / (2.0 * beta_star + t)
+
+
+def rate_exponent(beta, t) -> float:
+    """The rate exponent e = max_i e_i: the excess risk decays like n_eff^e.
+    A Holder target is the one stage ([beta], [d]): e = -2 beta/(2 beta + d)."""
+    return float(np.max(_stage_exponents(beta, t)[1]))
+
+
+def rate_exponents(beta, t, n_eff: float):
+    """Effective smoothness per stage and the rate value phi = max_i n_eff^(e_i)."""
     if n_eff <= 1:
         raise ValueError("effective sample size must exceed 1")
-    q1 = beta.shape[0]
-    beta_star = np.empty(q1)
-    for i in range(q1):
-        beta_star[i] = beta[i] * np.prod(np.minimum(beta[i + 1:], 1.0))
-    phi = float(np.max(n_eff ** (-2.0 * beta_star / (2.0 * beta_star + t))))
-    return beta_star, phi
+    beta_star, exponents = _stage_exponents(beta, t)
+    return beta_star, float(np.max(n_eff ** exponents))
 
 
 def empirical_risk(predictor, dataset: Dataset, loss: str) -> float:

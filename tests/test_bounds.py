@@ -9,6 +9,7 @@ from gibbsnet.bounds import (
     BoundReport,
     bernstein_mgf_rhs,
     chain_mgf_rhs,
+    composition_rate_rhs,
     exact_bernstein_constant,
     kl_numeric_check,
     kl_truncated_uniform_rhs,
@@ -107,6 +108,29 @@ class TestKlRhs:
     def test_decreasing_ball_raises_bound(self):
         wide = kl_truncated_uniform_rhs(1, 1.0, 2.0, 1.0, 8)
         assert kl_truncated_uniform_rhs(1, 0.1, 2.0, 1.0, 8) > wide
+
+
+class TestCompositionRateRhs:
+    @pytest.mark.parametrize("n_eff", [1.5, math.e, 250.0, 4000.0, 1e6])
+    @pytest.mark.parametrize("beta, dim", [(0.5, 1), (1.0, 1), (2.0, 3)])
+    def test_one_stage_is_holder_formula(self, n_eff, beta, dim):
+        # A smoothness-beta target on d inputs is the stage ([beta], [d]):
+        # xi (log^3 n / n^{2 beta/(2 beta + d)} + (log(1/delta) + C) / n), bit for bit.
+        holder = 0.7 * (
+            math.log(n_eff) ** 3 / n_eff ** (2.0 * beta / (2.0 * beta + dim))
+            + (math.log(1.0 / 0.05) + 1.2) / n_eff
+        )
+        assert composition_rate_rhs(n_eff, [beta], [dim], 0.05, 1.2, 0.7) == holder
+
+    def test_slowest_stage_sets_the_rate(self):
+        # beta* = (1 * 0.5, 0.5): exponents -1/2 and -1/2, so e = -1/2.
+        value = composition_rate_rhs(100.0, [1.0, 0.5], [1, 1], 0.05, 0.0)
+        expected = math.log(100.0) ** 3 / 10.0 + math.log(20.0) / 100.0
+        assert value == pytest.approx(expected, rel=1e-14)
+
+    def test_small_effective_size_rejected(self):
+        with pytest.raises(ValueError):
+            composition_rate_rhs(1.0, [1.0], [1], 0.05, 1.0)
 
 
 class TestOracleRhs:

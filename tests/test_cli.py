@@ -1,10 +1,15 @@
 """Tests for the command-line entry points: exit codes and config errors."""
 
+import copy
 import json
 import math
+import tempfile
+from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbsnet.cli import main
 
@@ -55,6 +60,10 @@ NETWORK = {"depth": 0, "widths": [1, 1], "active_indices": [1], "values": [1.0],
 BERNSTEIN = {"kind": "bernstein_mgf", "chain": CHAIN, "target": {"kind": "holder"},
              "network": NETWORK, "lambda": 1.0, "n": 100, "replications": 20}
 KL = {"kind": "kl", "card": 2, "eta": 0.1, "decay": 2.0, "slab": 1.0, "n_max": 5}
+COMPOSITION = {"kind": "composition", "dims": [1, 2, 1], "active_coords": [1, 2],
+               "betas": [1.0, 0.5]}
+EFFSAMPLE = {**{k: v for k, v in SWEEP.items() if k != "n_grid"}, "n_grid": [100],
+             "pairs": [[100, 0.5]]}
 
 
 def run(tmp_path, command, doc):
@@ -94,6 +103,40 @@ def run(tmp_path, command, doc):
         ("sweep", {**SWEEP, "bernstein_k": 0}),
         ("sweep", {**SWEEP, "k_max": 0}),
         ("sweep", {**SWEEP, "predictor": "mean"}),
+        ("sweep", {**SWEEP, "loss": "logistic"}),
+        ("sample", {**SAMPLE, "loss": "logistic"}),
+        ("sweep", {**SWEEP, "xi": "x"}),
+        ("sweep", {**SWEEP, "xi": 0}),
+        ("sweep", {**SWEEP, "classdef": {**SWEEP["classdef"], "lipschitz_const": "x"}}),
+        ("simulate", {"chain": CHAIN, "n": 0}),
+        ("sweep", {**SWEEP, "classdef": {**SWEEP["classdef"], "sparsity": 99}}),
+        ("sweep", {**SWEEP, "classdef": {**SWEEP["classdef"], "activation": "tanh"}}),
+        ("sweep", {**SWEEP, "chain": None}),
+        ("sweep", {**SWEEP, "target": [1]}),
+        ("sweep", {**SWEEP, "classdef": 50}),
+        ("sweep", {**SWEEP, "gibbs": 2.5}),
+        ("sample", {**SAMPLE, "gibbs": [1, "a"]}),
+        ("sweep", {**SWEEP, "chain": {**CHAIN, "family": []}}),
+        ("sweep", {**SWEEP, "seed": None}),
+        ("sample", {**SAMPLE, "seed": "x"}),
+        ("sweep", {**SWEEP, "seed": -1}),
+        ("sweep", {**SWEEP, "k_max": 2.5}),
+        ("sweep", {**SWEEP, "replications": 2.5}),
+        ("sweep", {**SWEEP, "chain": {"family": "two_source", "p": 1}}),
+        ("effsample", {**EFFSAMPLE, "pairs": [[100, 1.0]]}),
+        ("sample", {**SAMPLE, "chain": {"family": "two_source", "p": 1}}),
+        ("sweep", {**SWEEP, "target": {"kind": "holder", "dim": -0.5}}),
+        ("sweep", {**SWEEP, "target": {**COMPOSITION, "betas": [-1.0, 0.5]}}),
+        ("sweep", {**SWEEP, "target": {**COMPOSITION, "active_coords": [0, 2]}}),
+        ("sweep", {**SWEEP, "target": {**COMPOSITION, "dims": []}}),
+        ("sweep", {**SWEEP, "target": {"kind": "holder", "bta": 2.0}}),
+        ("sweep", {**SWEEP, "target": {"kind": "logistic_link", "eta": [0.5] * 4,
+                                       "beta": 2.0}}),
+        ("sweep", {**SWEEP, "target": {**COMPOSITION, "dim": 2}}),
+        ("sweep", {**SWEEP, "classdef": {"rule": {"kind": "composition", "betas": [-0.5],
+                                                  "active_coords": [1]}}}),
+        ("sweep", {**SWEEP, "p_grid": []}),
+        ("effsample", {**EFFSAMPLE, "pairs": ["x"]}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -105,11 +148,53 @@ def run(tmp_path, command, doc):
         "rule-constant-typo", "target-negative-beta", "non-numeric-n-grid",
         "sample-top-level-key-typo", "sample-unknown-loss", "sample-pairs-key",
         "sample-zero-n", "zero-bernstein-k", "zero-k-max", "unknown-predictor",
+        "logistic-loss-holder-target", "sample-logistic-loss-holder-target",
+        "non-numeric-xi", "zero-xi", "non-numeric-lipschitz-const", "simulate-zero-n",
+        "sparsity-above-class", "unknown-activation", "null-chain", "list-target",
+        "numeric-classdef", "numeric-gibbs", "sample-list-gibbs", "list-chain-family",
+        "null-seed", "sample-string-seed", "negative-seed", "fractional-k-max",
+        "fractional-replications", "zero-gap-chain", "effsample-zero-gap-chain",
+        "sample-zero-gap-chain", "holder-negative-dim", "composition-negative-beta",
+        "composition-zero-active-coords", "composition-no-dims", "holder-target-key-typo",
+        "logistic-target-holder-key", "composition-target-holder-key",
+        "composition-rule-negative-beta", "empty-p-grid", "effsample-malformed-pairs",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
     assert run(tmp_path, command, doc) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "number", ["Infinity", "NaN", "1e999"], ids=["infinity", "nan", "overflowing-literal"]
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, number):
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"chain": {json.dumps(CHAIN)}, "n": {number}}}')
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_non_path_output_dir_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"chain": CHAIN, "n": 5, "output_dir": 5}))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_gap_reports_zero_gap(tmp_path):
+    # A periodic chain cannot feed a fit, but `gap` still reports its gap of 0.
+    assert run(tmp_path, "gap", {"chain": {"family": "two_source", "p": 1.0}}) == 0
+    assert json.loads((tmp_path / "gap.json").read_text())["pseudo_spectral_gap"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "doc", [{**SWEEP, "xi": "x"}, {**SWEEP, "chain": {"family": "two_source", "p": 1}}],
+    ids=["non-numeric-xi", "zero-gap-chain"],
+)
+def test_rejected_before_csv_header(tmp_path, doc):
+    assert run(tmp_path, "sweep", doc) == 2
+    assert not (tmp_path / "sweep_partial.csv").exists()
 
 
 def test_unknown_loss_writes_no_partial_csv(tmp_path):
@@ -144,3 +229,45 @@ def test_bounds_overflowing_rhs_reports_inf(tmp_path):
     reports = json.loads((tmp_path / "bounds.json").read_text())
     assert [r["rhs_value"] for r in reports] == [math.inf, math.inf]
     assert all(r["holds"] for r in reports)
+
+
+# Replacement values for the mutation test: every type a JSON config can
+# hold, and no number above 50, so a valid mutant stays small and fast.
+POOL = [None, True, -1, 0, 1, 2.5, 50, -0.5, 0.5, "x", "", "holder", [], [1], [1, "a"],
+        {}, {"a": 1}]
+
+
+def _paths(doc, prefix=()):
+    """Every dict-key and list-index path in a config document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A `sweep` or `sample` config with one or two values replaced or dropped."""
+    command = draw(st.sampled_from(["sweep", "sample"]))
+    doc = copy.deepcopy(SWEEP if command == "sweep" else SAMPLE)
+    for _ in range(draw(st.integers(1, 2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = reduce(lambda node, key: node[key], path[:-1], doc)
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(POOL)))
+    return command, doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(mutated_configs())
+def test_mutated_configs_never_traceback(case):
+    # Any exception escaping main fails this test with its traceback.
+    command, doc = case
+    with tempfile.TemporaryDirectory() as out:
+        assert run(Path(out), command, doc) in (0, 2, 3)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gibbsnet import harness
+from gibbsnet.bounds import composition_rate_rhs
 from gibbsnet.errors import ConfigError, MismatchedEffectiveSize, TooFewPoints
 from gibbsnet.harness import (
     CSV_COLUMNS,
@@ -329,3 +330,32 @@ class TestBuilders:
             n_grid=[100],
         )
         assert theory_exponent(config) == pytest.approx(-2.0 / 3.0)
+
+    def test_holder_target_is_one_stage_composition(self):
+        holder = build_target({"kind": "holder", "beta": 1.5, "dim": 2, "scale": 0.5}, states=4)
+        stage = build_target({"kind": "composition", "dims": [2, 1], "active_coords": [2],
+                              "betas": [1.5], "scale": 0.5}, states=4)
+        assert holder.to_json() == stage.to_json()
+
+    def test_theory_exponent_composition(self):
+        config = ExperimentConfig(
+            target={"kind": "composition", "dims": [1, 2, 1], "active_coords": [1, 2],
+                    "betas": [1.0, 0.5]},
+            chain={"family": "two_source", "p": 0.5},
+            n_grid=[100],
+        )
+        # beta* = (0.5, 0.5) on t = (1, 2): exponents -1/2 and -1/3.
+        assert theory_exponent(config) == pytest.approx(-1.0 / 3.0)
+
+    def test_holder_rule_bound_is_one_stage_composition(self):
+        config = ExperimentConfig(
+            target={"kind": "holder", "beta": 2.0, "dim": 3},
+            chain={"family": "two_source", "p": 0.5},
+            n_grid=[100],
+            classdef={"rule": "holder", "lipschitz_const": 0.5},
+            xi=0.3,
+        )
+        classdef = harness.resolve_classdef(config.classdef, config.target, 40.0)
+        assert harness._bound_rhs(config, classdef, 100, 0.4) == composition_rate_rhs(
+            40.0, [2.0], [3], config.delta, 0.5, 0.3
+        )

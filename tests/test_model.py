@@ -21,6 +21,7 @@ from gibbsnet.model import (
     logistic_loss,
     logistic_target,
     noise_variance,
+    rate_exponent,
     rate_exponents,
     square_loss,
     state_grid,
@@ -103,6 +104,12 @@ class TestRateExponents:
         values = [rate_exponents([1.5, 0.8], [2, 1], n)[1] for n in (10, 100, 1000, 10000)]
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    def test_rate_exponent_is_slowest_stage(self):
+        assert rate_exponent([1.0], [1]) == -2.0 / 3.0
+        beta_star, _ = rate_exponents([1.5, 0.8], [2, 1], 100.0)
+        stages = -2.0 * beta_star / (2.0 * beta_star + np.array([2.0, 1.0]))
+        assert rate_exponent([1.5, 0.8], [2, 1]) == np.max(stages)
+
     def test_identity_when_downstream_smooth(self):
         beta = [0.7, 1.2, 3.0]
         beta_star, _ = rate_exponents(beta, [1, 1, 1], 50.0)
@@ -119,6 +126,42 @@ class TestTargets:
     def test_composition_structure_validated(self):
         with pytest.raises(ValueError):
             composition_target(dims=[1, 2, 1], active_coords=[3, 1], betas=[1.0, 1.0], m=4)
+
+    @pytest.mark.parametrize(
+        "dims, active, betas",
+        [
+            ([1, 1], [1], [-1.0]),
+            ([2, 2, 1], [2, 1], [1.0, 0.0]),
+            ([2, 1], [3], [1.0]),
+            ([2, 1], [0], [1.0]),
+            ([0, 1], [0], [1.0]),
+            ([2, 1], [1.5], [1.0]),
+            ([2, 2, 1], [2, 1], [1.0]),
+            ([2, 1], [1, 1], [1.0, 1.0]),
+        ],
+        ids=["negative-beta", "zero-beta", "t-above-d", "zero-t", "zero-d",
+             "fractional-t", "missing-beta", "extra-stage"],
+    )
+    def test_invalid_stage_rejected(self, dims, active, betas):
+        with pytest.raises(ValueError):
+            composition_target(dims=dims, active_coords=active, betas=betas, m=4)
+
+    def test_points_must_match_input_dimension(self):
+        with pytest.raises(ValueError):
+            holder_target(beta=1.0, m=4, dim=1, points=np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("beta, dim, scale", [(0.5, 1, 1.0), (1.0, 2, 1.3), (2.5, 3, 0.7)])
+    def test_holder_is_one_stage_composition(self, beta, dim, scale):
+        holder = holder_target(beta=beta, m=6, scale=scale, dim=dim)
+        stage = composition_target([dim, 1], [dim], [beta], m=6, scale=scale)
+        x = np.random.default_rng(0).random((9, dim))
+        for points in (None, x):
+            assert (target_values(holder, points).tobytes()
+                    == target_values(stage, points).tobytes())
+        # ... and both are the closed form scale * |mean(x) - 1/2|^beta, bit for bit.
+        for points in (holder.points, x):
+            closed = scale * np.abs(points.mean(axis=1) - 0.5) ** beta
+            assert target_values(holder, points).tobytes() == closed.tobytes()
 
     def test_composition_evaluates(self):
         target = composition_target(
