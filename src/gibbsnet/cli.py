@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import kl_numeric_check, mc_check_bernstein, mc_check_chain_mgf
-from .errors import ConfigError, GibbsNetError
-from .gibbs import temperature
+from .errors import ConfigError, GibbsNetError, check_table
 from .harness import (
     ExperimentConfig,
     SweepResult,
-    build_chain,
     build_target,
+    cell_settings,
+    chain_law,
     check_noise,
     emit_report,
     fit_cell,
@@ -30,16 +30,28 @@ from .harness import (
     run_effective_sample_experiment,
     run_rate_sweep,
     solve_chain,
+    table_kind,
 )
-from .markov import mixing_time, pseudo_spectral_gap, simulate, spectral_gap, stationary_distribution
+from .markov import mixing_time, pseudo_spectral_gap, simulate, spectral_gap
 from .network import SparseNetwork
 
+EXPERIMENT_KEYS = set(ExperimentConfig.__dataclass_fields__)
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
+CHECK_KEYS = {
+    "chain_mgf": {"kind", "chain", "f_table", "n", "theta", "replications", "seed", "k_max"},
+    "bernstein_mgf": {"kind", "chain", "target", "network", "loss", "lambda", "n",
+                      "replications", "seed", "noise", "bernstein_k"},
+    "kl": {"kind", "card", "eta", "decay", "slab", "n_max", "center"},
+}
+
+
+def _check_finite(node) -> None:
+    """Raise ConfigError at a non-finite number anywhere in a loaded config."""
+    if isinstance(node, (dict, list)):
+        for child in node.values() if isinstance(node, dict) else node:
+            _check_finite(child)
+    elif isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"non-finite number {node}")
 
 
 def load_config(path: str) -> dict:
@@ -49,8 +61,11 @@ def load_config(path: str) -> dict:
             import tomllib
         except ImportError as exc:
             raise ConfigError("TOML configs need Python >= 3.11; use JSON") from exc
-        return tomllib.loads(text)
-    return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+        doc = tomllib.loads(text)
+    else:
+        doc = json.loads(text)
+    _check_finite(doc)
+    return doc
 
 
 def _out_dir(doc: dict, args) -> Path:
@@ -63,21 +78,22 @@ def _out_dir(doc: dict, args) -> Path:
 
 
 def cmd_gap(doc: dict, args) -> int:
-    k_max = int(doc.get("k_max", 10))
-    kernel = build_chain(doc["chain"])
-    pi = stationary_distribution(kernel)
-    gap = pseudo_spectral_gap(kernel, pi, k_max=k_max)
-    result = {
-        "states": kernel.states,
-        "stationary": pi.weights.tolist(),
-        "spectral_gap": spectral_gap(kernel.probs, pi),
-        "pseudo_spectral_gap": gap,
-        "k_max": k_max,
-    }
-    if doc.get("mixing_epsilon") is not None:
-        result["mixing_time"] = mixing_time(
-            kernel, pi, float(doc["mixing_epsilon"]), int(doc.get("t_cap", 10_000))
-        )
+    kernel, pi = chain_law(doc["chain"])
+    try:
+        k_max = int(doc.get("k_max", 10))
+        result = {
+            "states": kernel.states,
+            "stationary": pi.weights.tolist(),
+            "spectral_gap": spectral_gap(kernel.probs, pi),
+            "pseudo_spectral_gap": pseudo_spectral_gap(kernel, pi, k_max=k_max),
+            "k_max": k_max,
+        }
+        if doc.get("mixing_epsilon") is not None:
+            result["mixing_time"] = mixing_time(
+                kernel, pi, float(doc["mixing_epsilon"]), int(doc.get("t_cap", 10_000))
+            )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"gap: {exc}") from exc
     print(json.dumps(result, indent=2))
     out = _out_dir(doc, args)
     (out / "gap.json").write_text(json.dumps(result, indent=2) + "\n")
@@ -85,8 +101,7 @@ def cmd_gap(doc: dict, args) -> int:
 
 
 def cmd_simulate(doc: dict, args) -> int:
-    kernel = build_chain(doc["chain"])
-    pi = stationary_distribution(kernel)
+    kernel, pi = chain_law(doc["chain"])
     try:
         seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
         traj = simulate(kernel, pi, n=int(doc["n"]), seed=seed)
@@ -113,9 +128,7 @@ def cmd_sample(doc: dict, args) -> int:
     chain = solve_chain(cfg.chain, cfg.k_max)
     kernel, _, gamma = chain
     target = build_target(cfg.target, kernel.states)
-    if lam is None:
-        lam = temperature(n, gamma, cfg.bernstein_k)
-    _, draws = fit_cell(cfg, n, chain, target, cfg.seed, lam)
+    draws = fit_cell(cfg, n, chain, target, *cell_settings(cfg, n, gamma, cfg.seed, lam))
     out = _out_dir(doc, args)
     path = out / "draws.jsonl"
     path.write_text(draws.to_jsonl())
@@ -128,12 +141,14 @@ def cmd_sample(doc: dict, args) -> int:
 
 def cmd_bounds(doc: dict, args) -> int:
     reports = []
-    for check in doc.get("checks", []):
-        kind = check.get("kind")
+    checks = doc.get("checks", [])
+    if not isinstance(checks, list):
+        raise ConfigError(f"checks must be a list of tables, got {checks!r}")
+    for check in checks:
+        kind = table_kind(check, CHECK_KEYS, "bounds check", "kind")
         try:
             if kind == "chain_mgf":
-                kernel = build_chain(check["chain"])
-                pi = stationary_distribution(kernel)
+                kernel, pi = chain_law(check["chain"])
                 reports.append(
                     mc_check_chain_mgf(
                         kernel,
@@ -147,8 +162,7 @@ def cmd_bounds(doc: dict, args) -> int:
                     )
                 )
             elif kind == "bernstein_mgf":
-                kernel = build_chain(check["chain"])
-                pi = stationary_distribution(kernel)
+                kernel, pi = chain_law(check["chain"])
                 target = build_target(check["target"], kernel.states)
                 net = SparseNetwork.from_json(json.dumps(check["network"]))
                 family, scale = check_noise(check.get("noise", ["gaussian", 0.0]))
@@ -167,7 +181,7 @@ def cmd_bounds(doc: dict, args) -> int:
                         bernstein_k=check.get("bernstein_k"),
                     )
                 )
-            elif kind == "kl":
+            else:
                 reports.append(
                     kl_numeric_check(
                         card=int(check["card"]),
@@ -178,9 +192,7 @@ def cmd_bounds(doc: dict, args) -> int:
                         center=check.get("center"),
                     )
                 )
-            else:
-                raise ConfigError(f"unknown bound check kind {kind!r}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, IndexError) as exc:
             raise ConfigError(f"{kind} check: {exc}") from exc
     width = max((len(r.label) for r in reports), default=10)
     print(f"{'check':<{width}}  {'rhs':>12}  {'empirical':>12}  holds")
@@ -204,13 +216,9 @@ def cmd_sweep(doc: dict, args) -> int:
     cfg = _experiment_config(doc, args)
     out = _out_dir(doc, args)
     result = run_rate_sweep(cfg, csv_path=out / "sweep_partial.csv")
-    emit_report(result, [], str(out / "sweep"))
-    slope_txt = "n/a"
-    try:
-        slope, stderr = fit_rate_slope(result)
-        slope_txt = f"{slope:.4f} +- {stderr:.4f}"
-    except GibbsNetError:
-        pass
+    summary = emit_report(result, [], str(out / "sweep"))
+    slope, stderr = summary["slope"], summary["stderr"]
+    slope_txt = "n/a" if slope is None else f"{slope:.4f} +- {stderr:.4f}"
     print(f"{len(result.rows)} rows -> {out / 'sweep.csv'} (slope {slope_txt})")
     return 0
 
@@ -223,16 +231,19 @@ def cmd_effsample(doc: dict, args) -> int:
         cfg, pairs, csv_path=out / "effsample_partial.csv"
     )
     emit_report(result, [], str(out / "effsample"))
+    reps = cfg.replications  # rows arrive in pair order, `replications` per pair
     medians = {}
-    for n, p in pairs:
-        vals = [r.excess_risk for r in result.rows if r.n == int(n)]
-        medians[f"n={n},p={p}"] = float(np.median(vals))
+    for i, (n, p) in enumerate(pairs):
+        rows = result.rows[i * reps:(i + 1) * reps]
+        medians[f"n={n},p={p}"] = float(np.median([r.excess_risk for r in rows]))
     print(json.dumps(medians, indent=2))
     return 0
 
 
 def cmd_slope(doc: dict, args) -> int:
     csv_path = doc["csv"]
+    if not isinstance(csv_path, str):
+        raise ConfigError(f"csv must be a path, got {csv_path!r}")
     result = SweepResult.from_csv(Path(csv_path).read_text())
     slope, stderr = fit_rate_slope(result)
     payload = {"slope": slope, "stderr": stderr}
@@ -242,14 +253,15 @@ def cmd_slope(doc: dict, args) -> int:
     return 0
 
 
+# Each subcommand and the top-level keys its config may hold.
 COMMANDS = {
-    "gap": cmd_gap,
-    "simulate": cmd_simulate,
-    "sample": cmd_sample,
-    "bounds": cmd_bounds,
-    "sweep": cmd_sweep,
-    "effsample": cmd_effsample,
-    "slope": cmd_slope,
+    "gap": (cmd_gap, {"chain", "k_max", "mixing_epsilon", "t_cap", "output_dir"}),
+    "simulate": (cmd_simulate, {"chain", "n", "seed", "output_dir"}),
+    "sample": (cmd_sample, EXPERIMENT_KEYS | {"n"}),
+    "bounds": (cmd_bounds, {"checks", "output_dir"}),
+    "sweep": (cmd_sweep, EXPERIMENT_KEYS),
+    "effsample": (cmd_effsample, EXPERIMENT_KEYS | {"pairs"}),
+    "slope": (cmd_slope, {"csv", "output_dir"}),
 }
 
 
@@ -269,8 +281,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    command, keys = COMMANDS[args.command]
     try:
-        return COMMANDS[args.command](doc, args)
+        return command(check_table(doc, f"{args.command} config", keys), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

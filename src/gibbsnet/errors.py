@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config-table check."""
 
 
 class GibbsNetError(Exception):
@@ -67,3 +67,14 @@ class MismatchedEffectiveSize(GibbsNetError):
 
 class ConfigError(GibbsNetError):
     """Experiment configuration is malformed."""
+
+
+def check_table(doc, name: str, keys) -> dict:
+    """``doc`` if it is a config table whose keys all lie in ``keys``; a
+    non-table or an unknown key raises ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a table, got {doc!r}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown, key=str)}")
+    return doc

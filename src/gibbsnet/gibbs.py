@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .network import (
     Architecture,
     SparseNetwork,
     compose,
-    forward,
     layer_slices,
     max_param_count,
     param_count,
@@ -118,9 +118,6 @@ class GibbsConfig:
         """Sampler settings from a config's ``gibbs`` table (keys
         :data:`GIBBS_KEYS`, each optional), bounded by the class; any
         malformed value raises :class:`ConfigError`."""
-        unknown = set(doc) - set(GIBBS_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown gibbs keys: {sorted(unknown)}")
         step = doc.get("step")
         try:
             return cls(
@@ -209,9 +206,6 @@ class PosteriorDraws:
             output_clip=self.output_clip,
         )
 
-    def networks(self) -> list:
-        return [self.network(i) for i in range(len(self))]
-
     @property
     def support_sizes(self) -> np.ndarray:
         return self.actives.sum(axis=1)
@@ -279,8 +273,6 @@ def sample_posterior(
     """
     if len(data) == 0:
         raise EmptyDataset("cannot sample a posterior from no data")
-    if classdef.sparsity < 1:
-        raise InvalidClass("sparsity cap must be at least 1")
     if not (
         math.isclose(cfg.weight_bound, classdef.weight_bound)
         and math.isclose(cfg.output_clip, classdef.output_clip)
@@ -372,31 +364,23 @@ def sample_posterior(
 
 
 def posterior_predictor(draws: PosteriorDraws, mode: str = "single_draw"):
-    """Turn retained draws into a predictor.
+    """Turn retained draws into a predictor on 2-D input batches.
 
-    ``single_draw`` evaluates the final retained network (the estimator is
-    one posterior draw); ``average`` evaluates the pointwise mean over all
-    retained draws, a smoother diagnostic variant.
+    ``single_draw`` evaluates the final retained parameter vector (the
+    estimator is one posterior draw); ``average`` evaluates the pointwise
+    mean over all retained draws, a smoother diagnostic variant.
     """
+    if mode not in ("single_draw", "average"):
+        raise ValueError(f"unknown predictor mode {mode!r}")
     if len(draws) == 0:
         raise NoDraws("posterior sample is empty")
-    scalar_out = draws.arch.output_dim == 1
+    thetas = draws.thetas[-1:] if mode == "single_draw" else draws.thetas
+    slices = layer_slices(draws.arch)
+    act_fn = ACTIVATIONS[draws.activation].fn
 
-    def flatten(values):
-        arr = np.asarray(values)
-        return arr[..., 0] if scalar_out and arr.ndim == 2 else arr
+    def predict(x):
+        outs = (compose(slices, theta, x, act_fn, draws.output_clip) for theta in thetas)
+        mean = reduce(np.add, outs) / len(thetas)
+        return mean[:, 0] if draws.arch.output_dim == 1 else mean
 
-    if mode == "single_draw":
-        net = draws.network(len(draws) - 1)
-        return lambda x: flatten(forward(net, x, activation=draws.activation))
-    if mode == "average":
-        nets = draws.networks()
-
-        def averaged(x):
-            acc = forward(nets[0], x, activation=draws.activation)
-            for net in nets[1:]:
-                acc = acc + forward(net, x, activation=draws.activation)
-            return flatten(acc / len(nets))
-
-        return averaged
-    raise ValueError(f"unknown predictor mode {mode!r}")
+    return predict

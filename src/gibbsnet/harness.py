@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import composition_rate_rhs, oracle_rhs
-from .errors import ConfigError, InvalidClass, MismatchedEffectiveSize, TooFewPoints
-from .gibbs import ClassDef, GibbsConfig, posterior_predictor, sample_posterior, temperature
+from .errors import (ConfigError, InvalidClass, MismatchedEffectiveSize, NonUniqueStationary,
+                     TooFewPoints, check_table)
+from .gibbs import (GIBBS_KEYS, ClassDef, GibbsConfig, posterior_predictor, sample_posterior,
+                    temperature)
 from .markov import (
     TransitionKernel,
     pseudo_spectral_gap,
@@ -38,7 +40,6 @@ from .model import (
     logistic_link_target,
     rate_exponent,
     rate_exponents,
-    target_eta,
 )
 from .network import max_param_count
 
@@ -72,7 +73,7 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
     Families: ``two_source`` (switch probability p, even state count) and
     ``explicit`` (a full probability matrix).
     """
-    family = _table_kind(spec, CHAIN_KEYS, "chain", "family")
+    family = table_kind(spec, CHAIN_KEYS, "chain", "family")
     try:
         if family == "two_source":
             p = float(spec["p"] if p_override is None else p_override)
@@ -83,27 +84,33 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
         raise ConfigError(f"chain: {exc}") from exc
 
 
-def _table_kind(spec, keys: dict, name: str, field: str) -> str:
+def table_kind(spec, keys: dict, name: str, field: str) -> str:
     """``spec[field]`` of a config table whose allowed keys depend on that
     kind (``keys[kind]``); a non-table, an unknown kind or an unknown key
     raises ConfigError."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{name} must be a table, got {spec!r}")
-    kind = spec.get(field)
+    kind = check_table(spec, name, set().union(*keys.values())).get(field)
     if not isinstance(kind, str) or kind not in keys:
         raise ConfigError(f"unknown {name} {field} {kind!r}")
-    unknown = set(spec) - keys[kind]
-    if unknown:
-        raise ConfigError(f"unknown {kind} {name} keys: {sorted(unknown)}")
+    check_table(spec, f"{kind} {name}", keys[kind])
     return kind
+
+
+def chain_law(spec: dict, p_override: float | None = None):
+    """(kernel, stationary law) of a config chain spec (see
+    :func:`build_chain`); a chain without a unique stationary law, which
+    the config alone decides, raises ConfigError."""
+    kernel = build_chain(spec, p_override=p_override)
+    try:
+        return kernel, stationary_distribution(kernel)
+    except NonUniqueStationary as exc:
+        raise ConfigError(f"chain: {exc}") from exc
 
 
 def solve_chain(spec: dict, k_max: int, p_override: float | None = None):
     """(kernel, stationary law, pseudo-spectral gap) of a config chain spec
-    that a fit can use (see :func:`build_chain` for ``p_override``); a chain
-    with a zero gap, so zero effective sample size, raises ConfigError."""
-    kernel = build_chain(spec, p_override=p_override)
-    pi = stationary_distribution(kernel)
+    that a fit can use (see :func:`chain_law`); a chain with a zero gap, so
+    zero effective sample size, raises ConfigError."""
+    kernel, pi = chain_law(spec, p_override)
     gap = pseudo_spectral_gap(kernel, pi, k_max=k_max)
     if gap <= 0:
         raise ConfigError(f"chain has pseudo-spectral gap {gap}, so n * gamma = 0")
@@ -127,7 +134,7 @@ def build_target(spec: dict, states: int) -> TargetSpec:
     """The ground truth a config's ``target`` table describes on a chain
     with ``states`` states (a ``holder`` target is the one-stage
     composition); unknown keys and malformed values raise ConfigError."""
-    kind = _table_kind(spec, TARGET_KEYS, "target", "kind")
+    kind = table_kind(spec, TARGET_KEYS, "target", "kind")
     try:
         if kind == "holder":
             return holder_target(
@@ -168,11 +175,7 @@ def architecture_rule(
     """
     if n_eff <= math.e:
         raise ConfigError("effective sample size must exceed e")
-    unknown = set(constants or {}) - set(RULE_DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown rule constants: {sorted(unknown)}")
-    cs = dict(RULE_DEFAULTS)
-    cs.update(constants or {})
+    cs = {**RULE_DEFAULTS, **check_table(constants or {}, "rule constants", RULE_DEFAULTS)}
     log_n = math.log(n_eff)
     if rule == "holder":
         depth = math.ceil(cs["depth_scale"] * log_n)
@@ -288,9 +291,10 @@ class ExperimentConfig:
     xi: float = 1.0
 
     def __post_init__(self):
-        for name in ("target", "chain", "classdef", "gibbs"):
-            if not isinstance(getattr(self, name), dict):
-                raise ConfigError(f"{name} must be a table, got {getattr(self, name)!r}")
+        kind = table_kind(self.target, TARGET_KEYS, "target", "kind")
+        table_kind(self.chain, CHAIN_KEYS, "chain", "family")
+        check_table(self.classdef, "classdef", CLASSDEF_KEYS)
+        check_table(self.gibbs, "gibbs", GIBBS_KEYS)
         grid = tuple(int(n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", grid)
         if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -315,30 +319,25 @@ class ExperimentConfig:
             raise ConfigError("delta must lie in (0, 1)")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
-        if self.loss == "logistic" and self.target.get("kind") != "logistic_link":
+        if self.loss == "logistic" and kind != "logistic_link":
             raise ConfigError("the logistic loss needs a logistic_link target")
+        if self.classdef.get("rule") == "holder" and kind != "holder":
+            raise ConfigError("the holder rule needs a holder target")
         if self.predictor not in ("single_draw", "average"):
             raise ConfigError(f"unknown predictor {self.predictor!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            return cls(**doc)
+            return cls(**check_table(doc, "config", cls.__dataclass_fields__))
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 
 def resolve_classdef(classdef_doc: dict, target_doc: dict, n_eff: float) -> ClassDef:
-    """The network class a config's ``classdef`` table describes: explicit
-    depth, width, sparsity and weight bound, or sizes from a scaling
-    ``rule`` at the effective sample size ``n_eff``."""
-    unknown = set(classdef_doc) - CLASSDEF_KEYS
-    if unknown:
-        raise ConfigError(f"unknown classdef keys: {sorted(unknown)}")
+    """The network class a config's ``classdef`` table (keys checked by
+    :class:`ExperimentConfig`) describes: explicit depth, width, sparsity
+    and weight bound, or sizes from a scaling ``rule`` at ``n_eff``."""
     try:
         if "rule" in classdef_doc:
             sizes = architecture_rule(
@@ -395,31 +394,34 @@ def _bound_rhs(cfg: ExperimentConfig, classdef: ClassDef, n: int, gamma: float) 
     )
 
 
-def fit_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, seed: int, lam: float):
-    """The fit half of a cell on ``chain = (kernel, pi, gamma)``: size the
-    class at n * gamma, draw n observations of ``target`` and sample the
-    posterior at temperature ``lam``; data and sampler share ``seed``.
-    Returns ``(classdef, draws)``."""
-    kernel, pi, gamma = chain
+def cell_settings(cfg: ExperimentConfig, n: int, gamma: float, seed: int, lam=None):
+    """``(classdef, gibbs_cfg)`` of one cell: the class sized at n * gamma,
+    sampler settings at ``seed`` and temperature ``lam`` (default from
+    :func:`temperature`); pure, so a sweep checks them all before fitting."""
     classdef = resolve_classdef(cfg.classdef, cfg.target, n * gamma)
+    lam = temperature(n, gamma, cfg.bernstein_k) if lam is None else lam
+    return classdef, GibbsConfig.from_doc(cfg.gibbs, classdef, lam, seed)
+
+
+def fit_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, classdef, gibbs_cfg):
+    """The fit half of a cell on ``chain = (kernel, pi, gamma)`` with the
+    settings of :func:`cell_settings`: draw n observations of ``target``
+    and sample the posterior; data and sampler share ``gibbs_cfg.seed``."""
+    kernel, pi, _ = chain
     if cfg.loss == "square":
-        data = generate_regression(target, kernel, pi, n=n, noise=cfg.noise, seed=seed)
+        data = generate_regression(target, kernel, pi, n=n, noise=cfg.noise, seed=gibbs_cfg.seed)
     else:
-        data = generate_classification(
-            target_eta(target), kernel, pi, n=n, seed=seed, points=target.points
-        )
-    gibbs_cfg = GibbsConfig.from_doc(cfg.gibbs, classdef, lam, seed)
-    return classdef, sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
+        data = generate_classification(target, kernel, pi, n=n, seed=gibbs_cfg.seed)
+    return sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
 
 
-def run_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, row_seed: int) -> SweepRow:
-    """One grid cell on a precomputed ``chain = (kernel, pi, gamma)`` and
-    the sweep's ``target``: calibrate the temperature, fit (see
-    :func:`fit_cell`) and score the predictor."""
+def run_cell(cfg: ExperimentConfig, n: int, chain, target, classdef, gibbs_cfg) -> SweepRow:
+    """One grid cell on a precomputed ``chain = (kernel, pi, gamma)``, the
+    sweep's ``target`` and the cell's settings: fit (see :func:`fit_cell`)
+    and score the predictor."""
     start = time.perf_counter()
     kernel, pi, gamma = chain
-    lam = temperature(n, gamma, cfg.bernstein_k)
-    classdef, draws = fit_cell(cfg, n, chain, target, row_seed, lam)
+    draws = fit_cell(cfg, n, chain, target, classdef, gibbs_cfg)
     predictor = posterior_predictor(draws, mode=cfg.predictor)
     excess = excess_risk_mc(predictor, target, kernel, pi, loss=cfg.loss)
     return SweepRow(
@@ -428,7 +430,7 @@ def run_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, row_seed:
         n_eff=n * gamma,
         excess_risk=excess,
         bound_rhs=_bound_rhs(cfg, classdef, n, gamma),
-        seed=row_seed,
+        seed=gibbs_cfg.seed,
         wall_time=time.perf_counter() - start,
     )
 
@@ -436,20 +438,21 @@ def run_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, row_seed:
 def _run_cells(cfg: ExperimentConfig, cells, chains: dict, csv_path) -> list:
     """Run each (n, p) cell ``cfg.replications`` times in order, on
     ``chains[p]`` and one target built for the sweep, with row seeds base
-    seed XOR row index; rows are flushed to ``csv_path`` as they complete,
-    so partial results survive a failure."""
+    seed XOR row index.  Every row's settings are resolved before
+    ``csv_path`` is opened; rows are flushed to it as they complete, so
+    partial results survive a failure."""
     kernel = next(iter(chains.values()))[0]
     target = build_target(cfg.target, kernel.states)
+    runs = [(n, p) for n, p in cells for _ in range(cfg.replications)]
+    settings = [cell_settings(cfg, n, chains[p][2], cfg.seed ^ i) for i, (n, p) in enumerate(runs)]
     rows = []
     with io.StringIO() if csv_path is None else open(csv_path, "w") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         handle.flush()
-        for n, p in cells:
-            for _ in range(cfg.replications):
-                row = run_cell(cfg, n, chains[p], target, row_seed=cfg.seed ^ len(rows))
-                rows.append(row)
-                handle.write(row.to_csv_line() + "\n")
-                handle.flush()
+        for (n, p), (classdef, gibbs_cfg) in zip(runs, settings):
+            rows.append(run_cell(cfg, n, chains[p], target, classdef, gibbs_cfg))
+            handle.write(rows[-1].to_csv_line() + "\n")
+            handle.flush()
     return rows
 
 
@@ -523,9 +526,10 @@ def run_effective_sample_experiment(
     return SweepResult(rows=rows, meta={"pairs": [list(pair) for pair in pairs]})
 
 
-def emit_report(result: SweepResult, bound_reports, path_base: str) -> None:
+def emit_report(result: SweepResult, bound_reports, path_base: str) -> dict:
     """Write <path_base>.csv (one row per sweep entry) and <path_base>.json
-    with {slope, stderr, theory_exponent, bound_reports}."""
+    with {slope, stderr, theory_exponent, bound_reports}; returns that
+    summary (slope and stderr None below four distinct n_eff values)."""
     with open(f"{path_base}.csv", "w") as handle:
         handle.write(result.to_csv())
     try:
@@ -541,3 +545,4 @@ def emit_report(result: SweepResult, bound_reports, path_base: str) -> None:
     with open(f"{path_base}.json", "w") as handle:
         json.dump(summary, handle, indent=2)
         handle.write("\n")
+    return summary

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,11 +153,10 @@ def target_eta(target: TargetSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aligned input and output sequences plus chain provenance."""
+    """Aligned input and output sequences."""
 
     inputs: np.ndarray
     outputs: np.ndarray
-    chain_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.inputs, dtype=float))
@@ -179,15 +178,13 @@ class Dataset:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, chain_meta: dict | None = None) -> "Dataset":
+    def from_csv(cls, text: str) -> "Dataset":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         header = lines[0].split(",")
         dim = len(header) - 1
         rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
         arr = np.asarray(rows, dtype=float)
-        return cls(
-            inputs=arr[:, :dim], outputs=arr[:, dim], chain_meta=chain_meta or {}
-        )
+        return cls(inputs=arr[:, :dim], outputs=arr[:, dim])
 
 
 def square_loss(prediction: float, y: float) -> float:
@@ -343,32 +340,22 @@ def generate_regression(
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE9)))
     eps = _draw_noise(rng, family, scale, n) if scale > 0 else np.zeros(n)
     y = target_values(target)[traj.states] + eps
-    meta = {
-        "kernel": kernel.to_json(),
-        "seed": seed,
-        "noise": [family, scale],
-    }
-    return Dataset(inputs=x, outputs=y, chain_meta=meta)
+    return Dataset(inputs=x, outputs=y)
 
 
 def generate_classification(
-    eta_table,
+    target: TargetSpec,
     kernel: TransitionKernel,
     pi: StationaryDist,
     n: int,
     seed: int,
-    points: np.ndarray | None = None,
 ) -> Dataset:
-    """Labels in {-1, +1} with per-state positive probability eta."""
-    eta = np.asarray(eta_table, dtype=float)
-    if np.any(eta < 0) or np.any(eta > 1):
-        raise ValueError("link probabilities must lie in [0, 1]")
-    embedding = state_grid(kernel.states) if points is None else np.atleast_2d(points)
+    """Inputs are the embedded stationary trajectory; labels in {-1, +1}
+    are positive with the logistic link target's per-state probability."""
     traj = simulate(kernel, pi, n=n, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC1)))
-    labels = np.where(rng.random(n) < eta[traj.states], 1.0, -1.0)
-    meta = {"kernel": kernel.to_json(), "seed": seed}
-    return Dataset(inputs=embedding[traj.states], outputs=labels, chain_meta=meta)
+    labels = np.where(rng.random(n) < target_eta(target)[traj.states], 1.0, -1.0)
+    return Dataset(inputs=target.points[traj.states], outputs=labels)
 
 
 def subgaussian_envelope(k_holder: float, varsigma: float, n: int, delta: float) -> float:

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import statistics
 import tempfile
 from functools import reduce
 from pathlib import Path
@@ -64,6 +65,15 @@ COMPOSITION = {"kind": "composition", "dims": [1, 2, 1], "active_coords": [1, 2]
                "betas": [1.0, 0.5]}
 EFFSAMPLE = {**{k: v for k, v in SWEEP.items() if k != "n_grid"}, "n_grid": [100],
              "pairs": [[100, 0.5]]}
+GAP = {"chain": CHAIN, "k_max": 10, "mixing_epsilon": 0.1, "t_cap": 50}
+SIMULATE = {"chain": CHAIN, "n": 50, "seed": 1}
+CHAIN_MGF = {"kind": "chain_mgf", "chain": {"family": "two_source", "p": 0.5},
+             "f_table": [1.0, -1.0], "n": 50, "theta": 0.01, "replications": 20}
+BOUNDS = {"checks": [CHAIN_MGF, BERNSTEIN, KL]}
+SLOPE = {"csv": str(Path(__file__).parent / "data" / "golden_sweep.csv")}
+# A rule class cannot be sized at n * gamma <= e: here at p = 0.02 only.
+UNSIZABLE_GRID = {**SWEEP, "classdef": {"rule": "holder"}, "n_grid": [30, 60],
+                  "p_grid": [0.5, 0.02]}
 
 
 def run(tmp_path, command, doc):
@@ -137,6 +147,21 @@ def run(tmp_path, command, doc):
                                                   "active_coords": [1]}}}),
         ("sweep", {**SWEEP, "p_grid": []}),
         ("effsample", {**EFFSAMPLE, "pairs": ["x"]}),
+        ("gap", {**GAP, "k_max": "x"}),
+        ("gap", {**GAP, "mixing_epsilon": "x"}),
+        ("gap", {**GAP, "t_cap": "x"}),
+        ("gap", {**GAP, "k_max": 0}),
+        ("gap", {**GAP, "kmax": 10}),
+        ("bounds", {"checks": 5}),
+        ("bounds", {"checks": [5]}),
+        ("bounds", {"checks": [{**KL, "centre": [0.0]}]}),
+        ("slope", {"csv": 5}),
+        ("gap", {**GAP, "chain": {**CHAIN, "p": 0}}),
+        ("simulate", {**SIMULATE, "chain": {**CHAIN, "p": 0}}),
+        ("sweep", {**SWEEP, "chain": {**CHAIN, "p": 0}}),
+        ("simulate", {**SIMULATE, "steps": 50}),
+        ("sweep", {**SWEEP, "target": COMPOSITION, "classdef": {"rule": "holder"}}),
+        ("sweep", [SWEEP]),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -158,6 +183,11 @@ def run(tmp_path, command, doc):
         "composition-zero-active-coords", "composition-no-dims", "holder-target-key-typo",
         "logistic-target-holder-key", "composition-target-holder-key",
         "composition-rule-negative-beta", "empty-p-grid", "effsample-malformed-pairs",
+        "gap-non-numeric-k-max", "gap-non-numeric-mixing-epsilon", "gap-non-numeric-t-cap",
+        "gap-zero-k-max", "gap-unknown-key", "bounds-numeric-checks", "bounds-numeric-check",
+        "bounds-kl-unknown-key", "slope-numeric-csv", "gap-non-unique-stationary",
+        "simulate-non-unique-stationary", "sweep-non-unique-stationary", "simulate-unknown-key",
+        "holder-rule-composition-target", "non-table-config",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -166,11 +196,17 @@ def test_config_errors_exit_2(tmp_path, capsys, command, doc):
 
 
 @pytest.mark.parametrize(
-    "number", ["Infinity", "NaN", "1e999"], ids=["infinity", "nan", "overflowing-literal"]
+    "suffix, number",
+    [(".json", "Infinity"), (".json", "NaN"), (".json", "1e999"), (".toml", "inf")],
+    ids=["infinity", "nan", "overflowing-literal", "toml-inf"],
 )
-def test_non_finite_numbers_exit_2(tmp_path, capsys, number):
-    path = tmp_path / "config.json"
-    path.write_text(f'{{"chain": {json.dumps(CHAIN)}, "n": {number}}}')
+def test_non_finite_numbers_exit_2(tmp_path, capsys, suffix, number):
+    path = tmp_path / f"config{suffix}"
+    if suffix == ".toml":
+        pytest.importorskip("tomllib")
+        path.write_text(f'n = {number}\n[chain]\nfamily = "two_source"\np = 0.5\nstates = 4\n')
+    else:
+        path.write_text(f'{{"chain": {json.dumps(CHAIN)}, "n": {number}}}')
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
 
@@ -189,8 +225,10 @@ def test_gap_reports_zero_gap(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "doc", [{**SWEEP, "xi": "x"}, {**SWEEP, "chain": {"family": "two_source", "p": 1}}],
-    ids=["non-numeric-xi", "zero-gap-chain"],
+    "doc",
+    [{**SWEEP, "xi": "x"}, {**SWEEP, "chain": {"family": "two_source", "p": 1}},
+     {**SWEEP, "gibbs": {"iters": 200, "burn_in": 300}}, UNSIZABLE_GRID],
+    ids=["non-numeric-xi", "zero-gap-chain", "sampler-rejects-gibbs", "rule-unsizable-at-one-p"],
 )
 def test_rejected_before_csv_header(tmp_path, doc):
     assert run(tmp_path, "sweep", doc) == 2
@@ -200,6 +238,20 @@ def test_rejected_before_csv_header(tmp_path, doc):
 def test_unknown_loss_writes_no_partial_csv(tmp_path):
     assert run(tmp_path, "sweep", {**SWEEP, "loss": "hinge"}) == 2
     assert not (tmp_path / "sweep_partial.csv").exists()
+
+
+def test_effsample_medians_per_pair(tmp_path, capsys):
+    # Both pairs share n = 1000 (and n * gamma = 750), so only the cell
+    # order tells their rows apart.
+    doc = {**EFFSAMPLE, "replications": 3, "pairs": [[1000, 0.25], [1000, 0.75]]}
+    assert run(tmp_path, "effsample", doc) == 0
+    medians = json.loads(capsys.readouterr().out)
+    risks = [float(line.split(",")[3])
+             for line in (tmp_path / "effsample.csv").read_text().splitlines()[1:]]
+    expected = {"n=1000,p=0.25": statistics.median(risks[:3]),
+                "n=1000,p=0.75": statistics.median(risks[3:])}
+    assert medians == pytest.approx(expected, rel=1e-9)
+    assert medians["n=1000,p=0.25"] != medians["n=1000,p=0.75"]
 
 
 def test_sample_temperature_override_accepted(tmp_path):
@@ -246,11 +298,15 @@ def _paths(doc, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
+FUZZED = {"sweep": SWEEP, "sample": SAMPLE, "gap": GAP, "simulate": SIMULATE,
+          "bounds": BOUNDS, "effsample": EFFSAMPLE, "slope": SLOPE}
+
+
 @st.composite
 def mutated_configs(draw):
-    """A `sweep` or `sample` config with one or two values replaced or dropped."""
-    command = draw(st.sampled_from(["sweep", "sample"]))
-    doc = copy.deepcopy(SWEEP if command == "sweep" else SAMPLE)
+    """A config of any subcommand with one or two values replaced or dropped."""
+    command = draw(st.sampled_from(sorted(FUZZED)))
+    doc = copy.deepcopy(FUZZED[command])
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(doc))
         if not paths:
@@ -264,7 +320,7 @@ def mutated_configs(draw):
     return command, doc
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(mutated_configs())
 def test_mutated_configs_never_traceback(case):
     # Any exception escaping main fails this test with its traceback.

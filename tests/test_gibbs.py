@@ -24,6 +24,7 @@ from gibbsnet.model import (
     generate_classification,
     generate_regression,
     holder_target,
+    logistic_link_target,
 )
 from gibbsnet.network import Architecture, SparseNetwork, forward
 
@@ -36,7 +37,7 @@ def tiny_regression_data(n=150, seed=0, slab=1.0):
     # Shift the target so the posterior spreads over all three supports.
     base = generate_regression(target, kernel, pi, n=n, noise=("gaussian", 0.3), seed=seed)
     y = base.outputs + 0.3
-    return Dataset(inputs=base.inputs, outputs=y, chain_meta=base.chain_meta), kernel, pi
+    return Dataset(inputs=base.inputs, outputs=y), kernel, pi
 
 
 def tiny_classdef(slab=1.0, sparsity=2):
@@ -178,7 +179,9 @@ class TestSamplerBasics:
                 noise=("gaussian", 0.3), seed=4,
             )
         else:
-            data = generate_classification([0.1, 0.4, 0.7, 0.9], kernel, pi, n=200, seed=4)
+            data = generate_classification(
+                logistic_link_target([0.1, 0.4, 0.7, 0.9]), kernel, pi, n=200, seed=4
+            )
         classdef = ClassDef(depth=1, width=3, sparsity=8, weight_bound=2.0,
                             output_clip=0.4, activation=activation)
         cfg = GibbsConfig(

@@ -183,7 +183,7 @@ class TestEmpiricalRisk:
     def test_constant_zero_classifier(self):
         kernel = two_source_kernel(0.5)
         pi = stationary_distribution(kernel)
-        data = generate_classification([0.3, 0.7], kernel, pi, n=50, seed=1)
+        data = generate_classification(logistic_link_target([0.3, 0.7]), kernel, pi, n=50, seed=1)
         risk = empirical_risk(lambda x: np.zeros(len(x)), data, loss="logistic")
         assert risk == pytest.approx(math.log(2.0))
 
@@ -290,20 +290,20 @@ class TestGenerators:
     def test_classification_all_positive(self):
         kernel = two_source_kernel(0.5)
         pi = stationary_distribution(kernel)
-        data = generate_classification([1.0, 1.0], kernel, pi, n=500, seed=2)
+        data = generate_classification(logistic_link_target([1.0, 1.0]), kernel, pi, n=500, seed=2)
         assert np.all(data.outputs == 1.0)
 
     def test_classification_balanced(self):
         kernel = two_source_kernel(0.5)
         pi = stationary_distribution(kernel)
-        data = generate_classification([0.5, 0.5], kernel, pi, n=100_000, seed=3)
+        data = generate_classification(logistic_link_target([0.5, 0.5]), kernel, pi, n=100_000, seed=3)
         assert abs(data.outputs.mean()) < 0.02
 
     def test_classification_per_state_frequencies(self):
         eta = np.array([0.2, 0.9])
         kernel = two_source_kernel(0.5)
         pi = stationary_distribution(kernel)
-        data = generate_classification(eta, kernel, pi, n=100_000, seed=4)
+        data = generate_classification(logistic_link_target(eta), kernel, pi, n=100_000, seed=4)
         states = (data.inputs[:, 0] > 0.5).astype(int)
         for s in range(2):
             frac_pos = np.mean(data.outputs[states == s] == 1.0)
