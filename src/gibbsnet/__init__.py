@@ -51,7 +51,6 @@ from .model import (
     Dataset,
     TargetSpec,
     conditional_excess_logistic,
-    empirical_risk,
     excess_risk_mc,
     generate_classification,
     generate_regression,
@@ -61,7 +60,6 @@ from .model import (
     logistic_target,
     rate_exponent,
     rate_exponents,
-    square_loss,
     subgaussian_envelope,
 )
 from .network import (

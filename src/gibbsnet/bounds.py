@@ -11,7 +11,6 @@ rhs_value``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -62,9 +61,6 @@ class BoundReport:
             "params": self.params,
             "holds": self.holds,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def chain_mgf_rhs(n: int, var_f: float, gap: float, theta: float) -> float:
@@ -183,6 +179,8 @@ def _estimate_with_batched_se(values: np.ndarray, groups: int = 20):
     """Mean and standard error from group-batched means; stabilises
     heavy-tailed exponential-moment estimates."""
     values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise ValueError("a standard error needs at least 2 replications")
     estimate = float(values.mean())
     usable = (values.size // groups) * groups
     if usable < groups:

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import kl_numeric_check, mc_check_bernstein, mc_check_chain_mgf
-from .errors import ConfigError, GibbsNetError, check_table
+from .errors import ConfigError, GibbsNetError, ZeroStationaryMass, check_table
 from .harness import (
     ExperimentConfig,
     SweepResult,
@@ -92,7 +92,7 @@ def cmd_gap(doc: dict, args) -> int:
             result["mixing_time"] = mixing_time(
                 kernel, pi, float(doc["mixing_epsilon"]), int(doc.get("t_cap", 10_000))
             )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroStationaryMass) as exc:
         raise ConfigError(f"gap: {exc}") from exc
     print(json.dumps(result, indent=2))
     out = _out_dir(doc, args)
@@ -192,7 +192,7 @@ def cmd_bounds(doc: dict, args) -> int:
                         center=check.get("center"),
                     )
                 )
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, ZeroStationaryMass) as exc:
             raise ConfigError(f"{kind} check: {exc}") from exc
     width = max((len(r.label) for r in reports), default=10)
     print(f"{'check':<{width}}  {'rhs':>12}  {'empirical':>12}  holds")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import composition_rate_rhs, oracle_rhs
 from .errors import (ConfigError, InvalidClass, MismatchedEffectiveSize, NonUniqueStationary,
-                     TooFewPoints, check_table)
+                     TooFewPoints, ZeroStationaryMass, check_table)
 from .gibbs import (GIBBS_KEYS, ClassDef, GibbsConfig, posterior_predictor, sample_posterior,
                     temperature)
 from .markov import (
@@ -108,10 +108,14 @@ def chain_law(spec: dict, p_override: float | None = None):
 
 def solve_chain(spec: dict, k_max: int, p_override: float | None = None):
     """(kernel, stationary law, pseudo-spectral gap) of a config chain spec
-    that a fit can use (see :func:`chain_law`); a chain with a zero gap, so
-    zero effective sample size, raises ConfigError."""
+    that a fit can use (see :func:`chain_law`); a chain with a transient
+    state, or with a zero gap, so zero effective sample size, raises
+    ConfigError."""
     kernel, pi = chain_law(spec, p_override)
-    gap = pseudo_spectral_gap(kernel, pi, k_max=k_max)
+    try:
+        gap = pseudo_spectral_gap(kernel, pi, k_max=k_max)
+    except ZeroStationaryMass as exc:
+        raise ConfigError(f"chain has a transient state: {exc}") from exc
     if gap <= 0:
         raise ConfigError(f"chain has pseudo-spectral gap {gap}, so n * gamma = 0")
     return kernel, pi, gap
@@ -248,25 +252,25 @@ class SweepResult:
         return buf.getvalue()
 
     @classmethod
-    def from_csv(cls, text: str, meta: dict | None = None) -> "SweepResult":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0].split(",") != list(CSV_COLUMNS):
+    def from_csv(cls, text: str) -> "SweepResult":
+        """The rows of a sweep CSV.  A missing or unexpected header, or a row
+        that is not seven numbers with a finite excess risk and
+        n_eff = n * gamma > 0, raises ConfigError naming its line."""
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+        if not lines or lines[0][1].split(",") != list(CSV_COLUMNS):
             raise ConfigError("unexpected CSV header")
         rows = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            rows.append(
-                SweepRow(
-                    n=int(parts[0]),
-                    gamma=float(parts[1]),
-                    n_eff=float(parts[2]),
-                    excess_risk=float(parts[3]),
-                    bound_rhs=float(parts[4]),
-                    seed=int(parts[5]),
-                    wall_time=float(parts[6]),
-                )
-            )
-        return cls(rows=rows, meta=meta or {})
+        for number, ln in lines[1:]:
+            try:
+                n, gamma, n_eff, excess, rhs, seed, wall = ln.split(",")
+                row = SweepRow(int(n), float(gamma), float(n_eff), float(excess),
+                               float(rhs), int(seed), float(wall))
+                if not (0 < row.n_eff < math.inf and math.isfinite(row.excess_risk)):
+                    raise ValueError("need a finite excess_risk and a finite n_eff > 0")
+            except ValueError as exc:
+                raise ConfigError(f"CSV line {number}: {exc}") from exc
+            rows.append(row)
+        return cls(rows=rows)
 
 
 @dataclass(frozen=True)
@@ -420,10 +424,10 @@ def run_cell(cfg: ExperimentConfig, n: int, chain, target, classdef, gibbs_cfg) 
     sweep's ``target`` and the cell's settings: fit (see :func:`fit_cell`)
     and score the predictor."""
     start = time.perf_counter()
-    kernel, pi, gamma = chain
+    _, pi, gamma = chain
     draws = fit_cell(cfg, n, chain, target, classdef, gibbs_cfg)
     predictor = posterior_predictor(draws, mode=cfg.predictor)
-    excess = excess_risk_mc(predictor, target, kernel, pi, loss=cfg.loss)
+    excess = excess_risk_mc(predictor, target, pi, loss=cfg.loss)
     return SweepRow(
         n=n,
         gamma=gamma,
@@ -522,8 +526,7 @@ def run_effective_sample_experiment(
             raise MismatchedEffectiveSize(
                 f"pair (n={n}, p={p}) has n_eff={n_eff:.2f}, expected ~{center:.2f}"
             )
-    rows = _run_cells(cfg, cells, chains, csv_path)
-    return SweepResult(rows=rows, meta={"pairs": [list(pair) for pair in pairs]})
+    return SweepResult(rows=_run_cells(cfg, cells, chains, csv_path))
 
 
 def emit_report(result: SweepResult, bound_reports, path_base: str) -> dict:

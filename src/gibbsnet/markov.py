@@ -9,7 +9,6 @@ can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -51,14 +50,6 @@ class TransitionKernel:
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
             raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}")
 
-    def to_json(self) -> str:
-        return json.dumps({"states": self.states, "probs": self.probs.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TransitionKernel":
-        doc = json.loads(text)
-        return cls(states=int(doc["states"]), probs=np.array(doc["probs"], dtype=float))
-
 
 @dataclass(frozen=True)
 class StationaryDist:
@@ -76,10 +67,6 @@ class StationaryDist:
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"stationary weights must sum to 1 within {ROW_SUM_TOL}")
 
-    def check_against(self, kernel: TransitionKernel, tol: float = STATIONARY_TOL) -> bool:
-        """True when pi P = pi within tol."""
-        return bool(np.max(np.abs(self.weights @ kernel.probs - self.weights)) <= tol)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -96,15 +83,6 @@ class Trajectory:
         lines = [f"# seed={self.seed}"]
         lines.extend(str(int(s)) for s in self.states)
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Trajectory":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("# seed="):
-            raise ValueError("trajectory text must start with '# seed=<u64>'")
-        seed = int(lines[0].split("=", 1)[1])
-        states = np.array([int(ln) for ln in lines[1:]], dtype=np.int64)
-        return cls(states=states, seed=seed)
 
 
 def two_source_kernel(p: float, states: int = 2) -> TransitionKernel:

@@ -6,19 +6,16 @@ midpoint grid by default, or any explicit table).  Because the conditional
 law given the state is known in closed form for both experiment families
 (square loss with additive noise, logistic labels with a known link table),
 risks and excess risks are computed exactly as stationary-weighted sums of
-per-state conditional expectations; Monte Carlo over a simulated trajectory
-is available as a fallback oracle.
+per-state conditional expectations.
 """
 
 from __future__ import annotations
 
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyDataset
+from .errors import DimensionMismatch
 from .markov import StationaryDist, TransitionKernel, simulate
 
 NOISE_FAMILIES = ("gaussian", "uniform", "rademacher")
@@ -74,20 +71,6 @@ class TargetSpec:
     @property
     def input_dim(self) -> int:
         return self.points.shape[1]
-
-    def to_json(self) -> str:
-        params = dict(self.params)
-        for key, val in params.items():
-            if isinstance(val, np.ndarray):
-                params[key] = val.tolist()
-        return json.dumps(
-            {"kind": self.kind, "params": params, "points": self.points.tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "TargetSpec":
-        doc = json.loads(text)
-        return cls(kind=doc["kind"], params=doc["params"], points=np.array(doc["points"]))
 
 
 def holder_target(beta: float, m: int, scale: float = 1.0, dim: int = 1,
@@ -169,27 +152,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        dim = self.inputs.shape[1]
-        buf.write(",".join([f"x_{j}" for j in range(dim)] + ["y"]) + "\n")
-        for row, y in zip(self.inputs, self.outputs):
-            buf.write(",".join(f"{v:.17g}" for v in row) + f",{y:.17g}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Dataset":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split(",")
-        dim = len(header) - 1
-        rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
-        arr = np.asarray(rows, dtype=float)
-        return cls(inputs=arr[:, :dim], outputs=arr[:, dim])
-
-
-def square_loss(prediction: float, y: float) -> float:
-    return float(prediction - y) ** 2
-
 
 def logistic_loss(score, y):
     """log(1 + exp(-y*score)) in its overflow-safe form; y is a +-1 label."""
@@ -257,34 +219,13 @@ def rate_exponents(beta, t, n_eff: float):
     return beta_star, float(np.max(n_eff ** exponents))
 
 
-def empirical_risk(predictor, dataset: Dataset, loss: str) -> float:
-    """Mean loss of the predictor over the sample."""
-    if len(dataset) == 0:
-        raise EmptyDataset("empirical risk needs at least one observation")
-    scores = np.asarray(predictor(dataset.inputs), dtype=float).reshape(-1)
-    if loss == "square":
-        return float(np.mean((scores - dataset.outputs) ** 2))
-    if loss == "logistic":
-        return float(np.mean(logistic_loss(scores, dataset.outputs)))
-    raise ValueError(f"unknown loss {loss!r}")
-
-
-def excess_risk_mc(
-    predictor,
-    target: TargetSpec,
-    kernel: TransitionKernel,
-    pi: StationaryDist,
-    loss: str,
-    n_mc: int = 0,
-    seed: int = 0,
-) -> float:
+def excess_risk_mc(predictor, target: TargetSpec, pi: StationaryDist, loss: str) -> float:
     """Excess risk R(h) - R(h*) under the stationary input law.
 
     With finite states and a known conditional law the value is exact: the
     stationary-weighted sum of per-state conditional expectations (for the
     square loss the noise cancels and the excess is the pi-weighted squared
-    distance to the target).  Pass ``n_mc > 0`` to estimate by Monte Carlo
-    over a simulated trajectory instead.
+    distance to the target).
     """
     h = np.asarray(predictor(target.points), dtype=float).reshape(-1)
     if loss == "square":
@@ -293,10 +234,7 @@ def excess_risk_mc(
         per_state = conditional_excess_logistic(target_eta(target), h)
     else:
         raise ValueError(f"unknown loss {loss!r}")
-    if n_mc <= 0:
-        return float(np.dot(pi.weights, per_state))
-    traj = simulate(kernel, pi, n=n_mc, seed=seed)
-    return float(np.mean(per_state[traj.states]))
+    return float(np.dot(pi.weights, per_state))
 
 
 def noise_variance(family: str, scale: float) -> float:

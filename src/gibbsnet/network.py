@@ -103,7 +103,6 @@ class SparseNetwork:
     active: np.ndarray
     weight_bound: float
     output_clip: float
-    max_active: int | None = None
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
@@ -120,8 +119,6 @@ class SparseNetwork:
             raise ValueError("inactive coordinates must be exactly zero")
         if np.any(np.abs(theta) > self.weight_bound + 1e-12):
             raise ValueError("weights exceed the class bound")
-        if self.max_active is not None and active.size > self.max_active:
-            raise ValueError("active set exceeds the sparsity cap")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -230,39 +227,16 @@ def lipschitz_parameter_bound(
     )
 
 
-def _layer_norm(arch: Architecture, theta: np.ndarray) -> float:
-    worst = 0.0
-    for w, b in layer_matrices(arch, theta):
-        worst = max(worst, float(np.abs(w).sum(axis=1).max()), float(np.abs(b).max()))
-    return worst
-
-
-def weight_norm(net: SparseNetwork) -> float:
-    """Layerwise class norm: max over layers of the weight matrix's maximum
-    row sum and the bias vector's sup norm."""
-    return _layer_norm(net.arch, net.theta)
-
-
 def param_distance(net1: SparseNetwork, net2: SparseNetwork) -> float:
-    """Distance between parameter vectors in the layerwise norm of
-    :func:`weight_norm` (max row sum for weights, sup norm for biases)."""
+    """Distance between parameter vectors in the layerwise class norm: max
+    over layers of the weight matrix's maximum row sum and the bias
+    vector's sup norm."""
     if net1.arch != net2.arch:
         raise DimensionMismatch("networks must share an architecture")
-    return _layer_norm(net1.arch, net1.theta - net2.theta)
-
-
-def max_frame_slot(depth_frame: int, width_frame: int, layer: int, row: int, col: int | None):
-    """Flat index of a coordinate inside the padded (depth, width) frame.
-
-    Layer ``layer`` (0-based among the depth+1 affine maps) occupies a block
-    of width*(width+1) slots: first the width x width weight frame stored
-    column-major, then the width bias slots.  ``col=None`` addresses a bias.
-    """
-    block = width_frame * (width_frame + 1)
-    base = layer * block
-    if col is None:
-        return base + width_frame * width_frame + row
-    return base + col * width_frame + row
+    worst = 0.0
+    for w, b in layer_matrices(net1.arch, net1.theta - net2.theta):
+        worst = max(worst, float(np.abs(w).sum(axis=1).max()), float(np.abs(b).max()))
+    return worst
 
 
 def embed_to_max(net: SparseNetwork, depth: int, width: int) -> np.ndarray:
@@ -273,9 +247,10 @@ def embed_to_max(net: SparseNetwork, depth: int, width: int) -> np.ndarray:
     width x width frame (column-major), biases in the leading bias slots.
     Padding widths preserves the computed function; padding depth is
     parameter bookkeeping only, since inserted all-zero layers change the
-    composition.  In C order a (depth+1, width+1, width) array is exactly
-    the :func:`max_frame_slot` layout: weight (row, col) of layer l sits at
-    [l, col, row] and its bias at [l, width, row].
+    composition.  The frame is a (depth+1, width+1, width) array in C
+    order: weight (row, col) of layer l sits at [l, col, row] and its bias
+    at [l, width, row], so each layer owns a block of width*(width+1) slots,
+    the weight frame column-major and then the bias slots.
     """
     arch = net.arch
     if arch.depth > depth or max(arch.widths) > width:
@@ -290,31 +265,3 @@ def embed_to_max(net: SparseNetwork, depth: int, width: int) -> np.ndarray:
         frame[layer, width, :rows] = b
     return frame.reshape(-1)
 
-
-def network_from_max_embedding(
-    flat: np.ndarray,
-    depth: int,
-    width: int,
-    input_dim: int,
-    output_dim: int,
-    weight_bound: float,
-    output_clip: float,
-) -> SparseNetwork:
-    """Inverse of :func:`embed_to_max` onto the realizable architecture
-    (input_dim, width, ..., width, output_dim) of the same depth."""
-    arch = Architecture(
-        depth=depth, widths=(input_dim,) + (width,) * depth + (output_dim,)
-    )
-    frame = np.asarray(flat, dtype=float).reshape(depth + 1, width + 1, width)
-    theta = np.zeros(param_count(arch))
-    for layer, (w_sl, b_sl, (rows, cols)) in enumerate(layer_slices(arch)):
-        theta[w_sl] = frame[layer, :cols, :rows].reshape(-1)
-        theta[b_sl] = frame[layer, width, :rows]
-    active = np.flatnonzero(theta != 0.0)
-    return SparseNetwork(
-        arch=arch,
-        theta=theta,
-        active=active,
-        weight_bound=weight_bound,
-        output_clip=output_clip,
-    )

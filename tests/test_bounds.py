@@ -348,7 +348,7 @@ class TestBoundReport:
         import json
 
         report = kl_numeric_check(1, 0.5, 2.0, 1.0, 4)
-        doc = json.loads(report.to_json())
+        doc = json.loads(json.dumps(report.to_dict()))
         assert doc["holds"] is True
         assert doc["label"] == "kl_truncated_uniform"
 

@@ -71,6 +71,8 @@ CHAIN_MGF = {"kind": "chain_mgf", "chain": {"family": "two_source", "p": 0.5},
              "f_table": [1.0, -1.0], "n": 50, "theta": 0.01, "replications": 20}
 BOUNDS = {"checks": [CHAIN_MGF, BERNSTEIN, KL]}
 SLOPE = {"csv": str(Path(__file__).parent / "data" / "golden_sweep.csv")}
+# State 0 is transient: the stationary law puts no mass on it.
+TRANSIENT = {"family": "explicit", "probs": [[0.5, 0.5], [0.0, 1.0]]}
 # A rule class cannot be sized at n * gamma <= e: here at p = 0.02 only.
 UNSIZABLE_GRID = {**SWEEP, "classdef": {"rule": "holder"}, "n_grid": [30, 60],
                   "p_grid": [0.5, 0.02]}
@@ -162,6 +164,12 @@ def run(tmp_path, command, doc):
         ("simulate", {**SIMULATE, "steps": 50}),
         ("sweep", {**SWEEP, "target": COMPOSITION, "classdef": {"rule": "holder"}}),
         ("sweep", [SWEEP]),
+        ("gap", {"chain": TRANSIENT}),
+        ("sweep", {**SWEEP, "chain": TRANSIENT}),
+        ("sample", {**SAMPLE, "chain": TRANSIENT}),
+        ("effsample", {**EFFSAMPLE, "chain": TRANSIENT}),
+        ("bounds", {"checks": [{**CHAIN_MGF, "chain": TRANSIENT}]}),
+        ("bounds", {"checks": [{**BERNSTEIN, "chain": TRANSIENT}]}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -187,7 +195,9 @@ def run(tmp_path, command, doc):
         "gap-zero-k-max", "gap-unknown-key", "bounds-numeric-checks", "bounds-numeric-check",
         "bounds-kl-unknown-key", "slope-numeric-csv", "gap-non-unique-stationary",
         "simulate-non-unique-stationary", "sweep-non-unique-stationary", "simulate-unknown-key",
-        "holder-rule-composition-target", "non-table-config",
+        "holder-rule-composition-target", "non-table-config", "gap-transient-chain",
+        "sweep-transient-chain", "sample-transient-chain", "effsample-transient-chain",
+        "bounds-chain-mgf-transient-chain", "bounds-bernstein-transient-chain",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -209,6 +219,41 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, suffix, number):
         path.write_text(f'{{"chain": {json.dumps(CHAIN)}, "n": {number}}}')
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+GOLDEN_CSV = Path(SLOPE["csv"]).read_text()
+GOLDEN_ROW = GOLDEN_CSV.splitlines()[1]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (GOLDEN_CSV.replace(GOLDEN_ROW, GOLDEN_ROW.replace(",42,", ",x,"), 1), 2),
+        ("", None),
+        (GOLDEN_CSV.replace(GOLDEN_ROW, "100,1,100", 1), 2),
+        (GOLDEN_CSV.replace(GOLDEN_ROW, GOLDEN_ROW.replace("100,1,100,", "100,1,90,"), 1), 2),
+    ],
+    ids=["non-numeric-field", "empty-file", "short-row", "n-eff-not-n-gamma"],
+)
+def test_slope_malformed_csv_exits_2(tmp_path, capsys, text, line):
+    (tmp_path / "sweep.csv").write_text(text)
+    assert run(tmp_path, "slope", {"csv": str(tmp_path / "sweep.csv")}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert line is None or f"line {line}:" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"bounds.json holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("check", [CHAIN_MGF, BERNSTEIN], ids=["chain-mgf", "bernstein-mgf"])
+def test_mc_checks_need_two_replications(tmp_path, capsys, check):
+    # One replication has no standard error, so no 2-SE allowance.
+    assert run(tmp_path, "bounds", {"checks": [{**check, "replications": 1}]}) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert run(tmp_path, "bounds", {"checks": [{**check, "replications": 2}]}) == 0
+    json.loads((tmp_path / "bounds.json").read_text(), parse_constant=_reject_constant)
 
 
 def test_non_path_output_dir_exits_2(tmp_path, capsys):
@@ -302,11 +347,42 @@ FUZZED = {"sweep": SWEEP, "sample": SAMPLE, "gap": GAP, "simulate": SIMULATE,
           "bounds": BOUNDS, "effsample": EFFSAMPLE, "slope": SLOPE}
 
 
+# Replacement values for a mutated CSV field: non-numeric, empty, non-finite,
+# negative and overflowing.
+CSV_POOL = ["x", "", "nan", "inf", "-1", "1e999"]
+
+
+@st.composite
+def mutated_csv(draw):
+    """The golden sweep CSV with one defect: two fields of a line swapped, a
+    column dropped, one field replaced, or no content at all."""
+    rows = [line.split(",") for line in GOLDEN_CSV.splitlines()]
+    defect = draw(st.sampled_from(["swap", "drop", "replace", "empty"]))
+    if defect == "empty":
+        return ""
+    columns = st.integers(0, len(rows[0]) - 1)
+    if defect == "drop":
+        col = draw(columns)
+        rows = [row[:col] + row[col + 1:] for row in rows]
+    else:
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        col = draw(columns)
+        if defect == "swap":
+            other = draw(columns)
+            row[col], row[other] = row[other], row[col]
+        else:
+            row[col] = draw(st.sampled_from(CSV_POOL))
+    return "\n".join(",".join(row) for row in rows) + "\n"
+
+
 @st.composite
 def mutated_configs(draw):
-    """A config of any subcommand with one or two values replaced or dropped."""
+    """A config of any subcommand with one or two values replaced or dropped,
+    or a ``slope`` config whose CSV (third item, else None) is mutated."""
     command = draw(st.sampled_from(sorted(FUZZED)))
     doc = copy.deepcopy(FUZZED[command])
+    if command == "slope" and draw(st.booleans()):
+        return command, doc, draw(mutated_csv())
     for _ in range(draw(st.integers(1, 2))):
         paths = list(_paths(doc))
         if not paths:
@@ -317,13 +393,16 @@ def mutated_configs(draw):
             del parent[path[-1]]
         else:
             parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(POOL)))
-    return command, doc
+    return command, doc, None
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(mutated_configs())
 def test_mutated_configs_never_traceback(case):
     # Any exception escaping main fails this test with its traceback.
-    command, doc = case
+    command, doc, csv_text = case
     with tempfile.TemporaryDirectory() as out:
+        if csv_text is not None:
+            doc["csv"] = str(Path(out) / "sweep.csv")
+            Path(doc["csv"]).write_text(csv_text)
         assert run(Path(out), command, doc) in (0, 2, 3)

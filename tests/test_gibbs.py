@@ -20,13 +20,22 @@ from gibbsnet.gibbs import (
 from gibbsnet.markov import stationary_distribution, two_source_kernel
 from gibbsnet.model import (
     Dataset,
-    empirical_risk,
     generate_classification,
     generate_regression,
     holder_target,
     logistic_link_target,
+    logistic_loss,
 )
 from gibbsnet.network import Architecture, SparseNetwork, forward
+
+
+def empirical_risk(predictor, data, loss):
+    """Mean loss of ``predictor`` over the sample, averaged directly over
+    the raw observations (independent of the sampler's per-state path)."""
+    scores = np.asarray(predictor(data.inputs), dtype=float).reshape(-1)
+    if loss == "square":
+        return float(np.mean((scores - data.outputs) ** 2))
+    return float(np.mean(logistic_loss(scores, data.outputs)))
 
 
 def tiny_regression_data(n=150, seed=0, slab=1.0):

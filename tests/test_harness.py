@@ -335,7 +335,8 @@ class TestBuilders:
         holder = build_target({"kind": "holder", "beta": 1.5, "dim": 2, "scale": 0.5}, states=4)
         stage = build_target({"kind": "composition", "dims": [2, 1], "active_coords": [2],
                               "betas": [1.5], "scale": 0.5}, states=4)
-        assert holder.to_json() == stage.to_json()
+        assert (holder.kind, holder.params) == (stage.kind, stage.params)
+        np.testing.assert_array_equal(holder.points, stage.points)
 
     def test_theory_exponent_composition(self):
         config = ExperimentConfig(

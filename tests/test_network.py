@@ -13,12 +13,9 @@ from gibbsnet.network import (
     layer_matrices,
     layer_slices,
     lipschitz_parameter_bound,
-    max_frame_slot,
     max_param_count,
-    network_from_max_embedding,
     param_count,
     param_distance,
-    weight_norm,
 )
 
 
@@ -32,6 +29,24 @@ def dense_net(widths, theta_values, weight_bound=10.0, output_clip=1e9):
         weight_bound=weight_bound,
         output_clip=output_clip,
     )
+
+
+def max_frame_slot(width_frame, layer, row, col):
+    """Oracle for the documented padded-frame layout: layer ``layer`` owns a
+    block of width*(width+1) slots, first the width x width weight frame
+    stored column-major, then the width bias slots; ``col=None`` addresses
+    a bias."""
+    base = layer * width_frame * (width_frame + 1)
+    if col is None:
+        return base + width_frame * width_frame + row
+    return base + col * width_frame + row
+
+
+def zero_net(net):
+    """The all-zero network of ``net``'s architecture, so that
+    param_distance(net, zero_net(net)) is ``net``'s layerwise class norm."""
+    return SparseNetwork(arch=net.arch, theta=np.zeros_like(net.theta), active=net.active,
+                         weight_bound=net.weight_bound, output_clip=net.output_clip)
 
 
 def oracle_forward(widths, theta, x, activation="relu", clip_at=None):
@@ -238,15 +253,15 @@ class TestParameterLipschitzProperty:
                 norm = max(norm, float(np.abs(w1).sum(axis=1).max()), float(np.abs(b1).max()))
                 dist = max(dist, float(np.abs(w1 - w2).sum(axis=1).max()),
                            float(np.abs(b1 - b2).max()))
-            assert weight_norm(net1) == norm
+            assert param_distance(net1, zero_net(net1)) == norm
             assert param_distance(net1, net2) == dist
 
     def test_weight_norm_respects_bound(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             net1, net2, bound = random_sparse_pair(rng, "relu")
-            assert weight_norm(net1) <= bound + 1e-12
-            assert weight_norm(net2) <= bound + 1e-12
+            assert param_distance(net1, zero_net(net1)) <= bound + 1e-12
+            assert param_distance(net2, zero_net(net2)) <= bound + 1e-12
 
 
 class TestHomogeneity:
@@ -290,10 +305,10 @@ class TestEmbedToMax:
         flat = embed_to_max(net, 1, 2)
         assert flat.shape == (12,)
         expected_slots = {
-            max_frame_slot(1, 2, 0, 0, 0): 0.3,
-            max_frame_slot(1, 2, 0, 0, None): -0.2,
-            max_frame_slot(1, 2, 1, 0, 0): 0.7,
-            max_frame_slot(1, 2, 1, 0, None): 0.5,
+            max_frame_slot(2, 0, 0, 0): 0.3,
+            max_frame_slot(2, 0, 0, None): -0.2,
+            max_frame_slot(2, 1, 0, 0): 0.7,
+            max_frame_slot(2, 1, 0, None): 0.5,
         }
         assert expected_slots == {0: 0.3, 4: -0.2, 6: 0.7, 10: 0.5}
         for slot in range(12):
@@ -310,9 +325,16 @@ class TestEmbedToMax:
         theta = rng.uniform(-1, 1, size=param_count(Architecture(1, widths)))
         net = dense_net(widths, theta, output_clip=5.0)
         flat = embed_to_max(net, 1, 4)
-        padded = network_from_max_embedding(
-            flat, 1, 4, input_dim=2, output_dim=1, weight_bound=10.0, output_clip=5.0
-        )
+        # Read the padded (2, 4, 1) network back out of the (1, 4) frame.
+        frame = flat.reshape(2, 5, 4)
+        padded_arch = Architecture(1, (2, 4, 1))
+        padded_theta = np.zeros(param_count(padded_arch))
+        for layer, (w_sl, b_sl, (rows, cols)) in enumerate(layer_slices(padded_arch)):
+            padded_theta[w_sl] = frame[layer, :cols, :rows].reshape(-1)
+            padded_theta[b_sl] = frame[layer, 4, :rows]
+        padded = SparseNetwork(arch=padded_arch, theta=padded_theta,
+                               active=np.flatnonzero(padded_theta),
+                               weight_bound=10.0, output_clip=5.0)
         for _ in range(25):
             x = rng.uniform(-3, 3, size=2)
             np.testing.assert_allclose(
@@ -336,16 +358,10 @@ class TestEmbedSlots:
                     want = np.zeros(max_param_count(2, 3))
                     for layer, (w, b) in enumerate(layer_matrices(arch, net.theta)):
                         for (i, j), value in np.ndenumerate(w):
-                            want[max_frame_slot(2, 3, layer, i, j)] = value
+                            want[max_frame_slot(3, layer, i, j)] = value
                         for i, value in enumerate(b):
-                            want[max_frame_slot(2, 3, layer, i, None)] = value
+                            want[max_frame_slot(3, layer, i, None)] = value
                     np.testing.assert_array_equal(flat, want)
-                    if depth == 2 and width == 3:
-                        back = network_from_max_embedding(
-                            flat, 2, 3, in_dim, out_dim, weight_bound=1.0, output_clip=5.0
-                        )
-                        assert back.arch == arch
-                        np.testing.assert_array_equal(back.theta, net.theta)
 
 
 class TestSerialization:
@@ -382,13 +398,4 @@ class TestSerialization:
                 active=np.array([0]),
                 weight_bound=1.0,
                 output_clip=1.0,
-            )
-        with pytest.raises(ValueError):
-            SparseNetwork(
-                arch=arch,
-                theta=np.array([0.5, 0.5]),
-                active=np.array([0, 1]),
-                weight_bound=1.0,
-                output_clip=1.0,
-                max_active=1,
             )
