@@ -16,9 +16,9 @@ from .gibbs import (
     ClassDef,
     GibbsConfig,
     PosteriorDraws,
+    Prior,
     log_prior,
     posterior_predictor,
-    prior_support_normalizer,
     sample_posterior,
     temperature,
 )

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LambdaOutOfRange, ThetaOutOfRange
-from .gibbs import log_binom, prior_support_normalizer
+from .errors import ConfigError, LambdaOutOfRange, ThetaOutOfRange
+from .gibbs import Prior
 from .markov import (
     StationaryDist,
     TransitionKernel,
@@ -108,17 +108,15 @@ def _exp_or_inf(exponent: float) -> float:
         return math.inf
 
 
-def kl_truncated_uniform_rhs(
-    card: int, eta: float, decay: float, slab: float, n_max: int
-) -> float:
-    """Upper bound on the divergence of a small uniform ball from the
-    spike-and-slab prior: card * log(2 s C_s B n_max e / eta)."""
+def kl_truncated_uniform_rhs(card: int, eta: float, prior: Prior) -> float:
+    """Upper bound on the divergence of a small uniform ball from ``prior``:
+    card * log(2 s Z B n_coords e / eta), Z the prior's normaliser."""
     if card < 1:
         raise ValueError("support cardinality must be positive")
     if not 0.0 < eta <= 1.0:
         raise ValueError("ball radius parameter must lie in (0, 1]")
-    c_s = prior_support_normalizer(decay, n_max)
-    return card * math.log(2.0 * decay * c_s * slab * n_max * math.e / eta)
+    scale = 2.0 * prior.decay * prior.normalizer * prior.slab * prior.n_coords
+    return card * math.log(scale * math.e / eta)
 
 
 def oracle_rhs(
@@ -175,18 +173,27 @@ def composition_rate_rhs(
     return xi3 * (main + (math.log(1.0 / delta) + lipschitz_const) / n_eff)
 
 
-def _estimate_with_batched_se(values: np.ndarray, groups: int = 20):
-    """Mean and standard error from group-batched means; stabilises
-    heavy-tailed exponential-moment estimates."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
+def _mgf_estimate(label: str, exponents: np.ndarray, groups: int = 20):
+    """Mean of exp(exponents) and its standard error from group-batched
+    means, which stabilise heavy-tailed exponential-moment estimates.  An
+    estimate or standard error that overflows a float raises ConfigError
+    naming the check ``label``: its settings admit no finite estimate."""
+    if exponents.size < 2:
         raise ValueError("a standard error needs at least 2 replications")
-    estimate = float(values.mean())
-    usable = (values.size // groups) * groups
-    if usable < groups:
-        return estimate, float(values.std(ddof=1) / math.sqrt(values.size))
-    batch_means = values[:usable].reshape(groups, -1).mean(axis=1)
-    se = float(batch_means.std(ddof=1) / math.sqrt(groups))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.exp(exponents)
+        estimate = float(values.mean())
+        usable = (values.size // groups) * groups
+        if usable < groups:
+            se = float(values.std(ddof=1) / math.sqrt(values.size))
+        else:
+            batch_means = values[:usable].reshape(groups, -1).mean(axis=1)
+            se = float(batch_means.std(ddof=1) / math.sqrt(groups))
+    if not (math.isfinite(estimate) and math.isfinite(se)):
+        raise ConfigError(
+            f"{label}: the Monte Carlo estimate ({estimate}) or its standard error ({se}) "
+            "overflows a float; lower the exponent (theta or lambda) or n"
+        )
     return estimate, se
 
 
@@ -213,7 +220,7 @@ def mc_check_chain_mgf(
     rhs = chain_mgf_rhs(n, var_f, gap, theta)  # validates theta's interval
     paths = simulate_batch(kernel, pi, n=n, replications=replications, seed=seed)
     sums = centered[paths].sum(axis=1)
-    estimate, se = _estimate_with_batched_se(np.exp(theta * sums))
+    estimate, se = _mgf_estimate("chain_mgf", theta * sums)
     return BoundReport(
         label="chain_mgf",
         rhs_value=rhs,
@@ -307,8 +314,8 @@ def mc_check_bernstein(
     else:
         raise ValueError(f"unknown loss {loss!r}")
     emp_excess = gaps.mean(axis=1)
-    upper, upper_se = _estimate_with_batched_se(np.exp(lam * (emp_excess - excess)))
-    lower, lower_se = _estimate_with_batched_se(np.exp(lam * (excess - emp_excess)))
+    upper, upper_se = _mgf_estimate("bernstein_mgf", lam * (emp_excess - excess))
+    lower, lower_se = _mgf_estimate("bernstein_mgf", lam * (excess - emp_excess))
     worst = max(upper - 2.0 * upper_se, lower - 2.0 * lower_se)
     return BoundReport(
         label="bernstein_mgf",
@@ -340,13 +347,14 @@ def kl_numeric_check(
     center=None,
 ) -> BoundReport:
     """Exact divergence of the uniform law on the eta-ball (intersected
-    with the slab box) around a support's center, against the
-    spike-and-slab prior, compared with :func:`kl_truncated_uniform_rhs`.
+    with the slab box) around a support's center, against the prior
+    ``Prior(n_max, n_max, decay, slab)``, compared with
+    :func:`kl_truncated_uniform_rhs`.
 
     The exact value is closed form: the ball is a box of side lengths
     len_i = min(B, c_i + eta) - max(-B, c_i - eta), and
 
-        KL = sum_i log(2B / len_i) + card*log(s) + log C(n_max, card) + log C_s.
+        KL = -sum_i log(len_i) - log(prior density of a card-support).
     """
     if eta > 2.0 * slab:
         raise ValueError("ball must not exceed the slab diameter")
@@ -355,14 +363,10 @@ def kl_numeric_check(
         raise ValueError("center must have one entry per active coordinate")
     if np.any(np.abs(centers) > slab):
         raise ValueError("center must lie inside the slab box")
+    prior = Prior(n_max, n_max, decay, slab)
     lengths = np.minimum(slab, centers + eta) - np.maximum(-slab, centers - eta)
-    exact = (
-        float(np.sum(np.log(2.0 * slab / lengths)))
-        + card * math.log(decay)
-        + log_binom(n_max, card)
-        + math.log(prior_support_normalizer(decay, n_max))
-    )
-    rhs = kl_truncated_uniform_rhs(card, eta, decay, slab, n_max)
+    exact = -float(np.sum(np.log(lengths))) - prior.log_density(card)
+    rhs = kl_truncated_uniform_rhs(card, eta, prior)
     return BoundReport(
         label="kl_truncated_uniform",
         rhs_value=rhs,

@@ -136,37 +136,49 @@ class GibbsConfig:
             raise ConfigError(f"gibbs: {exc}") from exc
 
 
-def log_binom(n: int, k: int) -> float:
-    """log of the binomial coefficient C(n, k)."""
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+@dataclass(frozen=True)
+class Prior:
+    """The spike-and-slab prior over the ``n_coords`` flat coordinates of
+    one realised architecture: support size k in 1..cap has mass
+    decay^-k / Z, split evenly over the C(n_coords, k) supports of that
+    size, and each active value is uniform on [-slab, slab]."""
+
+    n_coords: int
+    cap: int
+    decay: float
+    slab: float
+
+    def __post_init__(self):
+        if self.decay < 2 or not 1 <= self.cap <= self.n_coords:
+            raise ValueError("need support decay >= 2 and 1 <= cap <= n_coords")
+
+    @classmethod
+    def of_class(cls, classdef: ClassDef, input_dim: int, decay: float) -> Prior:
+        """The prior the sampler targets on ``classdef`` at ``input_dim``."""
+        n_coords = param_count(classdef.architecture(input_dim))
+        return cls(n_coords, min(classdef.sparsity, n_coords), decay, classdef.weight_bound)
+
+    @property
+    def normalizer(self) -> float:
+        """Z = sum of decay^-k over k = 1..cap = (1 - decay^-cap) / (decay - 1)."""
+        return (1.0 - self.decay ** (-self.cap)) / (self.decay - 1.0)
+
+    def log_density(self, k: int) -> float:
+        """Log density of one k-support (k in 1..cap) at values in the slab."""
+        n = self.n_coords
+        log_binom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        log_z = math.log(self.normalizer)
+        return -k * math.log(self.decay) - log_binom - k * math.log(2.0 * self.slab) - log_z
 
 
-def prior_support_normalizer(decay: float, n_max: int) -> float:
-    """Normalising constant of the geometric support-size weights:
-    (1 - decay^-n_max) / (decay - 1)."""
-    if decay < 2:
-        raise ValueError("support decay must be at least 2")
-    if n_max < 1:
-        raise ValueError("n_max must be positive")
-    return (1.0 - decay ** (-n_max)) / (decay - 1.0)
-
-
-def log_prior(net: SparseNetwork, cfg: GibbsConfig, n_max: int) -> float:
-    """Log prior density of a sparse network: the geometric weight of its
-    support size, split evenly over supports of that size, times the
-    uniform slab density on the active coordinates."""
+def log_prior(net: SparseNetwork, prior: Prior) -> float:
+    """Log density of a sparse network under ``prior``."""
     k = int(net.active.size)
-    if k < 1 or k > n_max:
-        raise OutOfSupport(f"support size {k} outside 1..{n_max}")
-    if np.any(np.abs(net.theta[net.active]) > cfg.weight_bound):
+    if k < 1 or k > prior.cap or net.theta.size != prior.n_coords:
+        raise OutOfSupport(f"support size {k} outside 1..{prior.cap} of {prior.n_coords}")
+    if np.any(np.abs(net.theta[net.active]) > prior.slab):
         raise OutOfSupport("an active weight exceeds the slab half-width")
-    decay = cfg.support_decay
-    return (
-        -k * math.log(decay)
-        - log_binom(n_max, k)
-        - k * math.log(2.0 * cfg.weight_bound)
-        - math.log(prior_support_normalizer(decay, n_max))
-    )
+    return prior.log_density(k)
 
 
 def temperature(n: int, gamma: float, bernstein_k: float) -> float:
@@ -186,7 +198,7 @@ class PosteriorDraws:
     """Retained post-burn-in draws in compact array form."""
 
     arch: Architecture
-    weight_bound: float
+    prior: Prior
     output_clip: float
     activation: str
     thetas: np.ndarray
@@ -196,6 +208,10 @@ class PosteriorDraws:
 
     def __len__(self) -> int:
         return self.thetas.shape[0]
+
+    @property
+    def weight_bound(self) -> float:
+        return self.prior.slab
 
     def network(self, i: int) -> SparseNetwork:
         return SparseNetwork(
@@ -280,10 +296,9 @@ def sample_posterior(
         raise InvalidClass("config bounds must match the class bounds")
 
     arch = classdef.architecture(input_dim=data.inputs.shape[1])
-    n_params = param_count(arch)
-    slab = classdef.weight_bound
+    prior = Prior.of_class(classdef, arch.input_dim, cfg.support_decay)
+    n_params, cap, slab = prior.n_coords, prior.cap, prior.slab
     clip = classdef.output_clip
-    cap = min(classdef.sparsity, n_params)
     act_fn = ACTIVATIONS[classdef.activation].fn
     slices = layer_slices(arch)
     points, risk_fn = _per_state_risk(data, loss)
@@ -296,7 +311,7 @@ def sample_posterior(
 
     lam = cfg.temperature
     p_add, p_remove, _ = cfg.move_probs
-    log_decay = math.log(cfg.support_decay)
+    log_decay = math.log(prior.decay)
     jumps = p_add > 0 and p_remove > 0
     log_add_ratio = math.log(p_remove / p_add) - log_decay if jumps else 0.0
     log_remove_ratio = math.log(p_add / p_remove) + log_decay if jumps else 0.0
@@ -353,7 +368,7 @@ def sample_posterior(
     }
     return PosteriorDraws(
         arch=arch,
-        weight_bound=slab,
+        prior=prior,
         output_clip=clip,
         activation=classdef.activation,
         thetas=thetas[:kept],

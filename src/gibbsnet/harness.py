@@ -21,8 +21,8 @@ import numpy as np
 from .bounds import composition_rate_rhs, oracle_rhs
 from .errors import (ConfigError, InvalidClass, MismatchedEffectiveSize, NonUniqueStationary,
                      TooFewPoints, ZeroStationaryMass, check_table)
-from .gibbs import (GIBBS_KEYS, ClassDef, GibbsConfig, posterior_predictor, sample_posterior,
-                    temperature)
+from .gibbs import (GIBBS_KEYS, ClassDef, GibbsConfig, Prior, posterior_predictor,
+                    sample_posterior, temperature)
 from .markov import (
     TransitionKernel,
     pseudo_spectral_gap,
@@ -41,7 +41,6 @@ from .model import (
     rate_exponent,
     rate_exponents,
 )
-from .network import max_param_count
 
 CSV_COLUMNS = ("n", "gamma", "n_eff", "excess_risk", "bound_rhs", "seed", "wall_time")
 
@@ -374,7 +373,7 @@ def _holder_stage(doc: dict) -> dict:
     return {"betas": [float(doc.get("beta", 1.0))], "active_coords": [int(doc.get("dim", 1))]}
 
 
-def _bound_rhs(cfg: ExperimentConfig, classdef: ClassDef, n: int, gamma: float) -> float:
+def _bound_rhs(cfg: ExperimentConfig, depth: int, prior: Prior, n: int, gamma: float) -> float:
     n_eff = n * gamma
     lip = float(cfg.classdef.get("lipschitz_const", 1.0))
     rule = cfg.classdef.get("rule")
@@ -386,12 +385,12 @@ def _bound_rhs(cfg: ExperimentConfig, classdef: ClassDef, n: int, gamma: float) 
         )
     return oracle_rhs(
         excess_at_best=0.0,
-        card=classdef.sparsity,
-        depth=classdef.depth,
+        card=prior.cap,
+        depth=depth,
         n=n,
         gap=gamma,
-        slab=classdef.weight_bound,
-        n_max=max_param_count(classdef.depth, classdef.width),
+        slab=prior.slab,
+        n_max=prior.n_coords,
         delta=cfg.delta,
         lipschitz_const=lip,
         xi1=cfg.xi,
@@ -433,7 +432,7 @@ def run_cell(cfg: ExperimentConfig, n: int, chain, target, classdef, gibbs_cfg) 
         gamma=gamma,
         n_eff=n * gamma,
         excess_risk=excess,
-        bound_rhs=_bound_rhs(cfg, classdef, n, gamma),
+        bound_rhs=_bound_rhs(cfg, classdef.depth, draws.prior, n, gamma),
         seed=gibbs_cfg.seed,
         wall_time=time.perf_counter() - start,
     )
@@ -484,12 +483,13 @@ def theory_exponent(cfg: ExperimentConfig) -> float | None:
 def fit_rate_slope(result: SweepResult) -> tuple[float, float]:
     """Least squares of log(median excess risk) on log(n_eff).
 
-    Replications sharing an n_eff are collapsed to their median first;
-    needs at least four distinct effective sample sizes.
+    Replications sharing an n_eff to the CSV's 12 significant digits are
+    collapsed to their median first; needs at least four distinct
+    effective sample sizes.
     """
     groups: dict = {}
     for row in result.rows:
-        groups.setdefault(round(row.n_eff, 9), []).append(row.excess_risk)
+        groups.setdefault(float(f"{row.n_eff:.12g}"), []).append(row.excess_risk)
     if len(groups) < 4:
         raise TooFewPoints(f"need >= 4 distinct n_eff values, got {len(groups)}")
     x = np.log(np.array(sorted(groups)))

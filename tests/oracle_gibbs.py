@@ -1,12 +1,18 @@
-"""Brute-force oracle for the tempered posterior on the tiny scalar-affine
-class h(x) = clip(w*x + b).
+"""Brute-force oracles for the tempered posterior on small flat classes.
 
-Discretises each coordinate onto an equal-width bin grid over the slab and
-enumerates every (support, cell) outcome of the spike-and-slab mixture
-reweighted by exp(-lambda * empirical risk) at the cell centre.  Risks are
-recomputed here by direct averaging over the raw sample, independently of
-the sampler's sufficient-statistics path.
+Each discretises the active coordinates onto an equal-width bin grid over
+the slab and enumerates every (support, cell) outcome of the spike-and-slab
+mixture reweighted by exp(-lambda * empirical risk) at the cell centre.
+Risks are recomputed here by direct averaging over the raw sample, with the
+network evaluated by a layer loop written out from the documented flat
+layout, independently of the sampler's sufficient-statistics path and of
+``gibbsnet.network``.  ``enumerate_tiny_gibbs`` covers the scalar-affine
+class h(x) = clip(w*x + b); ``enumerate_flat_gibbs`` any class of up to 7
+coordinates.
 """
+
+import itertools
+import math
 
 import numpy as np
 
@@ -77,3 +83,75 @@ def histogram_of_draws(draws, bins=41):
 def tv_between_tables(p, q):
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def direct_outputs(thetas, widths, x, clip):
+    """Clipped scalar ReLU-network outputs, shape (len(thetas), len(x)), of
+    each flat parameter row of ``thetas`` at each input row of ``x``.
+
+    Each layer's weight matrix is stored column by column, then its bias;
+    the loop below reads entry (r, c) at offset + c * rows + r.
+    """
+    a = [x[None, :, c] for c in range(widths[0])]  # one (1, n) array per unit
+    offset = 0
+    for layer in range(1, len(widths)):
+        rows, cols = widths[layer], widths[layer - 1]
+        out = []
+        for r in range(rows):
+            total = thetas[:, offset + rows * cols + r][:, None]
+            for c in range(cols):
+                total = total + thetas[:, offset + c * rows + r][:, None] * a[c]
+            out.append(total if layer == len(widths) - 1 else np.maximum(total, 0.0))
+        a = out
+        offset += rows * cols + rows
+    return np.clip(a[0], -clip, clip)
+
+
+def enumerate_flat_gibbs(x, y, widths, slab, clip, decay, cap, lam, bins):
+    """Probability table {(support, cells): mass} of the discretised
+    tempered posterior on the ReLU class with layer widths ``widths`` (one
+    output): every support of size k in 1..cap over its n_coords flat
+    coordinates has prior mass decay^-k / C(n_coords, k), up to
+    normalisation, and each active coordinate one of ``bins`` cells of
+    [-slab, slab]."""
+    x = np.asarray(x, dtype=float).reshape(len(y), widths[0])
+    y = np.asarray(y, dtype=float).reshape(-1)
+    n_coords = sum(widths[l] * (widths[l - 1] + 1) for l in range(1, len(widths)))
+    if n_coords > 7:
+        raise ValueError("the enumeration is sized for at most 7 coordinates")
+    centers, _ = grid_centers(slab, bins)
+    chunk = 4096  # grid cells per forward pass, to bound memory
+    table = {}
+    for k in range(1, cap + 1):
+        log_weight = -k * math.log(decay) - math.log(math.comb(n_coords, k)) - k * math.log(bins)
+        cells = np.array(list(itertools.product(range(bins), repeat=k)))
+        for support in itertools.combinations(range(n_coords), k):
+            thetas = np.zeros((len(cells), n_coords))
+            thetas[:, support] = centers[cells]
+            risks = np.concatenate([
+                np.mean((direct_outputs(thetas[i:i + chunk], widths, x, clip) - y) ** 2, axis=1)
+                for i in range(0, len(cells), chunk)
+            ])
+            mass = np.exp(log_weight - lam * risks)
+            for cell, m in zip(map(tuple, cells.tolist()), mass):
+                table[(support, cell)] = m
+    total = sum(table.values())
+    return {key: val / total for key, val in table.items()}
+
+
+def support_law(table):
+    """{support: mass} marginal of a (support, cells) table."""
+    law = {}
+    for (support, _), mass in table.items():
+        law[support] = law.get(support, 0.0) + mass
+    return law
+
+
+def coordinate_marginal(table, j):
+    """{bin of coordinate j, or None when it is inactive: mass} marginal of
+    a (support, cells) table."""
+    law = {}
+    for (support, cells), mass in table.items():
+        key = cells[support.index(j)] if j in support else None
+        law[key] = law.get(key, 0.0) + mass
+    return law

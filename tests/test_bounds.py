@@ -17,7 +17,8 @@ from gibbsnet.bounds import (
     mc_check_chain_mgf,
     oracle_rhs,
 )
-from gibbsnet.errors import LambdaOutOfRange, ThetaOutOfRange
+from gibbsnet.errors import ConfigError, LambdaOutOfRange, ThetaOutOfRange
+from gibbsnet.gibbs import Prior
 from gibbsnet.markov import (
     TransitionKernel,
     pseudo_spectral_gap,
@@ -97,17 +98,17 @@ class TestBernsteinMgfRhs:
 class TestKlRhs:
     def test_hand_value(self):
         want = math.log(2.0 * 2.0 * 0.75 * 1.0 * 2.0 * math.e)
-        got = kl_truncated_uniform_rhs(1, 1.0, 2.0, 1.0, 2)
+        got = kl_truncated_uniform_rhs(1, 1.0, Prior(2, 2, 2.0, 1.0))
         assert got == pytest.approx(want)
         assert got == pytest.approx(2.7918, abs=2e-4)
 
     def test_linear_in_cardinality(self):
-        one = kl_truncated_uniform_rhs(1, 0.5, 2.0, 1.0, 8)
-        assert kl_truncated_uniform_rhs(2, 0.5, 2.0, 1.0, 8) == pytest.approx(2 * one)
+        one = kl_truncated_uniform_rhs(1, 0.5, Prior(8, 8, 2.0, 1.0))
+        assert kl_truncated_uniform_rhs(2, 0.5, Prior(8, 8, 2.0, 1.0)) == pytest.approx(2 * one)
 
     def test_decreasing_ball_raises_bound(self):
-        wide = kl_truncated_uniform_rhs(1, 1.0, 2.0, 1.0, 8)
-        assert kl_truncated_uniform_rhs(1, 0.1, 2.0, 1.0, 8) > wide
+        wide = kl_truncated_uniform_rhs(1, 1.0, Prior(8, 8, 2.0, 1.0))
+        assert kl_truncated_uniform_rhs(1, 0.1, Prior(8, 8, 2.0, 1.0)) > wide
 
 
 class TestCompositionRateRhs:
@@ -196,6 +197,14 @@ class TestMcCheckChainMgf:
         pi = stationary_distribution(kernel)
         with pytest.raises(ThetaOutOfRange):
             mc_check_chain_mgf(kernel, pi, [1.0, -1.0], 50, 0.2, 100, 0)
+
+    def test_overflowing_estimate_rejected(self):
+        # exp(0.05 * sum f) overflows a float on some of the 20 paths, so
+        # the estimate is not finite; the error names the check.
+        kernel = two_source_kernel(0.5)
+        pi = stationary_distribution(kernel)
+        with pytest.raises(ConfigError, match="^chain_mgf: "):
+            mc_check_chain_mgf(kernel, pi, [100.0, -100.0], 20000, 0.05, 20, 0)
 
 
 class TestExactBernsteinConstant:

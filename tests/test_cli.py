@@ -170,6 +170,9 @@ def run(tmp_path, command, doc):
         ("effsample", {**EFFSAMPLE, "chain": TRANSIENT}),
         ("bounds", {"checks": [{**CHAIN_MGF, "chain": TRANSIENT}]}),
         ("bounds", {"checks": [{**BERNSTEIN, "chain": TRANSIENT}]}),
+        ("bounds", {"checks": [{**CHAIN_MGF, "f_table": [100, -100], "n": 20000,
+                                "theta": 0.05, "replications": 20}]}),
+        ("bounds", {"checks": [{**BERNSTEIN, "lambda": 9.0, "noise": ["gaussian", 1000.0]}]}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -198,6 +201,7 @@ def run(tmp_path, command, doc):
         "holder-rule-composition-target", "non-table-config", "gap-transient-chain",
         "sweep-transient-chain", "sample-transient-chain", "effsample-transient-chain",
         "bounds-chain-mgf-transient-chain", "bounds-bernstein-transient-chain",
+        "bounds-chain-mgf-overflowing-estimate", "bounds-bernstein-overflowing-estimate",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -244,7 +248,19 @@ def test_slope_malformed_csv_exits_2(tmp_path, capsys, text, line):
 
 
 def _reject_constant(name):
-    raise ValueError(f"bounds.json holds the non-JSON constant {name}")
+    raise ValueError(f"a report file holds the non-JSON constant {name}")
+
+
+def test_slope_groups_tiny_n_eff_apart(tmp_path):
+    # n_eff = 1e-10 is its own group at the CSV's 12 significant digits;
+    # the rows follow excess = n_eff^-1/2 exactly.
+    header = GOLDEN_CSV.splitlines()[0]
+    rows = [f"1,1e-10,1e-10,{1e5:.12g},1,0,0.0"]
+    rows += [f"{n},1,{n},{n ** -0.5:.12g},1,0,0.0" for n in (1, 2, 3)]
+    (tmp_path / "sweep.csv").write_text("\n".join([header, *rows]) + "\n")
+    assert run(tmp_path, "slope", {"csv": str(tmp_path / "sweep.csv")}) == 0
+    doc = json.loads((tmp_path / "slope.json").read_text(), parse_constant=_reject_constant)
+    assert doc["slope"] == pytest.approx(-0.5, abs=1e-9)
 
 
 @pytest.mark.parametrize("check", [CHAIN_MGF, BERNSTEIN], ids=["chain-mgf", "bernstein-mgf"])

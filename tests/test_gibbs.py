@@ -4,16 +4,23 @@ import math
 
 import numpy as np
 import pytest
-from oracle_gibbs import enumerate_tiny_gibbs, histogram_of_draws, tv_between_tables
+from oracle_gibbs import (
+    coordinate_marginal,
+    enumerate_flat_gibbs,
+    enumerate_tiny_gibbs,
+    histogram_of_draws,
+    support_law,
+    tv_between_tables,
+)
 
 from gibbsnet.errors import EmptyDataset, InvalidClass, NoDraws, OutOfSupport
 from gibbsnet.gibbs import (
     ClassDef,
     GibbsConfig,
     PosteriorDraws,
+    Prior,
     log_prior,
     posterior_predictor,
-    prior_support_normalizer,
     sample_posterior,
     temperature,
 )
@@ -57,11 +64,26 @@ def tiny_classdef(slab=1.0, sparsity=2):
 
 class TestPriorNormalizer:
     def test_hand_values(self):
-        assert prior_support_normalizer(2.0, 3) == pytest.approx(0.875)
-        assert prior_support_normalizer(3.0, 2) == pytest.approx(4.0 / 9.0)
+        assert Prior(3, 3, 2.0, 1.0).normalizer == pytest.approx(0.875)
+        assert Prior(2, 2, 3.0, 1.0).normalizer == pytest.approx(4.0 / 9.0)
+        # The normaliser sums support sizes up to the cap, not n_coords.
+        assert Prior(7, 3, 2.0, 1.0).normalizer == pytest.approx(0.875)
 
     def test_geometric_limit(self):
-        assert prior_support_normalizer(2.0, 400) == pytest.approx(1.0, abs=1e-12)
+        assert Prior(400, 400, 2.0, 1.0).normalizer == pytest.approx(1.0, abs=1e-12)
+
+    def test_of_class_uses_realised_coordinates(self):
+        # Depth 1, width 2 on one input: 7 realised coordinates (12 padded).
+        classdef = ClassDef(depth=1, width=2, sparsity=9, weight_bound=1.5, output_clip=1.0)
+        assert Prior.of_class(classdef, 1, 2.0) == Prior(7, 7, 2.0, 1.5)
+        small = ClassDef(depth=1, width=2, sparsity=4, weight_bound=1.5, output_clip=1.0)
+        assert Prior.of_class(small, 1, 3.0) == Prior(7, 4, 3.0, 1.5)
+
+    @pytest.mark.parametrize("args", [(2, 2, 1.5, 1.0), (2, 3, 2.0, 1.0), (2, 0, 2.0, 1.0)],
+                             ids=["decay-below-2", "cap-above-n-coords", "zero-cap"])
+    def test_invalid_rejected(self, args):
+        with pytest.raises(ValueError):
+            Prior(*args)
 
 
 class TestLogPrior:
@@ -74,11 +96,7 @@ class TestLogPrior:
             weight_bound=1.0,
             output_clip=1.0,
         )
-        cfg = GibbsConfig(
-            support_decay=2.0, weight_bound=1.0, output_clip=1.0, temperature=0.0,
-            iters=10, burn_in=1,
-        )
-        assert log_prior(net, cfg, n_max=2) == pytest.approx(math.log(1.0 / 6.0))
+        assert log_prior(net, Prior(2, 2, 2.0, 1.0)) == pytest.approx(math.log(1.0 / 6.0))
 
     def test_out_of_slab_rejected(self):
         arch = Architecture(0, (1, 1))
@@ -89,34 +107,32 @@ class TestLogPrior:
             weight_bound=2.0,
             output_clip=1.0,
         )
-        cfg = GibbsConfig(
-            support_decay=2.0, weight_bound=1.0, output_clip=1.0, temperature=0.0,
-            iters=10, burn_in=1,
-        )
         with pytest.raises(OutOfSupport):
-            log_prior(net, cfg, n_max=2)
+            log_prior(net, Prior(2, 2, 2.0, 1.0))
 
     def test_total_mass_is_one(self):
         # Sum over support sizes of (number of supports) x (slab volume) x
         # density must be exactly 1; log_prior depends only on |support|.
-        n_max, decay, slab = 4, 2.0, 1.5
+        # With cap 2 < 4 coordinates, the sizes 1..2 carry all the mass.
         arch = Architecture(1, (1, 1, 1))  # 4 flat coordinates
-        cfg = GibbsConfig(
-            support_decay=decay, weight_bound=slab, output_clip=1.0, temperature=0.0,
-            iters=10, burn_in=1,
-        )
-        total = 0.0
-        for k in range(1, n_max + 1):
-            theta = np.zeros(4)
-            active = np.arange(k)
-            theta[active] = 0.1
-            net = SparseNetwork(
-                arch=arch, theta=theta, active=active,
-                weight_bound=slab, output_clip=1.0,
-            )
-            density = math.exp(log_prior(net, cfg, n_max))
-            total += math.comb(n_max, k) * density * (2.0 * slab) ** k
-        assert total == pytest.approx(1.0, abs=1e-12)
+        for prior in (Prior(4, 4, 2.0, 1.5), Prior(4, 2, 3.0, 1.5)):
+            total = 0.0
+            for k in range(1, prior.cap + 1):
+                theta = np.zeros(4)
+                active = np.arange(k)
+                theta[active] = 0.1
+                net = SparseNetwork(
+                    arch=arch, theta=theta, active=active,
+                    weight_bound=prior.slab, output_clip=1.0,
+                )
+                density = math.exp(log_prior(net, prior))
+                total += math.comb(4, k) * density * (2.0 * prior.slab) ** k
+            assert total == pytest.approx(1.0, abs=1e-12)
+            net = SparseNetwork(arch=arch, theta=np.full(4, 0.1), active=np.arange(4),
+                                weight_bound=prior.slab, output_clip=1.0)
+            if prior.cap < 4:
+                with pytest.raises(OutOfSupport):
+                    log_prior(net, prior)
 
 
 class TestTemperature:
@@ -233,10 +249,29 @@ class TestPriorSampling:
         draws = sample_posterior(data, "square", classdef, cfg)
         assert len(draws) == 10_000
         sizes = draws.support_sizes
-        norm = prior_support_normalizer(2.0, 4)
-        want = np.array([2.0 ** (-k) / norm for k in range(1, 5)])
+        want = np.array([2.0 ** (-k) / draws.prior.normalizer for k in range(1, 5)])
         got = np.array([(sizes == k).mean() for k in range(1, 5)])
         assert 0.5 * np.abs(want - got).sum() <= 0.05
+
+    def test_support_size_law_where_realised_and_padded_counts_differ(self):
+        # Depth 1, width 2 on one input has 7 realised coordinates but 12
+        # padded ones; at temperature 0 the support sizes must follow the
+        # sampler's Prior (s^-k / Z on 1..cap), not a prior over the frame.
+        data = Dataset(inputs=np.array([[0.25], [0.75]]), outputs=np.array([0.0, 0.0]))
+        classdef = ClassDef(depth=1, width=2, sparsity=4, weight_bound=1.0, output_clip=5.0)
+        cfg = GibbsConfig(
+            support_decay=2.0, weight_bound=1.0, output_clip=5.0, temperature=0.0,
+            iters=82_000, burn_in=2_000, thin=4, seed=29,
+        )
+        draws = sample_posterior(data, "square", classdef, cfg)
+        prior = draws.prior
+        assert prior == Prior(7, 4, 2.0, 1.0)
+        want = np.array([
+            math.comb(7, k) * math.exp(prior.log_density(k)) * (2.0 * prior.slab) ** k
+            for k in range(1, 5)
+        ])
+        got = np.array([(draws.support_sizes == k).mean() for k in range(1, 5)])
+        assert 0.5 * np.abs(want - got).sum() <= 0.02
 
     def test_monotone_temperature_effect_on_fit(self):
         data, _, _ = tiny_regression_data(seed=5)
@@ -276,6 +311,32 @@ class TestSamplerVsOracle:
         hist = histogram_of_draws(draws)
         assert tv_between_tables(oracle, hist) <= 0.10
 
+    @pytest.mark.parametrize("width, iters, seed", [(1, 150_000, 61), (2, 160_000, 62)])
+    def test_depth_one_relu_matches_flat_oracle(self, width, iters, seed):
+        # Depth 1, cap 3: every support of size 1..3 over the 4 (width 1)
+        # or 7 (width 2) realised coordinates, enumerated on 12 bins per
+        # active coordinate with the oracle's own forward pass.  At
+        # temperature 80 the posterior is far from the prior: a 30% error
+        # in the temperature moves the oracle's support law by TV >= 0.13.
+        x = np.tile(np.linspace(0.0, 1.0, 5), 8)
+        y = 1.6 * np.abs(x - 0.5) - 0.2 + 0.2 * np.random.default_rng(7).standard_normal(40)
+        data = Dataset(inputs=x[:, None], outputs=y)
+        classdef = ClassDef(depth=1, width=width, sparsity=3, weight_bound=1.0, output_clip=2.0)
+        cfg = GibbsConfig(
+            support_decay=2.0, weight_bound=1.0, output_clip=2.0, temperature=80.0,
+            move_probs=(0.3, 0.3, 0.4), step=0.5, iters=iters, burn_in=5_000, thin=5,
+            seed=seed,
+        )
+        draws = sample_posterior(data, "square", classdef, cfg)
+        oracle = enumerate_flat_gibbs(
+            x, y, (1, width, 1), slab=1.0, clip=2.0, decay=2.0, cap=3, lam=80.0, bins=12
+        )
+        hist = histogram_of_draws(draws, bins=12)
+        assert tv_between_tables(support_law(oracle), support_law(hist)) <= 0.06
+        for j in range(draws.prior.n_coords):
+            tv = tv_between_tables(coordinate_marginal(oracle, j), coordinate_marginal(hist, j))
+            assert tv <= 0.10, f"coordinate {j}"
+
     def test_detailed_balance_on_lumped_states(self):
         # Flows between lumped states (support, sign pattern) of a
         # reversible chain must balance within Monte Carlo error.
@@ -314,7 +375,7 @@ class TestPosteriorPredictor:
         actives = np.tile(np.array([False, True]), (len(values), 1))
         return PosteriorDraws(
             arch=arch,
-            weight_bound=5.0,
+            prior=Prior(2, 2, 2.0, 5.0),
             output_clip=10.0,
             activation="relu",
             thetas=thetas,
@@ -340,7 +401,7 @@ class TestPosteriorPredictor:
     def test_no_draws_rejected(self):
         arch = Architecture(0, (1, 1))
         empty = PosteriorDraws(
-            arch=arch, weight_bound=1.0, output_clip=1.0, activation="relu",
+            arch=arch, prior=Prior(2, 2, 2.0, 1.0), output_clip=1.0, activation="relu",
             thetas=np.zeros((0, 2)), actives=np.zeros((0, 2), dtype=bool),
             log_scores=np.zeros(0),
         )

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from gibbsnet import harness
-from gibbsnet.bounds import composition_rate_rhs
+from gibbsnet.bounds import composition_rate_rhs, oracle_rhs
 from gibbsnet.errors import ConfigError, MismatchedEffectiveSize, TooFewPoints
+from gibbsnet.gibbs import Prior
 from gibbsnet.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -224,6 +225,18 @@ class TestRunRateSweep:
         result = run_rate_sweep(cfg)
         assert np.median([r.excess_risk for r in result.rows]) < 1e-3
 
+    def test_oracle_bound_reads_the_sampler_prior(self, tmp_path):
+        # Depth 1, width 2 on one input: 7 realised coordinates (12 padded),
+        # so sparsity 9 caps at 7; n = 5 < 7 makes n_max enter the bound.
+        cfg = small_sweep_config(
+            tmp_path, n_grid=[5], classdef={**SMALL_CLASS, "sparsity": 9},
+            gibbs={"iters": 200, "burn_in": 100, "thin": 5},
+        )
+        row = run_rate_sweep(cfg).rows[0]
+        want = oracle_rhs(0.0, card=7, depth=1, n=5, gap=row.gamma, slab=1.5, n_max=7,
+                          delta=cfg.delta, lipschitz_const=1.0, xi1=cfg.xi)
+        assert row.bound_rhs == want
+
     def test_target_built_once_per_sweep(self, tmp_path, monkeypatch):
         calls = []
         original = harness.build_target
@@ -357,6 +370,7 @@ class TestBuilders:
             xi=0.3,
         )
         classdef = harness.resolve_classdef(config.classdef, config.target, 40.0)
-        assert harness._bound_rhs(config, classdef, 100, 0.4) == composition_rate_rhs(
+        prior = Prior.of_class(classdef, 3, 2.0)
+        assert harness._bound_rhs(config, classdef.depth, prior, 100, 0.4) == composition_rate_rhs(
             40.0, [2.0], [3], config.delta, 0.5, 0.3
         )
