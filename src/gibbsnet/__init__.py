@@ -35,7 +35,6 @@ from .harness import (
 )
 from .markov import (
     StationaryDist,
-    Trajectory,
     TransitionKernel,
     estimate_pseudo_gap,
     mixing_time,

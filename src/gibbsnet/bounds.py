@@ -23,6 +23,7 @@ from .markov import (
     TransitionKernel,
     pseudo_spectral_gap,
     simulate_batch,
+    stream,
 )
 from .model import (
     TargetSpec,
@@ -300,7 +301,7 @@ def mc_check_bernstein(
     k_used = k_exact if bernstein_k is None else bernstein_k
     rhs = bernstein_mgf_rhs(lam, n, gap, k_used, kappa=1.0, excess=excess)
     paths = simulate_batch(kernel, pi, n=n, replications=replications, seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xB5)))
+    rng = stream(seed, "bernstein")
     if loss == "square":
         d = h - target_values(target)
         eps = _draw_noise(rng, *noise, paths.shape)
@@ -356,6 +357,10 @@ def kl_numeric_check(
 
         KL = -sum_i log(len_i) - log(prior density of a card-support).
     """
+    if not 1 <= card <= n_max:
+        raise ValueError(f"need 1 <= card <= n_max, got card {card} and n_max {n_max}")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"ball radius eta must lie in (0, 1], got {eta}")
     if eta > 2.0 * slab:
         raise ValueError("ball must not exceed the slab diameter")
     centers = np.zeros(card) if center is None else np.asarray(center, dtype=float)

@@ -104,13 +104,13 @@ def cmd_simulate(doc: dict, args) -> int:
     kernel, pi = chain_law(doc["chain"])
     try:
         seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
-        traj = simulate(kernel, pi, n=int(doc["n"]), seed=seed)
+        states = simulate(kernel, pi, n=int(doc["n"]), seed=seed)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"simulate: {exc}") from exc
     out = _out_dir(doc, args)
     path = out / "trajectory.txt"
-    path.write_text(traj.to_text())
-    print(f"wrote {path} ({traj.states.size} states)")
+    path.write_text("".join(f"{line}\n" for line in [f"# seed={seed}", *states.tolist()]))
+    print(f"wrote {path} ({states.size} states)")
     return 0
 
 

@@ -27,6 +27,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ConfigError, EmptyDataset, InvalidClass, NoDraws, OutOfSupport
+from .markov import stream
 from .model import Dataset
 from .network import (
     ACTIVATIONS,
@@ -39,6 +40,7 @@ from .network import (
 )
 
 GIBBS_KEYS = ("support_decay", "move_probs", "step", "iters", "burn_in", "thin")
+UNIFORM_CHUNK = 4096  # sampler steps per block of uniforms
 
 
 @dataclass(frozen=True)
@@ -245,6 +247,15 @@ def _reflect(value: float, bound: float) -> float:
     return y - bound
 
 
+def _uniform_rows(rng: np.random.Generator, iters: int):
+    """The sampler's uniforms on [0, 1) as rows: the start row [u], then one
+    (move, index, value, accept) row per step, whatever the move and whether
+    it is feasible; drawn UNIFORM_CHUNK steps at a time to bound memory."""
+    shapes = [(1, 1)] + [(min(UNIFORM_CHUNK, iters - t), 4) for t in range(0, iters, UNIFORM_CHUNK)]
+    for shape in shapes:
+        yield from rng.random(shape).tolist()
+
+
 def _per_state_risk(data: Dataset, loss: str):
     """Collapse the sample onto unique input rows.
 
@@ -303,10 +314,12 @@ def sample_posterior(
     slices = layer_slices(arch)
     points, risk_fn = _per_state_risk(data, loss)
 
-    rng = np.random.default_rng(cfg.seed)
+    rows = _uniform_rows(stream(cfg.seed, "sampler"), cfg.iters)
     theta = np.zeros(n_params)
     active = np.zeros(n_params, dtype=bool)
-    active[rng.integers(n_params)] = True  # one active coordinate, value 0
+    # One active coordinate at value 0.  A uniform is at most 1 - 2^-53, so
+    # int(u * size) stays below size for any size under 2^52.
+    active[int(next(rows)[0] * n_params)] = True
     risk = risk_fn(compose(slices, theta, points, act_fn, clip)[:, 0])
 
     lam = cfg.temperature
@@ -324,14 +337,13 @@ def sample_posterior(
     proposed = {"add": 0, "remove": 0, "perturb": 0}
     accepted = {"add": 0, "remove": 0, "perturb": 0}
 
-    for it in range(cfg.iters):
+    for it, (u_move, u_index, u_value, u_accept) in enumerate(rows):
         # Pick the move, the pool its coordinate is drawn from and its
         # prior/proposal log ratio; the support is counted only for jumps.
-        u = rng.random()
-        if u < p_add:
+        if u_move < p_add:
             move, pool, log_ratio = "add", ~active, log_add_ratio
             feasible = jumps and active.sum() < cap
-        elif u < p_add + p_remove:
+        elif u_move < p_add + p_remove:
             move, pool, log_ratio = "remove", active, log_remove_ratio
             feasible = jumps and active.sum() > 1
         else:
@@ -340,16 +352,16 @@ def sample_posterior(
 
         if feasible:
             idx = np.flatnonzero(pool)
-            j = int(idx[rng.integers(idx.size)])
+            j = int(idx[int(u_index * idx.size)])
             old = theta[j]
             if move == "add":
-                theta[j] = rng.uniform(-slab, slab)
+                theta[j] = slab * (2.0 * u_value - 1.0)
             elif move == "remove":
                 theta[j] = 0.0
             else:
-                theta[j] = _reflect(old + rng.uniform(-cfg.step, cfg.step), slab)
+                theta[j] = _reflect(old + cfg.step * (2.0 * u_value - 1.0), slab)
             new_risk = risk_fn(compose(slices, theta, points, act_fn, clip)[:, 0])
-            if math.log(rng.random()) < -lam * (new_risk - risk) + log_ratio:
+            if u_accept < math.exp(min(0.0, -lam * (new_risk - risk) + log_ratio)):
                 active[j] = move != "remove"
                 risk = new_risk
                 accepted[move] += 1

@@ -409,7 +409,7 @@ def cell_settings(cfg: ExperimentConfig, n: int, gamma: float, seed: int, lam=No
 def fit_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, classdef, gibbs_cfg):
     """The fit half of a cell on ``chain = (kernel, pi, gamma)`` with the
     settings of :func:`cell_settings`: draw n observations of ``target``
-    and sample the posterior; data and sampler share ``gibbs_cfg.seed``."""
+    and sample the posterior, each from its own stream of ``gibbs_cfg.seed``."""
     kernel, pi, _ = chain
     if cfg.loss == "square":
         data = generate_regression(target, kernel, pi, n=n, noise=cfg.noise, seed=gibbs_cfg.seed)

@@ -2,9 +2,10 @@
 gaps, mixing times, trajectory simulation, and plug-in gap estimation.
 
 All chains are represented by row-stochastic matrices over ``m`` states.
-Kernels, stationary distributions and trajectories are immutable value
-objects; every operation here is a pure function of its inputs, so values
-can be shared freely across threads.
+Kernels and stationary distributions are immutable value objects; every
+operation here is a pure function of its inputs, so values can be shared
+freely across threads.  :func:`stream` turns a seed into the random stream
+of each purpose.
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ STATIONARY_TOL = 1e-10
 # Eigenvalue 1 counts as multiple when a second eigenvalue sits within this
 # distance of it; the "gap = 0" branch of the spectral gap needs a threshold.
 MULTIPLICITY_TOL = 1e-10
+# The independent random streams one seed feeds, by purpose: chain paths use
+# the seed's root stream, every other purpose SeedSequence((seed, salt)).
+STREAM_SALTS = {"chain": None, "noise": 0xE9, "labels": 0xC1, "bernstein": 0xB5,
+                "sampler": 0x5A}
+
+
+def stream(seed: int, purpose: str) -> np.random.Generator:
+    """The random stream ``seed`` feeds for ``purpose``, a key of
+    :data:`STREAM_SALTS`; the one place a seed becomes a generator."""
+    if purpose not in STREAM_SALTS:
+        raise ValueError(f"unknown random stream {purpose!r}")
+    salt = STREAM_SALTS[purpose]
+    return np.random.default_rng(seed if salt is None else np.random.SeedSequence((seed, salt)))
 
 
 @dataclass(frozen=True)
@@ -66,23 +80,6 @@ class StationaryDist:
             raise ValueError("stationary weights must be nonnegative")
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"stationary weights must sum to 1 within {ROW_SUM_TOL}")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered state indices plus the RNG seed that produced them."""
-
-    states: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=np.int64)
-        object.__setattr__(self, "states", s)
-
-    def to_text(self) -> str:
-        lines = [f"# seed={self.seed}"]
-        lines.extend(str(int(s)) for s in self.states)
-        return "\n".join(lines) + "\n"
 
 
 def two_source_kernel(p: float, states: int = 2) -> TransitionKernel:
@@ -259,12 +256,13 @@ def mixing_time(
 
 def simulate(
     kernel: TransitionKernel, pi: StationaryDist, n: int, seed: int
-) -> Trajectory:
-    """Length-n stationary trajectory: first state drawn from pi, then the
-    chain steps by inverse-CDF sampling.  Reproducible given the seed."""
+) -> np.ndarray:
+    """Length-n stationary trajectory as int64 state indices: first state
+    drawn from pi, then the chain steps by inverse-CDF sampling, one uniform
+    of the seed's chain stream per state."""
     if n < 1:
         raise ValueError("trajectory length must be positive")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "chain")
     cum_rows = [row.tolist() for row in np.cumsum(kernel.probs, axis=1)]
     uniforms = rng.random(n)
     states = np.empty(n, dtype=np.int64)
@@ -276,7 +274,7 @@ def simulate(
         row = cum_rows[state]
         state = min(bisect_right(row, uniforms[t]), kernel.states - 1)
         states[t] = state
-    return Trajectory(states=states, seed=seed)
+    return states
 
 
 def simulate_batch(
@@ -284,12 +282,15 @@ def simulate_batch(
 ) -> np.ndarray:
     """(replications, n) array of independent stationary trajectories.
 
-    Vectorised across replications; row r matches no single-trajectory seed,
-    but the whole batch is reproducible given ``seed``.
+    Vectorised across replications: step t reads uniforms t*replications ..
+    (t+1)*replications - 1 of the seed's chain stream, so one replication
+    equals ``simulate(kernel, pi, n, seed)``.  Both loops stay because each
+    is the faster one on a measured shape: this one on many short paths
+    (the Monte Carlo bound checks), the scalar loop on one long path.
     """
     if n < 1 or replications < 1:
         raise ValueError("n and replications must be positive")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "chain")
     cum = np.cumsum(kernel.probs, axis=1)
     cum_pi = np.cumsum(pi.weights)
     out = np.empty((replications, n), dtype=np.int64)
@@ -304,7 +305,7 @@ def simulate_batch(
     return out
 
 
-def estimate_pseudo_gap(trajectory: Trajectory, m: int, k_max: int = 10) -> float:
+def estimate_pseudo_gap(states: np.ndarray, m: int, k_max: int = 10) -> float:
     """Plug-in pseudo-spectral gap from a single trajectory.
 
     Builds the empirical transition kernel from bigram counts with add-one
@@ -312,7 +313,6 @@ def estimate_pseudo_gap(trajectory: Trajectory, m: int, k_max: int = 10) -> floa
     irreducible), takes its stationary distribution, and returns the
     pseudo-spectral gap of the plug-in pair.
     """
-    states = trajectory.states
     if states.size < 2:
         raise UnvisitedState("trajectory too short to form bigrams")
     if np.any(states < 0) or np.any(states >= m):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .markov import StationaryDist, TransitionKernel, simulate
+from .markov import StationaryDist, TransitionKernel, simulate, stream
 
 NOISE_FAMILIES = ("gaussian", "uniform", "rademacher")
 
@@ -273,11 +273,10 @@ def generate_regression(
     """Inputs are the embedded stationary trajectory; outputs follow
     y = h*(x) + eps with centered noise independent of the input."""
     family, scale = noise
-    traj = simulate(kernel, pi, n=n, seed=seed)
-    x = target.points[traj.states]
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xE9)))
-    eps = _draw_noise(rng, family, scale, n) if scale > 0 else np.zeros(n)
-    y = target_values(target)[traj.states] + eps
+    states = simulate(kernel, pi, n=n, seed=seed)
+    x = target.points[states]
+    eps = _draw_noise(stream(seed, "noise"), family, scale, n) if scale > 0 else np.zeros(n)
+    y = target_values(target)[states] + eps
     return Dataset(inputs=x, outputs=y)
 
 
@@ -290,10 +289,9 @@ def generate_classification(
 ) -> Dataset:
     """Inputs are the embedded stationary trajectory; labels in {-1, +1}
     are positive with the logistic link target's per-state probability."""
-    traj = simulate(kernel, pi, n=n, seed=seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC1)))
-    labels = np.where(rng.random(n) < target_eta(target)[traj.states], 1.0, -1.0)
-    return Dataset(inputs=target.points[traj.states], outputs=labels)
+    states = simulate(kernel, pi, n=n, seed=seed)
+    labels = np.where(stream(seed, "labels").random(n) < target_eta(target)[states], 1.0, -1.0)
+    return Dataset(inputs=target.points[states], outputs=labels)
 
 
 def subgaussian_envelope(k_holder: float, varsigma: float, n: int, delta: float) -> float:

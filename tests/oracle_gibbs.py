@@ -8,13 +8,18 @@ network evaluated by a layer loop written out from the documented flat
 layout, independently of the sampler's sufficient-statistics path and of
 ``gibbsnet.network``.  ``enumerate_tiny_gibbs`` covers the scalar-affine
 class h(x) = clip(w*x + b); ``enumerate_flat_gibbs`` any class of up to 7
-coordinates.
+coordinates.  ``replay_sampler`` is the one-chain reference for the
+sampler's draw contract, and ``RecordingStream`` records what a run reads.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from gibbsnet.gibbs import Prior, _per_state_risk, _reflect
+from gibbsnet.markov import stream
+from gibbsnet.network import ACTIVATIONS, compose, layer_slices
 
 
 def grid_centers(bound: float, bins: int):
@@ -155,3 +160,87 @@ def coordinate_marginal(table, j):
         key = cells[support.index(j)] if j in support else None
         law[key] = law.get(key, 0.0) + mass
     return law
+
+
+class RecordingStream:
+    """Wraps a generator of ``gibbsnet.markov.stream`` and keeps every block
+    of uniforms it hands out, flattened, in ``blocks``."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, []
+
+    def random(self, shape=None):
+        out = self.rng.random(shape)
+        self.blocks.append(np.ravel(out))
+        return out
+
+
+def replay_sampler(data, loss, classdef, cfg):
+    """(thetas, actives, log_scores, acceptance_rates) of the chain that
+    ``sample_posterior(data, loss, classdef, cfg)`` runs, replayed from its
+    documented draw contract: the seed's sampler stream read as one start
+    uniform, then an (iters, 4) block with one (move, index, value, accept)
+    row per step, used whatever the move and whether it is feasible.
+
+    The risk is the sampler's own per-state risk, so every float of the
+    replay, and so every accept decision, is bit-identical to the sampler's.
+    """
+    arch = classdef.architecture(data.inputs.shape[1])
+    prior = Prior.of_class(classdef, arch.input_dim, cfg.support_decay)
+    slices, act_fn = layer_slices(arch), ACTIVATIONS[classdef.activation].fn
+    points, risk_fn = _per_state_risk(data, loss)
+
+    def risk_of(theta):
+        return risk_fn(compose(slices, theta, points, act_fn, classdef.output_clip)[:, 0])
+
+    rng = stream(cfg.seed, "sampler")
+    start = rng.random()
+    block = rng.random((cfg.iters, 4))
+
+    n, slab, lam = prior.n_coords, prior.slab, cfg.temperature
+    p_add, p_remove, _ = cfg.move_probs
+    jumps = p_add > 0 and p_remove > 0
+    # The binomial and slab factors of a jump cancel against its proposal,
+    # leaving the move-probability ratio and one power of the decay.
+    log_ratio = {"perturb": 0.0, "add": 0.0, "remove": 0.0}
+    if jumps:
+        log_ratio["add"] = math.log(p_remove / p_add) - math.log(prior.decay)
+        log_ratio["remove"] = math.log(p_add / p_remove) + math.log(prior.decay)
+
+    theta, active = np.zeros(n), np.zeros(n, dtype=bool)
+    active[int(start * n)] = True
+    risk = risk_of(theta)
+    proposed = dict.fromkeys(log_ratio, 0)
+    accepted = dict.fromkeys(log_ratio, 0)
+    thetas, actives, log_scores = [], [], []
+    for it in range(cfg.iters):
+        u_move, u_index, u_value, u_accept = (float(u) for u in block[it])
+        if u_move < p_add:
+            move, pool = "add", np.flatnonzero(~active)
+            feasible = jumps and active.sum() < prior.cap
+        elif u_move < p_add + p_remove:
+            move, pool = "remove", np.flatnonzero(active)
+            feasible = jumps and active.sum() > 1
+        else:
+            move, pool, feasible = "perturb", np.flatnonzero(active), True
+        proposed[move] += 1
+        if feasible:
+            j = int(pool[int(u_index * pool.size)])
+            proposal = theta.copy()
+            if move == "add":
+                proposal[j] = slab * (2.0 * u_value - 1.0)
+            elif move == "remove":
+                proposal[j] = 0.0
+            else:
+                proposal[j] = _reflect(theta[j] + cfg.step * (2.0 * u_value - 1.0), slab)
+            new_risk = risk_of(proposal)
+            if u_accept < math.exp(min(0.0, -lam * (new_risk - risk) + log_ratio[move])):
+                theta, risk = proposal, new_risk
+                active[j] = move != "remove"
+                accepted[move] += 1
+        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+            thetas.append(theta.copy())
+            actives.append(active.copy())
+            log_scores.append(-lam * risk)
+    rates = {m: accepted[m] / proposed[m] if proposed[m] else 0.0 for m in proposed}
+    return np.array(thetas), np.array(actives), np.array(log_scores), rates

@@ -61,6 +61,7 @@ NETWORK = {"depth": 0, "widths": [1, 1], "active_indices": [1], "values": [1.0],
 BERNSTEIN = {"kind": "bernstein_mgf", "chain": CHAIN, "target": {"kind": "holder"},
              "network": NETWORK, "lambda": 1.0, "n": 100, "replications": 20}
 KL = {"kind": "kl", "card": 2, "eta": 0.1, "decay": 2.0, "slab": 1.0, "n_max": 5}
+KL_CARD_ABOVE_N_MAX = {**KL, "card": 6}
 COMPOSITION = {"kind": "composition", "dims": [1, 2, 1], "active_coords": [1, 2],
                "betas": [1.0, 0.5]}
 EFFSAMPLE = {**{k: v for k, v in SWEEP.items() if k != "n_grid"}, "n_grid": [100],
@@ -173,6 +174,10 @@ def run(tmp_path, command, doc):
         ("bounds", {"checks": [{**CHAIN_MGF, "f_table": [100, -100], "n": 20000,
                                 "theta": 0.05, "replications": 20}]}),
         ("bounds", {"checks": [{**BERNSTEIN, "lambda": 9.0, "noise": ["gaussian", 1000.0]}]}),
+        ("bounds", {"checks": [KL_CARD_ABOVE_N_MAX]}),
+        ("bounds", {"checks": [{**KL, "eta": 0}]}),
+        ("bounds", {"checks": [{**KL, "eta": -0.5}]}),
+        ("bounds", {"checks": [{**KL, "eta": -1}]}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -202,11 +207,16 @@ def run(tmp_path, command, doc):
         "sweep-transient-chain", "sample-transient-chain", "effsample-transient-chain",
         "bounds-chain-mgf-transient-chain", "bounds-bernstein-transient-chain",
         "bounds-chain-mgf-overflowing-estimate", "bounds-bernstein-overflowing-estimate",
+        "bounds-kl-card-above-n-max", "bounds-kl-zero-eta", "bounds-kl-negative-eta",
+        "bounds-kl-eta-minus-one",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
     assert run(tmp_path, command, doc) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    if doc == {"checks": [KL_CARD_ABOVE_N_MAX]}:
+        assert "card 6" in err and "n_max 5" in err
 
 
 @pytest.mark.parametrize(
@@ -410,6 +420,32 @@ def mutated_configs(draw):
         else:
             parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(POOL)))
     return command, doc, None
+
+
+DELETE = object()  # as a mutation value: remove the key or item
+
+
+def test_every_single_mutation_exits_cleanly():
+    # Every path of every fuzzed config set to every POOL value, or deleted:
+    # the one-step neighbourhood the sampled fuzz below may never reach.
+    failures = []
+    for command, config in sorted(FUZZED.items()):
+        for path in _paths(config):
+            for value in [*POOL, DELETE]:
+                doc = copy.deepcopy(config)
+                parent = reduce(lambda node, key: node[key], path[:-1], doc)
+                if value is DELETE:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = copy.deepcopy(value)
+                with tempfile.TemporaryDirectory() as out:
+                    try:
+                        code = run(Path(out), command, doc)
+                    except Exception as exc:  # noqa: BLE001 - reported below
+                        code = repr(exc)
+                if code not in (0, 2, 3):
+                    failures.append((command, path, value, code))
+    assert not failures
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 from oracle_gibbs import (
+    RecordingStream,
     coordinate_marginal,
     enumerate_flat_gibbs,
     enumerate_tiny_gibbs,
     histogram_of_draws,
+    replay_sampler,
     support_law,
     tv_between_tables,
 )
 
+from gibbsnet import gibbs, markov
 from gibbsnet.errors import EmptyDataset, InvalidClass, NoDraws, OutOfSupport
 from gibbsnet.gibbs import (
     ClassDef,
@@ -234,6 +237,92 @@ class TestSamplerBasics:
         assert "log_score" in doc
         restored = SparseNetwork.from_json(json.dumps({k: v for k, v in doc.items() if k != "log_score"}))
         np.testing.assert_allclose(restored.theta, draws.thetas[-1])
+
+
+class ConstantStream:
+    """A generator whose every uniform is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+def logistic_data():
+    kernel = two_source_kernel(0.3, states=4)
+    pi = stationary_distribution(kernel)
+    return generate_classification(
+        logistic_link_target([0.1, 0.4, 0.7, 0.9]), kernel, pi, n=200, seed=4
+    )
+
+
+# (data, loss, classdef, cfg) of the replayed chains: square loss with the
+# support capped below the 7 realised coordinates over more steps than one
+# block of uniforms, logistic loss, and no remove move.
+REPLAY_CASES = {
+    "square-capped": (
+        lambda: tiny_regression_data(seed=3)[0], "square",
+        ClassDef(depth=1, width=2, sparsity=3, weight_bound=0.8, output_clip=5.0),
+        GibbsConfig(support_decay=2.0, weight_bound=0.8, output_clip=5.0, temperature=20.0,
+                    iters=gibbs.UNIFORM_CHUNK + 1500, burn_in=500, thin=7, seed=1),
+    ),
+    "logistic": (
+        logistic_data, "logistic",
+        ClassDef(depth=1, width=3, sparsity=8, weight_bound=2.0, output_clip=0.4,
+                 activation="sigmoid"),
+        GibbsConfig(support_decay=2.0, weight_bound=2.0, output_clip=0.4, temperature=5.0,
+                    iters=3000, burn_in=1000, thin=5, seed=6),
+    ),
+    "no-remove-move": (
+        lambda: tiny_regression_data(seed=5)[0], "square", tiny_classdef(),
+        GibbsConfig(support_decay=3.0, weight_bound=1.0, output_clip=5.0, temperature=4.0,
+                    move_probs=(0.3, 0.0, 0.7), step=0.4, iters=2000, burn_in=100, seed=8),
+    ),
+}
+
+
+class TestDrawContract:
+    @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+    def test_replay_reproduces_sampler(self, monkeypatch, name):
+        make_data, loss, classdef, cfg = REPLAY_CASES[name]
+        data = make_data()
+        streams = []
+
+        def recording_stream(seed, purpose):
+            streams.append(RecordingStream(markov.stream(seed, purpose)))
+            return streams[-1]
+
+        monkeypatch.setattr(gibbs, "stream", recording_stream)
+        draws = sample_posterior(data, loss, classdef, cfg)
+        thetas, actives, log_scores, rates = replay_sampler(data, loss, classdef, cfg)
+        np.testing.assert_array_equal(draws.thetas, thetas)
+        np.testing.assert_array_equal(draws.actives, actives)
+        np.testing.assert_array_equal(draws.log_scores, log_scores)
+        assert draws.acceptance_rates == rates
+        # One sampler stream, read as exactly 1 + 4 * iters uniforms in
+        # blocks of at most one chunk of steps.
+        (used,) = streams
+        assert sum(block.size for block in used.blocks) == 1 + 4 * cfg.iters
+        assert max(block.size for block in used.blocks) <= 4 * gibbs.UNIFORM_CHUNK
+
+    @pytest.mark.parametrize("value", [0.0, np.nextafter(1.0, 0.0)], ids=["zero", "below-one"])
+    @pytest.mark.parametrize("move_probs", [(0.25, 0.25, 0.5), (0.5, 0.5, 0.0)],
+                             ids=["default-moves", "jumps-only"])
+    def test_edge_uniforms_stay_in_class(self, monkeypatch, value, move_probs):
+        monkeypatch.setattr(gibbs, "stream", lambda seed, purpose: ConstantStream(value))
+        data, _, _ = tiny_regression_data(seed=3)
+        classdef = ClassDef(depth=1, width=2, sparsity=4, weight_bound=0.8, output_clip=5.0)
+        cfg = GibbsConfig(
+            support_decay=2.0, weight_bound=0.8, output_clip=5.0, temperature=20.0,
+            move_probs=move_probs, iters=300, burn_in=100, seed=0,
+        )
+        draws = sample_posterior(data, "square", classdef, cfg)
+        assert np.all((draws.support_sizes >= 1) & (draws.support_sizes <= 4))
+        assert np.max(np.abs(draws.thetas)) <= 0.8
+        assert np.all(draws.thetas[~draws.actives] == 0.0)
+        for i in range(len(draws)):
+            draws.network(i)  # constructor re-checks the invariants
 
 
 class TestPriorSampling:

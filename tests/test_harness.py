@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle_gibbs import RecordingStream
 
-from gibbsnet import harness
+from gibbsnet import gibbs, harness, markov
 from gibbsnet.bounds import composition_rate_rhs, oracle_rhs
 from gibbsnet.errors import ConfigError, MismatchedEffectiveSize, TooFewPoints
 from gibbsnet.gibbs import Prior
@@ -257,6 +258,30 @@ class TestRunRateSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 2
+
+
+class TestFitCell:
+    def test_sampler_uniforms_independent_of_trajectory(self, tmp_path, monkeypatch):
+        # Row seed 123: one seed feeds the cell's trajectory and its sampler,
+        # through streams that must share no uniform.
+        streams = {}
+
+        def recording_stream(seed, purpose, original=markov.stream):
+            streams.setdefault(purpose, []).append(RecordingStream(original(seed, purpose)))
+            return streams[purpose][-1]
+
+        for module in (markov, gibbs):
+            monkeypatch.setattr(module, "stream", recording_stream)
+        cfg = small_sweep_config(tmp_path, seed=123)
+        chain = harness.solve_chain(cfg.chain, cfg.k_max)
+        target = harness.build_target(cfg.target, chain[0].states)
+        settings = harness.cell_settings(cfg, 100, chain[2], cfg.seed)
+        draws = harness.fit_cell(cfg, 100, chain, target, *settings)
+        drawn = {purpose: np.concatenate([block for rec in recs for block in rec.blocks])
+                 for purpose, recs in streams.items()}
+        assert len(draws) == 200
+        assert drawn["chain"].size == 100 and drawn["sampler"].size == 1 + 4 * 1500
+        assert not set(drawn["chain"].tolist()) & set(drawn["sampler"].tolist())
 
 
 class TestEffectiveSampleExperiment:

@@ -6,9 +6,13 @@ stationary law, brute-force matrix powers for mixing times, and Monte
 Carlo consistency for the plug-in gap estimator.
 """
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
+from gibbsnet.cli import main
 from gibbsnet.errors import (
     DimensionMismatch,
     NonUniqueStationary,
@@ -17,9 +21,9 @@ from gibbsnet.errors import (
     ZeroStationaryMass,
 )
 from gibbsnet.markov import (
+    STREAM_SALTS,
     StationaryDist,
     TransitionKernel,
-    Trajectory,
     estimate_pseudo_gap,
     mixing_time,
     pseudo_spectral_gap,
@@ -27,6 +31,7 @@ from gibbsnet.markov import (
     simulate_batch,
     spectral_gap,
     stationary_distribution,
+    stream,
     time_reversal,
     tv_distance,
     two_source_kernel,
@@ -247,23 +252,23 @@ class TestSimulate:
     def test_empirical_frequencies_match_uniform(self):
         pi = uniform_dist(4)
         kernel = TransitionKernel(states=4, probs=np.tile(pi.weights, (4, 1)))
-        traj = simulate(kernel, pi, n=100_000, seed=2)
-        freqs = np.bincount(traj.states, minlength=4) / traj.states.size
+        states = simulate(kernel, pi, n=100_000, seed=2)
+        freqs = np.bincount(states, minlength=4) / states.size
         np.testing.assert_allclose(freqs, pi.weights, atol=0.01)
 
     def test_cycle_is_periodic(self):
         kernel = cycle_kernel(3)
-        traj = simulate(kernel, uniform_dist(3), n=6, seed=0)
-        start = int(traj.states[0])
+        states = simulate(kernel, uniform_dist(3), n=6, seed=0)
+        start = int(states[0])
         expected = [(start + t) % 3 for t in range(6)]
-        assert traj.states.tolist() == expected
+        assert states.tolist() == expected
 
     def test_same_seed_reproduces(self):
         kernel = two_source_kernel(0.3)
         pi = stationary_distribution(kernel)
         a = simulate(kernel, pi, n=500, seed=42)
         b = simulate(kernel, pi, n=500, seed=42)
-        assert a.states.tolist() == b.states.tolist()
+        assert a.tolist() == b.tolist()
 
     def test_batch_matches_marginals(self):
         kernel = two_source_kernel(0.3)
@@ -277,13 +282,39 @@ class TestSimulate:
         frac_switch = np.mean(from_zero[:, 1] == 1)
         assert frac_switch == pytest.approx(0.3, abs=0.03)
 
-    def test_text_round_trip(self):
+    def test_text_round_trip(self, tmp_path):
         kernel = two_source_kernel(0.3)
         pi = stationary_distribution(kernel)
-        traj = simulate(kernel, pi, n=20, seed=7)
-        header, *lines = traj.to_text().splitlines()
+        states = simulate(kernel, pi, n=20, seed=7)
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"chain": {"family": "two_source", "p": 0.3}, "n": 20}))
+        assert main(["simulate", "--config", str(config), "--seed", "7", "--out", str(tmp_path)]) == 0
+        header, *lines = (tmp_path / "trajectory.txt").read_text().splitlines()
         assert header == "# seed=7"
-        assert [int(line) for line in lines] == traj.states.tolist()
+        assert [int(line) for line in lines] == states.tolist()
+
+
+class TestStreams:
+    def test_simulate_is_one_batch_row(self):
+        rng = np.random.default_rng(0)
+        for seed in range(20):
+            m = int(rng.integers(2, 7))
+            probs = rng.random((m, m)) ** 3  # uneven rows, some near-zero entries
+            kernel = TransitionKernel(states=m, probs=probs / probs.sum(axis=1, keepdims=True))
+            pi = stationary_distribution(kernel)
+            row = simulate_batch(kernel, pi, n=400, replications=1, seed=seed)[0]
+            np.testing.assert_array_equal(simulate(kernel, pi, n=400, seed=seed), row)
+
+    @pytest.mark.parametrize("seed", [0, 1, 123])
+    def test_purposes_share_no_value(self, seed):
+        draws = {purpose: set(stream(seed, purpose).random(1000).tolist())
+                 for purpose in STREAM_SALTS}
+        for a, b in itertools.combinations(STREAM_SALTS, 2):
+            assert not draws[a] & draws[b], (a, b)
+
+    def test_unknown_purpose_rejected(self):
+        with pytest.raises(ValueError, match="unknown random stream"):
+            stream(0, "data")
 
 
 class TestEstimatePseudoGap:
@@ -303,9 +334,8 @@ class TestEstimatePseudoGap:
         assert 0.0 <= estimate < 0.05
 
     def test_unvisited_state_detected(self):
-        traj = Trajectory(states=np.zeros(100, dtype=np.int64), seed=0)
         with pytest.raises(UnvisitedState):
-            estimate_pseudo_gap(traj, m=2)
+            estimate_pseudo_gap(np.zeros(100, dtype=np.int64), m=2)
 
     def test_error_shrinks_with_sample_size(self):
         kernel = two_source_kernel(0.2)

@@ -242,7 +242,7 @@ class TestExcessRisk:
         predictor = lambda x: np.zeros(len(x))
         exact = excess_risk_mc(predictor, target, pi, loss="square")
         per_state = (predictor(target.points) - target_values(target)) ** 2
-        approx = float(per_state[simulate(kernel, pi, n=200_000, seed=5).states].mean())
+        approx = float(per_state[simulate(kernel, pi, n=200_000, seed=5)].mean())
         assert approx == pytest.approx(exact, abs=0.01)
 
 
