@@ -16,8 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import kl_numeric_check, mc_check_bernstein, mc_check_chain_mgf
-from .errors import ConfigError, GibbsNetError, ZeroStationaryMass, check_table
+from .errors import (REQUIRED, ConfigError, GibbsNetError, ZeroStationaryMass, check_kinded,
+                     check_table)
+from .gibbs import GIBBS
 from .harness import (
+    CONFIG,
+    NOISE,
     ExperimentConfig,
     SweepResult,
     build_target,
@@ -30,18 +34,40 @@ from .harness import (
     run_effective_sample_experiment,
     run_rate_sweep,
     solve_chain,
-    table_kind,
 )
 from .markov import mixing_time, pseudo_spectral_gap, simulate, spectral_gap
 from .network import SparseNetwork
 
-EXPERIMENT_KEYS = set(ExperimentConfig.__dataclass_fields__)
+OUTPUT_DIR = {"output_dir": ("str", ".")}
 
-CHECK_KEYS = {
-    "chain_mgf": {"kind", "chain", "f_table", "n", "theta", "replications", "seed", "k_max"},
-    "bernstein_mgf": {"kind", "chain", "target", "network", "loss", "lambda", "n",
-                      "replications", "seed", "noise", "bernstein_k"},
-    "kl": {"kind", "card", "eta", "decay", "slab", "n_max", "center"},
+# Each subcommand's top-level table, {key: (kind, default)}; sweep, effsample
+# and sample extend harness.CONFIG.
+GAP = {"chain": ("table", REQUIRED), "k_max": ("int", 10), "mixing_epsilon": ("number", None),
+       "t_cap": ("int", 10_000), **OUTPUT_DIR}
+SIMULATE = {"chain": ("table", REQUIRED), "n": ("int", REQUIRED), "seed": ("int", 0), **OUTPUT_DIR}
+BOUNDS = {"checks": (["any"], ()), **OUTPUT_DIR}
+SLOPE = {"csv": ("str", REQUIRED), **OUTPUT_DIR}
+SAMPLE = {**{k: v for k, v in CONFIG.items() if k != "n_grid"}, "n": ("int", REQUIRED)}
+EFFSAMPLE = {**CONFIG, "pairs": ("any", REQUIRED)}  # read by run_effective_sample_experiment
+
+NETWORK = {"depth": ("int", REQUIRED), "widths": (["int"], REQUIRED),
+           "active_indices": (["int"], REQUIRED), "values": (["number"], REQUIRED),
+           "weight_bound": ("number", REQUIRED), "output_clip": ("number", REQUIRED)}
+
+# A bounds check's keys by kind; all but chain, target and network (and
+# lambda, passed as lam) are its checker's keyword arguments.
+CHECKS = {
+    "chain_mgf": {"chain": ("table", REQUIRED), "f_table": (["number"], REQUIRED),
+                  "n": ("int", REQUIRED), "theta": ("number", REQUIRED),
+                  "replications": ("int", 1000), "seed": ("int", 0), "k_max": ("int", 10)},
+    "bernstein_mgf": {"chain": ("table", REQUIRED), "target": ("table", REQUIRED),
+                      "network": ("table", REQUIRED), "loss": ("str", "square"),
+                      "lambda": ("number", REQUIRED), "n": ("int", REQUIRED),
+                      "replications": ("int", 1000), "seed": ("int", 0),
+                      "noise": (NOISE, ("gaussian", 0.0)), "bernstein_k": ("number", None)},
+    "kl": {"card": ("int", REQUIRED), "eta": ("number", REQUIRED), "decay": ("number", REQUIRED),
+           "slab": ("number", REQUIRED), "n_max": ("int", REQUIRED),
+           "center": (["number"], None)},
 }
 
 
@@ -69,30 +95,25 @@ def load_config(path: str) -> dict:
 
 
 def _out_dir(doc: dict, args) -> Path:
-    out = args.out if args.out else doc.get("output_dir", ".")
-    if not isinstance(out, str):
-        raise ConfigError(f"output_dir must be a path, got {out!r}")
-    out = Path(out)
+    out = Path(args.out if args.out else doc["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_gap(doc: dict, args) -> int:
+    doc = check_table(doc, "gap config", GAP)
     kernel, pi = chain_law(doc["chain"])
     try:
-        k_max = int(doc.get("k_max", 10))
         result = {
             "states": kernel.states,
             "stationary": pi.weights.tolist(),
             "spectral_gap": spectral_gap(kernel.probs, pi),
-            "pseudo_spectral_gap": pseudo_spectral_gap(kernel, pi, k_max=k_max),
-            "k_max": k_max,
+            "pseudo_spectral_gap": pseudo_spectral_gap(kernel, pi, k_max=doc["k_max"]),
+            "k_max": doc["k_max"],
         }
-        if doc.get("mixing_epsilon") is not None:
-            result["mixing_time"] = mixing_time(
-                kernel, pi, float(doc["mixing_epsilon"]), int(doc.get("t_cap", 10_000))
-            )
-    except (TypeError, ValueError, ZeroStationaryMass) as exc:
+        if doc["mixing_epsilon"] is not None:
+            result["mixing_time"] = mixing_time(kernel, pi, doc["mixing_epsilon"], doc["t_cap"])
+    except (ValueError, ZeroStationaryMass) as exc:
         raise ConfigError(f"gap: {exc}") from exc
     print(json.dumps(result, indent=2))
     out = _out_dir(doc, args)
@@ -101,11 +122,12 @@ def cmd_gap(doc: dict, args) -> int:
 
 
 def cmd_simulate(doc: dict, args) -> int:
+    doc = check_table(doc, "simulate config", SIMULATE)
     kernel, pi = chain_law(doc["chain"])
+    seed = doc["seed"] if args.seed is None else args.seed
     try:
-        seed = int(args.seed if args.seed is not None else doc.get("seed", 0))
-        states = simulate(kernel, pi, n=int(doc["n"]), seed=seed)
-    except (TypeError, ValueError) as exc:
+        states = simulate(kernel, pi, n=doc["n"], seed=seed)
+    except ValueError as exc:
         raise ConfigError(f"simulate: {exc}") from exc
     out = _out_dir(doc, args)
     path = out / "trajectory.txt"
@@ -117,14 +139,11 @@ def cmd_simulate(doc: dict, args) -> int:
 def cmd_sample(doc: dict, args) -> int:
     """The fit half of one sweep cell: the sweep schema with ``n`` in place
     of ``n_grid``, and an optional ``gibbs.temperature`` override."""
-    doc = dict(doc)
-    n_grid = [doc.pop("n")]
-    gibbs, lam = doc.get("gibbs", {}), None
-    if isinstance(gibbs, dict):
-        gibbs = dict(gibbs)
-        lam = gibbs.pop("temperature", None)
-    cfg = _experiment_config({**doc, "gibbs": gibbs, "n_grid": n_grid}, args)
-    n = cfg.n_grid[0]
+    doc = check_table(doc, "sample config", SAMPLE)
+    gibbs = check_table(doc["gibbs"], "gibbs", {**GIBBS, "temperature": ("number", None)})
+    lam = gibbs.pop("temperature")
+    n = doc.pop("n")
+    cfg = _experiment_config({**doc, "gibbs": gibbs, "n_grid": [n]}, args)
     chain = solve_chain(cfg.chain, cfg.k_max)
     kernel, _, gamma = chain
     target = build_target(cfg.target, kernel.states)
@@ -140,59 +159,26 @@ def cmd_sample(doc: dict, args) -> int:
 
 
 def cmd_bounds(doc: dict, args) -> int:
+    doc = check_table(doc, "bounds config", BOUNDS)
     reports = []
-    checks = doc.get("checks", [])
-    if not isinstance(checks, list):
-        raise ConfigError(f"checks must be a list of tables, got {checks!r}")
-    for check in checks:
-        kind = table_kind(check, CHECK_KEYS, "bounds check", "kind")
+    for check in doc["checks"]:
+        table = check_kinded(check, "bounds check", "kind", CHECKS)
+        kind = table.pop("kind")
         try:
+            if kind == "kl":
+                reports.append(kl_numeric_check(**table))
+                continue
+            kernel, pi = chain_law(table.pop("chain"))
             if kind == "chain_mgf":
-                kernel, pi = chain_law(check["chain"])
-                reports.append(
-                    mc_check_chain_mgf(
-                        kernel,
-                        pi,
-                        check["f_table"],
-                        n=int(check["n"]),
-                        theta=float(check["theta"]),
-                        replications=int(check.get("replications", 1000)),
-                        seed=int(check.get("seed", 0)),
-                        k_max=int(check.get("k_max", 10)),
-                    )
-                )
-            elif kind == "bernstein_mgf":
-                kernel, pi = chain_law(check["chain"])
-                target = build_target(check["target"], kernel.states)
-                net = SparseNetwork.from_json(json.dumps(check["network"]))
-                family, scale = check_noise(check.get("noise", ["gaussian", 0.0]))
-                reports.append(
-                    mc_check_bernstein(
-                        net,
-                        target,
-                        kernel,
-                        pi,
-                        check.get("loss", "square"),
-                        lam=float(check["lambda"]),
-                        n=int(check["n"]),
-                        replications=int(check.get("replications", 1000)),
-                        seed=int(check.get("seed", 0)),
-                        noise=(family, float(scale)),
-                        bernstein_k=check.get("bernstein_k"),
-                    )
-                )
+                reports.append(mc_check_chain_mgf(kernel, pi, **table))
             else:
-                reports.append(
-                    kl_numeric_check(
-                        card=int(check["card"]),
-                        eta=float(check["eta"]),
-                        decay=float(check["decay"]),
-                        slab=float(check["slab"]),
-                        n_max=int(check["n_max"]),
-                        center=check.get("center"),
-                    )
-                )
-        except (TypeError, ValueError, IndexError, ZeroStationaryMass) as exc:
+                target = build_target(table.pop("target"), kernel.states)
+                net = check_table(table.pop("network"), "bernstein_mgf network", NETWORK)
+                reports.append(mc_check_bernstein(
+                    SparseNetwork.from_json(json.dumps(net)), target, kernel, pi,
+                    lam=table.pop("lambda"), noise=check_noise(table.pop("noise")), **table,
+                ))
+        except (ValueError, IndexError, ZeroStationaryMass) as exc:
             raise ConfigError(f"{kind} check: {exc}") from exc
     width = max((len(r.label) for r in reports), default=10)
     print(f"{'check':<{width}}  {'rhs':>12}  {'empirical':>12}  holds")
@@ -206,13 +192,11 @@ def cmd_bounds(doc: dict, args) -> int:
 
 
 def _experiment_config(doc: dict, args) -> ExperimentConfig:
-    doc = dict(doc)
-    if args.seed is not None:
-        doc["seed"] = int(args.seed)
-    return ExperimentConfig.from_dict(doc)
+    return ExperimentConfig(**{**doc, "seed": doc["seed"] if args.seed is None else args.seed})
 
 
 def cmd_sweep(doc: dict, args) -> int:
+    doc = check_table(doc, "sweep config", CONFIG)
     cfg = _experiment_config(doc, args)
     out = _out_dir(doc, args)
     result = run_rate_sweep(cfg, csv_path=out / "sweep_partial.csv")
@@ -224,8 +208,9 @@ def cmd_sweep(doc: dict, args) -> int:
 
 
 def cmd_effsample(doc: dict, args) -> int:
-    pairs = doc.get("pairs", [])
-    cfg = _experiment_config({k: v for k, v in doc.items() if k != "pairs"}, args)
+    doc = check_table(doc, "effsample config", EFFSAMPLE)
+    pairs = doc.pop("pairs")
+    cfg = _experiment_config(doc, args)
     out = _out_dir(doc, args)
     result = run_effective_sample_experiment(
         cfg, pairs, csv_path=out / "effsample_partial.csv"
@@ -241,10 +226,8 @@ def cmd_effsample(doc: dict, args) -> int:
 
 
 def cmd_slope(doc: dict, args) -> int:
-    csv_path = doc["csv"]
-    if not isinstance(csv_path, str):
-        raise ConfigError(f"csv must be a path, got {csv_path!r}")
-    result = SweepResult.from_csv(Path(csv_path).read_text())
+    doc = check_table(doc, "slope config", SLOPE)
+    result = SweepResult.from_csv(Path(doc["csv"]).read_text())
     slope, stderr = fit_rate_slope(result)
     payload = {"slope": slope, "stderr": stderr}
     print(json.dumps(payload, indent=2))
@@ -253,16 +236,8 @@ def cmd_slope(doc: dict, args) -> int:
     return 0
 
 
-# Each subcommand and the top-level keys its config may hold.
-COMMANDS = {
-    "gap": (cmd_gap, {"chain", "k_max", "mixing_epsilon", "t_cap", "output_dir"}),
-    "simulate": (cmd_simulate, {"chain", "n", "seed", "output_dir"}),
-    "sample": (cmd_sample, EXPERIMENT_KEYS | {"n"}),
-    "bounds": (cmd_bounds, {"checks", "output_dir"}),
-    "sweep": (cmd_sweep, EXPERIMENT_KEYS),
-    "effsample": (cmd_effsample, EXPERIMENT_KEYS | {"pairs"}),
-    "slope": (cmd_slope, {"csv", "output_dir"}),
-}
+COMMANDS = {"gap": cmd_gap, "simulate": cmd_simulate, "sample": cmd_sample, "bounds": cmd_bounds,
+            "sweep": cmd_sweep, "effsample": cmd_effsample, "slope": cmd_slope}
 
 
 def main(argv=None) -> int:
@@ -281,14 +256,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    command, keys = COMMANDS[args.command]
     try:
-        return command(check_table(doc, f"{args.command} config", keys), args)
+        return COMMANDS[args.command](doc, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"config error: missing key {exc}", file=sys.stderr)
         return 2
     except (GibbsNetError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDataset, InvalidClass, NoDraws, OutOfSupport
+from .errors import ConfigError, EmptyDataset, InvalidClass, NoDraws, OutOfSupport, check_table
 from .markov import stream
 from .model import Dataset
 from .network import (
@@ -39,7 +39,6 @@ from .network import (
     param_count,
 )
 
-GIBBS_KEYS = ("support_decay", "move_probs", "step", "iters", "burn_in", "thin")
 UNIFORM_CHUNK = 4096  # sampler steps per block of uniforms
 
 
@@ -67,8 +66,8 @@ class ClassDef:
         if self.activation not in ACTIVATIONS:
             raise InvalidClass(f"unknown activation {self.activation!r}")
 
-    def architecture(self, input_dim: int, output_dim: int = 1) -> Architecture:
-        widths = (input_dim,) + (self.width,) * self.depth + (output_dim,)
+    def architecture(self, input_dim: int) -> Architecture:
+        widths = (input_dim,) + (self.width,) * self.depth + (1,)
         return Architecture(depth=self.depth, widths=widths)
 
 
@@ -98,7 +97,7 @@ class GibbsConfig:
             raise ValueError("bounds must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
-        probs = tuple(float(p) for p in self.move_probs)
+        probs = tuple(self.move_probs)
         object.__setattr__(self, "move_probs", probs)
         if len(probs) != 3 or any(p < 0 for p in probs):
             raise ValueError("need three nonnegative move probabilities")
@@ -117,25 +116,26 @@ class GibbsConfig:
     def from_doc(
         cls, doc: dict, classdef: ClassDef, temperature: float, seed: int
     ) -> "GibbsConfig":
-        """Sampler settings from a config's ``gibbs`` table (keys
-        :data:`GIBBS_KEYS`, each optional), bounded by the class; any
-        malformed value raises :class:`ConfigError`."""
-        step = doc.get("step")
+        """Sampler settings from a config's ``gibbs`` table (schema
+        :data:`GIBBS`), bounded by the class; any malformed value raises
+        :class:`ConfigError`."""
+        table = check_table(doc, "gibbs", GIBBS)
         try:
-            return cls(
-                support_decay=float(doc.get("support_decay", 2.0)),
-                weight_bound=classdef.weight_bound,
-                output_clip=classdef.output_clip,
-                temperature=float(temperature),
-                move_probs=tuple(doc.get("move_probs", (0.25, 0.25, 0.5))),
-                step=None if step is None else float(step),
-                iters=int(doc.get("iters", 10_000)),
-                burn_in=int(doc.get("burn_in", 2_000)),
-                thin=int(doc.get("thin", 1)),
-                seed=seed,
-            )
-        except (TypeError, ValueError) as exc:
+            return cls(**table, weight_bound=classdef.weight_bound,
+                       output_clip=classdef.output_clip, temperature=temperature, seed=seed)
+        except ValueError as exc:
             raise ConfigError(f"gibbs: {exc}") from exc
+
+
+# The config's ``gibbs`` table: sampler settings, at GibbsConfig's defaults.
+GIBBS = {
+    "support_decay": ("number", 2.0),
+    "move_probs": (["number"], GibbsConfig.move_probs),
+    "step": ("number", GibbsConfig.step),
+    "iters": ("int", GibbsConfig.iters),
+    "burn_in": ("int", GibbsConfig.burn_in),
+    "thin": ("int", GibbsConfig.thin),
+}
 
 
 @dataclass(frozen=True)
@@ -407,7 +407,6 @@ def posterior_predictor(draws: PosteriorDraws, mode: str = "single_draw"):
 
     def predict(x):
         outs = (compose(slices, theta, x, act_fn, draws.output_clip) for theta in thetas)
-        mean = reduce(np.add, outs) / len(thetas)
-        return mean[:, 0] if draws.arch.output_dim == 1 else mean
+        return (reduce(np.add, outs) / len(thetas))[:, 0]
 
     return predict

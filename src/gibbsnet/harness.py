@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import composition_rate_rhs, oracle_rhs
-from .errors import (ConfigError, InvalidClass, MismatchedEffectiveSize, NonUniqueStationary,
-                     TooFewPoints, ZeroStationaryMass, check_table)
-from .gibbs import (GIBBS_KEYS, ClassDef, GibbsConfig, Prior, posterior_predictor,
-                    sample_posterior, temperature)
+from .errors import (REQUIRED, ConfigError, InvalidClass, MismatchedEffectiveSize,
+                     NonUniqueStationary, TooFewPoints, ZeroStationaryMass, check_kinded,
+                     check_table, check_value)
+from .gibbs import (GIBBS, ClassDef, GibbsConfig, Prior, posterior_predictor, sample_posterior,
+                    temperature)
 from .markov import (
     TransitionKernel,
     pseudo_spectral_gap,
@@ -46,23 +47,44 @@ CSV_COLUMNS = ("n", "gamma", "n_eff", "excess_risk", "bound_rhs", "seed", "wall_
 
 LOSSES = ("square", "logistic")
 
-CHAIN_KEYS = {"two_source": {"family", "p", "states"}, "explicit": {"family", "probs"}}
-
-TARGET_KEYS = {
-    "holder": {"kind", "beta", "scale", "dim"},
-    "composition": {"kind", "dims", "active_coords", "betas", "scale"},
-    "logistic_link": {"kind", "eta"},
+# Config table schemas, {key: (kind, default)}; see errors.check_value.
+CHAINS = {  # by family
+    "two_source": {"p": ("number", None), "states": ("int", 2)},
+    "explicit": {"probs": ([["number"]], REQUIRED)},
 }
 
-CLASSDEF_KEYS = {"rule", "constants", "depth", "width", "sparsity", "weight_bound",
-                 "output_clip", "activation", "lipschitz_const"}
+TARGETS = {  # by kind
+    "holder": {"beta": ("number", 1.0), "scale": ("number", 1.0), "dim": ("int", 1)},
+    "composition": {"dims": (["int"], REQUIRED), "active_coords": (["int"], REQUIRED),
+                    "betas": (["number"], REQUIRED), "scale": ("number", 1.0)},
+    "logistic_link": {"eta": (["number"], REQUIRED)},
+}
 
-RULE_DEFAULTS = {
-    "depth_scale": 1.0,
-    "width_scale": 1.0,
-    "sparsity_scale": 1.0,
-    "bound_scale": 1.0,
-    "bound_cap": 1e6,
+CLASSDEF = {
+    "rule": ("any", None),  # "holder" or a composition rule table (RULES)
+    "constants": ("table", None),  # RULE_CONSTANTS
+    "depth": ("int", None), "width": ("int", None), "sparsity": ("int", None),
+    "weight_bound": ("number", None), "output_clip": ("number", 5.0),
+    "activation": ("str", "relu"), "lipschitz_const": ("number", 1.0),
+}
+
+RULES = {"composition": {"betas": (["number"], REQUIRED), "active_coords": (["number"], REQUIRED)}}
+
+RULE_CONSTANTS = {"depth_scale": ("number", 1.0), "width_scale": ("number", 1.0),
+                  "sparsity_scale": ("number", 1.0), "bound_scale": ("number", 1.0),
+                  "bound_cap": ("number", 1e6)}
+
+NOISE = ("str", "number")  # [family, scale]
+
+# The top-level table of a sweep, effsample or sample config.
+CONFIG = {
+    "target": ("table", REQUIRED), "chain": ("table", REQUIRED),
+    "n_grid": (["int"], REQUIRED), "p_grid": (["number"], None),
+    "classdef": ("table", {}), "gibbs": ("table", {}),
+    "noise": (NOISE, ("gaussian", 0.5)), "loss": ("str", "square"),
+    "replications": ("int", 1), "delta": ("number", 0.05), "seed": ("int", 0),
+    "output_dir": ("str", "."), "bernstein_k": ("number", 1.0), "k_max": ("int", 10),
+    "predictor": ("str", "single_draw"), "xi": ("number", 1.0),
 }
 
 
@@ -72,26 +94,17 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
     Families: ``two_source`` (switch probability p, even state count) and
     ``explicit`` (a full probability matrix).
     """
-    family = table_kind(spec, CHAIN_KEYS, "chain", "family")
+    spec = check_kinded(spec, "chain", "family", CHAINS)
     try:
-        if family == "two_source":
-            p = float(spec["p"] if p_override is None else p_override)
-            return two_source_kernel(p, states=int(spec.get("states", 2)))
+        if spec["family"] == "two_source":
+            p = spec["p"] if p_override is None else p_override
+            if p is None:
+                raise ConfigError("a two_source chain needs p")
+            return two_source_kernel(p, states=spec["states"])
         probs = np.asarray(spec["probs"], dtype=float)
         return TransitionKernel(states=probs.shape[0], probs=probs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"chain: {exc}") from exc
-
-
-def table_kind(spec, keys: dict, name: str, field: str) -> str:
-    """``spec[field]`` of a config table whose allowed keys depend on that
-    kind (``keys[kind]``); a non-table, an unknown kind or an unknown key
-    raises ConfigError."""
-    kind = check_table(spec, name, set().union(*keys.values())).get(field)
-    if not isinstance(kind, str) or kind not in keys:
-        raise ConfigError(f"unknown {name} {field} {kind!r}")
-    check_table(spec, f"{kind} {name}", keys[kind])
-    return kind
 
 
 def chain_law(spec: dict, p_override: float | None = None):
@@ -122,40 +135,29 @@ def solve_chain(spec: dict, k_max: int, p_override: float | None = None):
 
 def check_noise(noise) -> tuple:
     """A config's ``[family, scale]`` noise entry as a tuple; an unknown
-    family or a negative or non-numeric scale raises ConfigError."""
-    noise = tuple(noise)
-    family, scale = noise if len(noise) == 2 else (None, None)
-    if family not in NOISE_FAMILIES or not isinstance(scale, (int, float)) or scale < 0:
+    family or a negative scale raises ConfigError."""
+    family, scale = check_value(noise, NOISE, "noise")
+    if family not in NOISE_FAMILIES or scale < 0:
         raise ConfigError(
             f"noise must be [family, scale >= 0] with family in {NOISE_FAMILIES}, "
             f"got {list(noise)}"
         )
-    return noise
+    return family, scale
 
 
 def build_target(spec: dict, states: int) -> TargetSpec:
     """The ground truth a config's ``target`` table describes on a chain
     with ``states`` states (a ``holder`` target is the one-stage
     composition); unknown keys and malformed values raise ConfigError."""
-    kind = table_kind(spec, TARGET_KEYS, "target", "kind")
+    spec = check_kinded(spec, "target", "kind", TARGETS)
     try:
-        if kind == "holder":
-            return holder_target(
-                beta=float(spec.get("beta", 1.0)),
-                m=states,
-                scale=float(spec.get("scale", 1.0)),
-                dim=int(spec.get("dim", 1)),
-            )
-        if kind == "logistic_link":
+        if spec["kind"] == "holder":
+            return holder_target(spec["beta"], states, spec["scale"], spec["dim"])
+        if spec["kind"] == "logistic_link":
             return logistic_link_target(spec["eta"], m=states)
-        return composition_target(
-            dims=spec["dims"],
-            active_coords=spec["active_coords"],
-            betas=spec["betas"],
-            m=states,
-            scale=float(spec.get("scale", 1.0)),
-        )
-    except (TypeError, ValueError, IndexError) as exc:
+        return composition_target(spec["dims"], spec["active_coords"], spec["betas"], states,
+                                  scale=spec["scale"])
+    except (ValueError, IndexError) as exc:
         raise ConfigError(f"target: {exc}") from exc
 
 
@@ -178,7 +180,7 @@ def architecture_rule(
     """
     if n_eff <= math.e:
         raise ConfigError("effective sample size must exceed e")
-    cs = {**RULE_DEFAULTS, **check_table(constants or {}, "rule constants", RULE_DEFAULTS)}
+    cs = check_table(constants or {}, "rule constants", RULE_CONSTANTS)
     log_n = math.log(n_eff)
     if rule == "holder":
         depth = math.ceil(cs["depth_scale"] * log_n)
@@ -192,9 +194,9 @@ def architecture_rule(
             cs["bound_cap"],
         )
         return depth, width, sparsity, float(bound)
-    if isinstance(rule, dict) and rule.get("kind") == "composition":
-        betas = [float(b) for b in rule["betas"]]
-        active = [float(t) for t in rule["active_coords"]]
+    if isinstance(rule, dict):
+        rule = check_kinded(rule, "rule", "kind", RULES)
+        betas, active = rule["betas"], rule["active_coords"]
         if not betas or len(betas) != len(active) or min(betas) <= 0 or min(active) < 1:
             raise ConfigError("a composition rule needs one beta > 0 and one t >= 1 per stage")
         c0 = sum(math.log(4.0 * max(t, b), 4.0) for t, b in zip(active, betas))
@@ -272,111 +274,73 @@ class SweepResult:
         return cls(rows=rows)
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment document; see README for the JSON schema."""
+    """One experiment document (see README for the schema): one attribute
+    per key of :data:`CONFIG`, typed, with the ``target``, ``chain``,
+    ``classdef`` and ``gibbs`` tables typed by their own schemas."""
 
-    target: dict
-    chain: dict
-    n_grid: tuple
-    p_grid: tuple | None = None
-    classdef: dict = field(default_factory=dict)
-    gibbs: dict = field(default_factory=dict)
-    noise: tuple = ("gaussian", 0.5)
-    loss: str = "square"
-    replications: int = 1
-    delta: float = 0.05
-    seed: int = 0
-    output_dir: str = "."
-    bernstein_k: float = 1.0
-    k_max: int = 10
-    predictor: str = "single_draw"
-    xi: float = 1.0
-
-    def __post_init__(self):
-        kind = table_kind(self.target, TARGET_KEYS, "target", "kind")
-        table_kind(self.chain, CHAIN_KEYS, "chain", "family")
-        check_table(self.classdef, "classdef", CLASSDEF_KEYS)
-        check_table(self.gibbs, "gibbs", GIBBS_KEYS)
-        grid = tuple(int(n) for n in self.n_grid)
-        object.__setattr__(self, "n_grid", grid)
+    def __init__(self, **doc):
+        vars(self).update(check_table(doc, "config", CONFIG))
+        self.target = check_kinded(self.target, "target", "kind", TARGETS)
+        self.chain = check_kinded(self.chain, "chain", "family", CHAINS)
+        self.classdef = check_table(self.classdef, "classdef", CLASSDEF)
+        self.gibbs = check_table(self.gibbs, "gibbs", GIBBS)
+        self.noise = check_noise(self.noise)
+        grid = self.n_grid
         if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be nonempty, positive and strictly increasing")
-        if self.p_grid is not None:
-            object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
-            if not self.p_grid:
-                raise ConfigError("p_grid must be nonempty when given")
-        object.__setattr__(self, "noise", check_noise(self.noise))
-        counts = (self.replications, self.k_max, self.seed)
-        if not all(isinstance(v, (int, np.integer)) for v in counts):
-            raise ConfigError("replications, k_max and seed must be integers")
+        if self.p_grid == ():
+            raise ConfigError("p_grid must be nonempty when given")
         if self.replications < 1 or self.k_max < 1 or self.bernstein_k <= 0:
             raise ConfigError("replications, k_max and bernstein_k must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if not isinstance(self.xi, (int, float)) or not self.xi > 0:
-            raise ConfigError(f"xi must be a positive number, got {self.xi!r}")
-        if not isinstance(self.classdef.get("lipschitz_const", 1.0), (int, float)):
-            raise ConfigError("classdef lipschitz_const must be a number")
+        if self.xi <= 0:
+            raise ConfigError(f"xi must be positive, got {self.xi!r}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError("delta must lie in (0, 1)")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
-        if self.loss == "logistic" and kind != "logistic_link":
+        if self.loss == "logistic" and self.target["kind"] != "logistic_link":
             raise ConfigError("the logistic loss needs a logistic_link target")
-        if self.classdef.get("rule") == "holder" and kind != "holder":
+        if self.classdef["rule"] == "holder" and self.target["kind"] != "holder":
             raise ConfigError("the holder rule needs a holder target")
         if self.predictor not in ("single_draw", "average"):
             raise ConfigError(f"unknown predictor {self.predictor!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        try:
-            return cls(**check_table(doc, "config", cls.__dataclass_fields__))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**check_table(doc, "config", CONFIG))
 
 
-def resolve_classdef(classdef_doc: dict, target_doc: dict, n_eff: float) -> ClassDef:
-    """The network class a config's ``classdef`` table (keys checked by
+def resolve_classdef(classdef: dict, target: dict, n_eff: float) -> ClassDef:
+    """The network class a typed ``classdef`` table (see
     :class:`ExperimentConfig`) describes: explicit depth, width, sparsity
     and weight bound, or sizes from a scaling ``rule`` at ``n_eff``."""
+    if classdef["rule"] is not None:
+        sizes = architecture_rule(n_eff, target.get("beta"), target.get("dim"),
+                                  rule=classdef["rule"], constants=classdef["constants"])
+    else:
+        sizes = [classdef[key] for key in ("depth", "width", "sparsity", "weight_bound")]
+        if None in sizes:
+            raise ConfigError("classdef needs a rule or an explicit depth, width, sparsity "
+                              "and weight_bound")
     try:
-        if "rule" in classdef_doc:
-            sizes = architecture_rule(
-                n_eff,
-                float(target_doc.get("beta", 1.0)),
-                int(target_doc.get("dim", 1)),
-                rule=classdef_doc["rule"],
-                constants=classdef_doc.get("constants"),
-            )
-        else:
-            try:
-                sizes = [classdef_doc[key] for key in ("depth", "width", "sparsity", "weight_bound")]
-            except KeyError as exc:
-                raise ConfigError(f"classdef needs a rule or an explicit {exc}") from exc
-        depth, width, sparsity, bound = sizes
-        return ClassDef(
-            depth=int(depth),
-            width=int(width),
-            sparsity=int(sparsity),
-            weight_bound=float(bound),
-            output_clip=float(classdef_doc.get("output_clip", 5.0)),
-            activation=classdef_doc.get("activation", "relu"),
-        )
-    except (TypeError, ValueError, InvalidClass) as exc:
+        return ClassDef(*sizes, output_clip=classdef["output_clip"],
+                        activation=classdef["activation"])
+    except InvalidClass as exc:
         raise ConfigError(f"classdef: {exc}") from exc
 
 
-def _holder_stage(doc: dict) -> dict:
-    """The one composition stage ([beta], [dim]) of a ``holder`` target doc."""
-    return {"betas": [float(doc.get("beta", 1.0))], "active_coords": [int(doc.get("dim", 1))]}
+def _holder_stage(target: dict) -> dict:
+    """The one composition stage ([beta], [dim]) of a typed ``holder`` target."""
+    return {"betas": [target["beta"]], "active_coords": [target["dim"]]}
 
 
 def _bound_rhs(cfg: ExperimentConfig, depth: int, prior: Prior, n: int, gamma: float) -> float:
     n_eff = n * gamma
-    lip = float(cfg.classdef.get("lipschitz_const", 1.0))
-    rule = cfg.classdef.get("rule")
+    lip = cfg.classdef["lipschitz_const"]
+    rule = cfg.classdef["rule"]
     if rule == "holder":
         rule = _holder_stage(cfg.target)
     if isinstance(rule, dict):
@@ -473,7 +437,7 @@ def theory_exponent(cfg: ExperimentConfig) -> float | None:
     """Rate exponent the sweep is probing (see
     :func:`gibbsnet.model.rate_exponent`) for a smooth target, a
     ``holder`` target being the one-stage composition; None otherwise."""
-    kind = cfg.target.get("kind")
+    kind = cfg.target["kind"]
     if kind not in ("holder", "composition"):
         return None
     stages = _holder_stage(cfg.target) if kind == "holder" else cfg.target
@@ -512,10 +476,7 @@ def run_effective_sample_experiment(
 ) -> SweepResult:
     """Compare grid cells whose (n, p) pairs share one effective sample
     size n * gamma(p) within 1%."""
-    try:
-        cells = [(int(n), float(p)) for n, p in pairs]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"pairs must be a list of [n, p], got {pairs!r}") from exc
+    cells = check_value(pairs, [("int", "number")], "effsample pairs")
     if not cells or any(n < 1 for n, _ in cells):
         raise ConfigError("effsample needs a nonempty 'pairs' list of [n, p] with n >= 1")
     chains = {p: solve_chain(cfg.chain, cfg.k_max, p) for _, p in cells}

@@ -73,19 +73,16 @@ class TargetSpec:
         return self.points.shape[1]
 
 
-def holder_target(beta: float, m: int, scale: float = 1.0, dim: int = 1,
-                  points: np.ndarray | None = None) -> TargetSpec:
+def holder_target(beta: float, m: int, scale: float = 1.0, dim: int = 1) -> TargetSpec:
     """Closed-form target scale * |mean(x) - 1/2|^beta, smoothness >= beta:
     the one-stage composition with betas [beta] and active dims [dim]."""
-    return composition_target([dim, 1], [dim], [beta], m, scale=scale, points=points)
+    return composition_target([dim, 1], [dim], [beta], m, scale=scale)
 
 
-def composition_target(dims, active_coords, betas, m: int, scale: float = 1.0,
-                       points: np.ndarray | None = None) -> TargetSpec:
+def composition_target(dims, active_coords, betas, m: int, scale: float = 1.0) -> TargetSpec:
     """Canonical nested target: stage i maps [0,1]^{d_i} -> [0,1]^{d_{i+1}}
     componentwise through |mean of the first t_i coordinates - 1/2|^{beta_i},
     and the final stage is scaled by ``scale``."""
-    pts = state_grid(m, dims[0]) if points is None else points
     return TargetSpec(
         kind="composition",
         params={
@@ -94,15 +91,14 @@ def composition_target(dims, active_coords, betas, m: int, scale: float = 1.0,
             "betas": list(betas),
             "scale": scale,
         },
-        points=pts,
+        points=state_grid(m, dims[0]),
     )
 
 
-def logistic_link_target(eta, m: int | None = None,
-                         points: np.ndarray | None = None) -> TargetSpec:
+def logistic_link_target(eta, m: int | None = None) -> TargetSpec:
     eta = np.asarray(eta, dtype=float)
-    pts = state_grid(len(eta) if m is None else m) if points is None else points
-    return TargetSpec(kind="logistic_link", params={"eta": eta}, points=pts)
+    return TargetSpec(kind="logistic_link", params={"eta": eta},
+                      points=state_grid(len(eta) if m is None else m))
 
 
 def _eval_composition(params: dict, x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 import statistics
 import tempfile
 from functools import reduce
@@ -233,6 +234,128 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, suffix, number):
         path.write_text(f'{{"chain": {json.dumps(CHAIN)}, "n": {number}}}')
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+# Valid bases for the typed-number test below, one per table shape.
+RULE_SWEEP = {**SWEEP, "classdef": {
+    "rule": "holder", "output_clip": 1.2, "lipschitz_const": 1.0,
+    "constants": {"depth_scale": 0.1, "width_scale": 0.2, "sparsity_scale": 0.5,
+                  "bound_scale": 1.0, "bound_cap": 1.5}}}
+COMPOSITION_SWEEP = {**SWEEP, "target": COMPOSITION, "classdef": {
+    "rule": {"kind": "composition", "betas": [1.0, 0.5], "active_coords": [1, 2]},
+    "constants": {"depth_scale": 0.1, "width_scale": 0.1, "sparsity_scale": 0.1}}}
+EXPLICIT_SWEEP = {**SWEEP, "chain": {"family": "explicit", "probs": [[0.5, 0.5], [0.2, 0.8]]}}
+LOGISTIC_SWEEP = {**SWEEP, "target": {"kind": "logistic_link", "eta": [0.2, 0.4, 0.7, 0.9]},
+                  "loss": "logistic"}
+FULL_SWEEP = {**SWEEP, "p_grid": [0.5], "noise": ["gaussian", 0.1],
+              "gibbs": {**SWEEP["gibbs"], "step": 0.1, "move_probs": [0.25, 0.25, 0.5]}}
+FULL_BERNSTEIN = {**BERNSTEIN, "noise": ["gaussian", 0.1], "bernstein_k": 1.0, "seed": 1}
+FULL_KL = {**KL, "center": [0.0, 0.0]}
+
+# Every number key of every subcommand: (command, valid config, path, kind).
+# A path ending in an index names an item of a list.
+NUMBER_KEYS = [
+    *[("sweep", FULL_SWEEP, path, kind) for path, kind in [
+        (("n_grid", 0), "int"), (("p_grid", 0), "number"), (("replications",), "int"),
+        (("delta",), "number"), (("seed",), "int"), (("bernstein_k",), "number"),
+        (("k_max",), "int"), (("xi",), "number"), (("noise", 1), "number"),
+        (("chain", "p"), "number"), (("chain", "states"), "int"),
+        (("target", "beta"), "number"), (("target", "scale"), "number"),
+        (("target", "dim"), "int"),
+        (("classdef", "depth"), "int"), (("classdef", "width"), "int"),
+        (("classdef", "sparsity"), "int"), (("classdef", "weight_bound"), "number"),
+        (("classdef", "output_clip"), "number"), (("classdef", "lipschitz_const"), "number"),
+        (("gibbs", "support_decay"), "number"), (("gibbs", "move_probs", 0), "number"),
+        (("gibbs", "step"), "number"), (("gibbs", "iters"), "int"),
+        (("gibbs", "burn_in"), "int"), (("gibbs", "thin"), "int")]],
+    ("sweep", EXPLICIT_SWEEP, ("chain", "probs", 0, 0), "number"),
+    ("sweep", LOGISTIC_SWEEP, ("target", "eta", 0), "number"),
+    *[("sweep", COMPOSITION_SWEEP, path, kind) for path, kind in [
+        (("target", "dims", 0), "int"), (("target", "active_coords", 0), "int"),
+        (("target", "betas", 0), "number"), (("target", "scale"), "number"),
+        (("classdef", "rule", "betas", 0), "number"),
+        (("classdef", "rule", "active_coords", 0), "number")]],
+    *[("sweep", RULE_SWEEP, ("classdef", "constants", key), "number")
+      for key in ("depth_scale", "width_scale", "sparsity_scale", "bound_scale", "bound_cap")],
+    ("sample", SAMPLE, ("n",), "int"),
+    ("sample", SAMPLE, ("gibbs", "temperature"), "number"),
+    ("effsample", EFFSAMPLE, ("pairs", 0, 0), "int"),
+    ("effsample", EFFSAMPLE, ("pairs", 0, 1), "number"),
+    ("gap", GAP, ("k_max",), "int"), ("gap", GAP, ("mixing_epsilon",), "number"),
+    ("gap", GAP, ("t_cap",), "int"),
+    ("simulate", SIMULATE, ("n",), "int"), ("simulate", SIMULATE, ("seed",), "int"),
+    *[("bounds", {"checks": [CHAIN_MGF]}, ("checks", 0, *path), kind) for path, kind in [
+        (("f_table", 0), "number"), (("n",), "int"), (("theta",), "number"),
+        (("replications",), "int"), (("seed",), "int"), (("k_max",), "int"),
+        (("chain", "p"), "number")]],
+    *[("bounds", {"checks": [FULL_BERNSTEIN]}, ("checks", 0, *path), kind) for path, kind in [
+        (("lambda",), "number"), (("n",), "int"), (("replications",), "int"),
+        (("seed",), "int"), (("noise", 1), "number"), (("bernstein_k",), "number"),
+        (("target", "beta"), "number"), (("network", "depth"), "int"),
+        (("network", "widths", 0), "int"), (("network", "active_indices", 0), "int"),
+        (("network", "values", 0), "number"), (("network", "weight_bound"), "number"),
+        (("network", "output_clip"), "number")]],
+    *[("bounds", {"checks": [FULL_KL]}, ("checks", 0, *path), kind) for path, kind in [
+        (("card",), "int"), (("eta",), "number"), (("decay",), "number"),
+        (("slab",), "number"), (("n_max",), "int"), (("center", 0), "number")]],
+]
+WRONG_KINDS = {"int": [2.5, True, "1"], "number": [True, "1"]}
+# Values a lenient reader would truncate (200.7 -> 200), parse ("1.0") or let
+# through (true); 2.0 is not an integer either.
+LOOSE_VALUES = [
+    ("sweep", SWEEP, ("gibbs", "iters"), 200.7),
+    ("sweep", SWEEP, ("n_grid", 0), 100.9),
+    ("sweep", SWEEP, ("chain", "states"), 4.9),
+    ("sweep", SWEEP, ("classdef", "depth"), 0.5),
+    ("bounds", {"checks": [KL]}, ("checks", 0, "card"), 2.9),
+    ("sweep", SWEEP, ("replications",), True),
+    ("sweep", SWEEP, ("replications",), 2.0),
+    ("sweep", SWEEP, ("seed",), True),
+    ("sweep", SWEEP, ("xi",), True),
+    ("sweep", SWEEP, ("classdef", "weight_bound"), "1.0"),
+    ("sweep", SWEEP, ("target", "beta"), "1"),
+    ("sweep", FULL_SWEEP, ("gibbs", "move_probs"), ["0.25", "0.25", "0.5"]),
+    ("sweep", EXPLICIT_SWEEP, ("chain", "probs"), [["0.5", "0.5"], ["0.2", "0.8"]]),
+    ("sweep", SWEEP, ("delta",), "0.5"),
+    ("sweep", RULE_SWEEP, ("classdef", "constants", "depth_scale"), "0.1"),
+]
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the item at ``path`` set to ``value``."""
+    doc = copy.deepcopy(doc)
+    reduce(lambda node, key: node[key], path[:-1], doc)[path[-1]] = value
+    return doc
+
+
+WRONG_KIND_CASES = [(command, doc, path, value) for command, doc, path, kind in NUMBER_KEYS
+                    for value in WRONG_KINDS[kind]] + LOOSE_VALUES
+
+
+def _case_id(command, doc, path, value):
+    name = doc["checks"][0]["kind"] if command == "bounds" else command
+    return f"{name}-{'.'.join(map(str, path))}={json.dumps(value)}"
+
+
+@pytest.mark.parametrize("command, doc, path, value", WRONG_KIND_CASES,
+                         ids=[_case_id(*case) for case in WRONG_KIND_CASES])
+def test_wrong_number_kind_exits_2_naming_key(tmp_path, capsys, command, doc, path, value):
+    # An integer key takes no float, bool or string; a number key no bool or
+    # string.  The message names the key.
+    assert run(tmp_path, command, _with(doc, path, value)) == 2
+    err = capsys.readouterr().err
+    key = [k for k in path if isinstance(k, str)][-1]
+    assert err.startswith("config error: ") and re.search(rf"\b{key}\b", err), err
+
+
+BASES = sorted({(command, json.dumps(doc)) for command, doc, _, _ in WRONG_KIND_CASES})
+
+
+@pytest.mark.parametrize("command, doc", BASES,
+                         ids=[f"{command}-{i}" for i, (command, _) in enumerate(BASES)])
+def test_typed_number_bases_run(tmp_path, command, doc):
+    # Each base of the test above is valid, so its failures come from the key.
+    assert run(tmp_path, command, json.loads(doc)) == 0
 
 
 GOLDEN_CSV = Path(SLOPE["csv"]).read_text()

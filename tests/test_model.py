@@ -9,6 +9,7 @@ from gibbsnet.gibbs import _per_state_risk
 from gibbsnet.markov import simulate, stationary_distribution, two_source_kernel
 from gibbsnet.model import (
     Dataset,
+    TargetSpec,
     composition_target,
     conditional_excess_logistic,
     excess_risk_mc,
@@ -139,8 +140,9 @@ class TestTargets:
             composition_target(dims=dims, active_coords=active, betas=betas, m=4)
 
     def test_points_must_match_input_dimension(self):
+        params = {"dims": [1, 1], "active_coords": [1], "betas": [1.0], "scale": 1.0}
         with pytest.raises(ValueError):
-            holder_target(beta=1.0, m=4, dim=1, points=np.zeros((4, 2)))
+            TargetSpec(kind="composition", params=params, points=np.zeros((4, 2)))
 
     @pytest.mark.parametrize("beta, dim, scale", [(0.5, 1, 1.0), (1.0, 2, 1.3), (2.5, 3, 0.7)])
     def test_holder_is_one_stage_composition(self, beta, dim, scale):
