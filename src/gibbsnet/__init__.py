@@ -19,6 +19,7 @@ from .gibbs import (
     Prior,
     log_prior,
     posterior_predictor,
+    sample_batch,
     sample_posterior,
     temperature,
 )

@@ -174,8 +174,15 @@ def cmd_bounds(doc: dict, args) -> int:
             else:
                 target = build_target(table.pop("target"), kernel.states)
                 net = check_table(table.pop("network"), "bernstein_mgf network", NETWORK)
+                net = SparseNetwork.from_json(json.dumps(net))
+                shape = (target.points.shape[1], 1)
+                if (net.arch.input_dim, net.arch.output_dim) != shape:
+                    raise ConfigError(
+                        f"bernstein_mgf network widths must run from the target's input "
+                        f"dimension {shape[0]} to one output, got {list(net.arch.widths)}"
+                    )
                 reports.append(mc_check_bernstein(
-                    SparseNetwork.from_json(json.dumps(net)), target, kernel, pi,
+                    net, target, kernel, pi,
                     lam=table.pop("lambda"), noise=check_noise(table.pop("noise")), **table,
                 ))
         except (ValueError, IndexError, ZeroStationaryMass) as exc:
@@ -200,7 +207,7 @@ def cmd_sweep(doc: dict, args) -> int:
     cfg = _experiment_config(doc, args)
     out = _out_dir(doc, args)
     result = run_rate_sweep(cfg, csv_path=out / "sweep_partial.csv")
-    summary = emit_report(result, [], str(out / "sweep"))
+    summary = emit_report(result, str(out / "sweep"))
     slope, stderr = summary["slope"], summary["stderr"]
     slope_txt = "n/a" if slope is None else f"{slope:.4f} +- {stderr:.4f}"
     print(f"{len(result.rows)} rows -> {out / 'sweep.csv'} (slope {slope_txt})")
@@ -215,7 +222,7 @@ def cmd_effsample(doc: dict, args) -> int:
     result = run_effective_sample_experiment(
         cfg, pairs, csv_path=out / "effsample_partial.csv"
     )
-    emit_report(result, [], str(out / "effsample"))
+    emit_report(result, str(out / "effsample"))
     reps = cfg.replications  # rows arrive in pair order, `replications` per pair
     medians = {}
     for i, (n, p) in enumerate(pairs):

@@ -2,10 +2,11 @@
 sweeps, effective-sample-size comparisons, slope fitting and report files.
 
 Everything is driven by one configuration document (see README for the
-schema).  Sweeps run their grid cells sequentially in a fixed order with
-per-row derived seeds (base seed XOR row index), so a config plus seed
-fully determines the emitted rows; CSV rows are flushed as they are
-produced so partial results survive a failure.
+schema).  Sweeps fit their grid cells in lockstep batches (see
+:func:`gibbsnet.gibbs.sample_batch`) with per-row derived seeds (base seed
+XOR row index), so a config plus seed fully determines the emitted rows;
+CSV rows are flushed in row order as their batches complete, so partial
+results survive a failure.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import composition_rate_rhs, oracle_rhs
-from .errors import (REQUIRED, ConfigError, InvalidClass, MismatchedEffectiveSize,
-                     NonUniqueStationary, TooFewPoints, ZeroStationaryMass, check_kinded,
-                     check_table, check_value)
-from .gibbs import (GIBBS, ClassDef, GibbsConfig, Prior, posterior_predictor, sample_posterior,
-                    temperature)
+from .errors import (REQUIRED, ConfigError, DimensionMismatch, InvalidClass,
+                     MismatchedEffectiveSize, NonUniqueStationary, TooFewPoints,
+                     ZeroStationaryMass, check_kinded, check_table, check_value)
+from .gibbs import (GIBBS, ClassDef, GibbsConfig, Prior, posterior_predictor, sample_batch,
+                    sample_posterior, temperature)
 from .markov import (
     TransitionKernel,
     pseudo_spectral_gap,
@@ -42,6 +43,7 @@ from .model import (
     rate_exponent,
     rate_exponents,
 )
+from .network import param_count
 
 CSV_COLUMNS = ("n", "gamma", "n_eff", "excess_risk", "bound_rhs", "seed", "wall_time")
 
@@ -103,7 +105,7 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
             return two_source_kernel(p, states=spec["states"])
         probs = np.asarray(spec["probs"], dtype=float)
         return TransitionKernel(states=probs.shape[0], probs=probs)
-    except ValueError as exc:
+    except (ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"chain: {exc}") from exc
 
 
@@ -370,25 +372,31 @@ def cell_settings(cfg: ExperimentConfig, n: int, gamma: float, seed: int, lam=No
     return classdef, GibbsConfig.from_doc(cfg.gibbs, classdef, lam, seed)
 
 
+def cell_data(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, seed: int):
+    """The n observations of ``target`` that a cell on ``chain = (kernel,
+    pi, gamma)`` fits, drawn from the data streams of row seed ``seed``."""
+    kernel, pi, _ = chain
+    if cfg.loss == "square":
+        return generate_regression(target, kernel, pi, n=n, noise=cfg.noise, seed=seed)
+    return generate_classification(target, kernel, pi, n=n, seed=seed)
+
+
 def fit_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, classdef, gibbs_cfg):
     """The fit half of a cell on ``chain = (kernel, pi, gamma)`` with the
     settings of :func:`cell_settings`: draw n observations of ``target``
     and sample the posterior, each from its own stream of ``gibbs_cfg.seed``."""
-    kernel, pi, _ = chain
-    if cfg.loss == "square":
-        data = generate_regression(target, kernel, pi, n=n, noise=cfg.noise, seed=gibbs_cfg.seed)
-    else:
-        data = generate_classification(target, kernel, pi, n=n, seed=gibbs_cfg.seed)
+    data = cell_data(cfg, n, chain, target, gibbs_cfg.seed)
     return sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
 
 
-def run_cell(cfg: ExperimentConfig, n: int, chain, target, classdef, gibbs_cfg) -> SweepRow:
-    """One grid cell on a precomputed ``chain = (kernel, pi, gamma)``, the
-    sweep's ``target`` and the cell's settings: fit (see :func:`fit_cell`)
-    and score the predictor."""
+def run_cell(cfg: ExperimentConfig, n: int, chain, target, classdef, gibbs_cfg, draws,
+             fit_time: float) -> SweepRow:
+    """One grid cell's row on a precomputed ``chain = (kernel, pi, gamma)``,
+    the sweep's ``target`` and the cell's settings, from its posterior
+    ``draws``: score the predictor and the bound.  The row's wall time is
+    ``fit_time`` plus this scoring."""
     start = time.perf_counter()
     _, pi, gamma = chain
-    draws = fit_cell(cfg, n, chain, target, classdef, gibbs_cfg)
     predictor = posterior_predictor(draws, mode=cfg.predictor)
     excess = excess_risk_mc(predictor, target, pi, loss=cfg.loss)
     return SweepRow(
@@ -398,27 +406,73 @@ def run_cell(cfg: ExperimentConfig, n: int, chain, target, classdef, gibbs_cfg) 
         excess_risk=excess,
         bound_rhs=_bound_rhs(cfg, classdef.depth, draws.prior, n, gamma),
         seed=gibbs_cfg.seed,
-        wall_time=time.perf_counter() - start,
+        wall_time=fit_time + time.perf_counter() - start,
     )
 
 
+# Retained draw floats (chains x kept draws x coordinates) per lockstep
+# batch: rows beyond it run as further batches, so a sweep's memory stays
+# bounded whatever its replications and thinning.
+BATCH_FLOATS = 1 << 23
+
+
+def _lockstep_batches(datas, settings) -> list:
+    """Row indices in lockstep batches: rows that share depth and the number
+    of distinct input rows (see :func:`sample_batch`), in row order, cut to
+    at most BATCH_FLOATS retained draw floats a batch."""
+    groups: dict = {}
+    for i, (data, (classdef, _)) in enumerate(zip(datas, settings)):
+        groups.setdefault((classdef.depth, len(np.unique(data.inputs, axis=0))), []).append(i)
+    batches = []
+    for rows in groups.values():
+        floats = max(settings[i][1].n_keep
+                     * param_count(settings[i][0].architecture(datas[i].inputs.shape[1]))
+                     for i in rows)
+        size = max(1, BATCH_FLOATS // floats)
+        batches += [rows[start:start + size] for start in range(0, len(rows), size)]
+    return batches
+
+
 def _run_cells(cfg: ExperimentConfig, cells, chains: dict, csv_path) -> list:
-    """Run each (n, p) cell ``cfg.replications`` times in order, on
-    ``chains[p]`` and one target built for the sweep, with row seeds base
-    seed XOR row index.  Every row's settings are resolved before
-    ``csv_path`` is opened; rows are flushed to it as they complete, so
-    partial results survive a failure."""
+    """Run each (n, p) cell ``cfg.replications`` times, on ``chains[p]`` and
+    one target built for the sweep, with row seeds base seed XOR row index.
+    Every row's settings are resolved before ``csv_path`` is opened.  Every
+    row's data are drawn, then each batch of :func:`_lockstep_batches` is
+    fitted by :func:`sample_batch` (a batch of one by
+    :func:`sample_posterior`) and its rows are scored.  Rows are flushed to
+    ``csv_path`` in row order as their batches complete, so partial results
+    survive a failure.  A row's wall time is its share of its batch's
+    sampler time plus its own data and scoring."""
     kernel = next(iter(chains.values()))[0]
     target = build_target(cfg.target, kernel.states)
     runs = [(n, p) for n, p in cells for _ in range(cfg.replications)]
     settings = [cell_settings(cfg, n, chains[p][2], cfg.seed ^ i) for i, (n, p) in enumerate(runs)]
-    rows = []
+    rows = [None] * len(runs)
     with io.StringIO() if csv_path is None else open(csv_path, "w") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
         handle.flush()
-        for (n, p), (classdef, gibbs_cfg) in zip(runs, settings):
-            rows.append(run_cell(cfg, n, chains[p], target, classdef, gibbs_cfg))
-            handle.write(rows[-1].to_csv_line() + "\n")
+        datas, own_times = [], []
+        for (n, p), (_, gibbs_cfg) in zip(runs, settings):
+            start = time.perf_counter()
+            datas.append(cell_data(cfg, n, chains[p], target, gibbs_cfg.seed))
+            own_times.append(time.perf_counter() - start)
+        written = 0
+        for batch in _lockstep_batches(datas, settings):
+            start = time.perf_counter()
+            if len(batch) == 1:
+                (i,) = batch
+                fitted = [sample_posterior(datas[i], cfg.loss, *settings[i])]
+            else:
+                fitted = sample_batch([datas[i] for i in batch], cfg.loss,
+                                      *zip(*(settings[i] for i in batch)))
+            share = (time.perf_counter() - start) / len(batch)
+            for i, draws in zip(batch, fitted):
+                (n, p), (classdef, gibbs_cfg) = runs[i], settings[i]
+                rows[i] = run_cell(cfg, n, chains[p], target, classdef, gibbs_cfg, draws,
+                                   share + own_times[i])
+            while written < len(rows) and rows[written] is not None:
+                handle.write(rows[written].to_csv_line() + "\n")
+                written += 1
             handle.flush()
     return rows
 
@@ -490,10 +544,10 @@ def run_effective_sample_experiment(
     return SweepResult(rows=_run_cells(cfg, cells, chains, csv_path))
 
 
-def emit_report(result: SweepResult, bound_reports, path_base: str) -> dict:
+def emit_report(result: SweepResult, path_base: str) -> dict:
     """Write <path_base>.csv (one row per sweep entry) and <path_base>.json
-    with {slope, stderr, theory_exponent, bound_reports}; returns that
-    summary (slope and stderr None below four distinct n_eff values)."""
+    with {slope, stderr, theory_exponent}; returns that summary (slope and
+    stderr None below four distinct n_eff values)."""
     with open(f"{path_base}.csv", "w") as handle:
         handle.write(result.to_csv())
     try:
@@ -504,7 +558,6 @@ def emit_report(result: SweepResult, bound_reports, path_base: str) -> dict:
         "slope": slope,
         "stderr": stderr,
         "theory_exponent": result.meta.get("theory_exponent"),
-        "bound_reports": [report.to_dict() for report in bound_reports],
     }
     with open(f"{path_base}.json", "w") as handle:
         json.dump(summary, handle, indent=2)

@@ -162,14 +162,25 @@ def compose(slices, theta: np.ndarray, x: np.ndarray, act_fn, clip: float | None
     :func:`layer_slices`) of the flat vector ``theta`` at the batch ``x``,
     then a clip to [-clip, clip] unless ``clip`` is None.
 
-    Does no validation: it is the sampler's hot path.
+    Each layer sums its weight-column products left to right, then adds its
+    bias; column k of a column-major layer is read straight from ``theta``,
+    as row k of a (cols, rows) view.  That order is fixed, so a width-padded
+    copy of the network (see :func:`frame_slots`), whose extra terms are
+    trailing exact zeros, computes the same floats: the lockstep sampler
+    relies on it.  Does no validation: it is the sampler's hot path.
     """
     a = x
     last = len(slices) - 1
     for idx, (w_sl, b_sl, (rows, cols)) in enumerate(slices):
-        a = a @ theta[w_sl].reshape((rows, cols), order="F").T + theta[b_sl]
-        if idx < last:
-            a = act_fn(a)
+        if cols == 1:
+            z = a * theta[w_sl]
+        else:
+            terms = theta[w_sl].reshape(cols, 1, rows) * a.T[:, :, None]
+            z = terms[0]
+            for k in range(1, cols):
+                z = z + terms[k]
+        z = z + theta[b_sl]
+        a = act_fn(z) if idx < last else z
     return a if clip is None else np.clip(a, -clip, clip)
 
 
@@ -239,29 +250,37 @@ def param_distance(net1: SparseNetwork, net2: SparseNetwork) -> float:
     return worst
 
 
-def embed_to_max(net: SparseNetwork, depth: int, width: int) -> np.ndarray:
-    """Zero-padded embedding of the flat parameter vector into the padded
-    frame of ``max_param_count(depth, width)`` slots.
+def frame_slots(arch: Architecture, depth: int, width: int) -> np.ndarray:
+    """The slot map of ``arch`` in the padded (depth, width) frame of
+    ``max_param_count(depth, width)`` slots: entry k is the frame slot of
+    flat coordinate k, so the map also marks the realisable slots.
 
-    Each actual layer's weight matrix lands in the top-left corner of its
-    width x width frame (column-major), biases in the leading bias slots.
+    The frame is a (depth+1, width+1, width) array in C order: weight
+    (row, col) of layer l sits at [l, col, row] and its bias at
+    [l, width, row], so each layer owns a block of width*(width+1) slots,
+    the weight frame column-major and then the bias slots.  Each actual
+    layer lands in the top-left corner of its block, so the map is
+    increasing: the realisable slots, in frame order, run in flat order.
     Padding widths preserves the computed function; padding depth is
     parameter bookkeeping only, since inserted all-zero layers change the
-    composition.  The frame is a (depth+1, width+1, width) array in C
-    order: weight (row, col) of layer l sits at [l, col, row] and its bias
-    at [l, width, row], so each layer owns a block of width*(width+1) slots,
-    the weight frame column-major and then the bias slots.
+    composition.
     """
-    arch = net.arch
     if arch.depth > depth or max(arch.widths) > width:
         raise ArchitectureTooLarge(
             f"net of depth {arch.depth} / width {max(arch.widths)} does not fit "
             f"inside frame ({depth}, {width})"
         )
-    frame = np.zeros((depth + 1, width + 1, width))
-    for layer, (w, b) in enumerate(layer_matrices(arch, net.theta)):
-        rows, cols = w.shape
-        frame[layer, :cols, :rows] = w.T
-        frame[layer, width, :rows] = b
-    return frame.reshape(-1)
+    parts = []
+    for layer, (_, _, (rows, cols)) in enumerate(layer_slices(arch)):
+        base = layer * width * (width + 1)
+        parts.append((base + width * np.arange(cols)[:, None] + np.arange(rows)).ravel())
+        parts.append(base + width * width + np.arange(rows))
+    return np.concatenate(parts)
 
+
+def embed_to_max(net: SparseNetwork, depth: int, width: int) -> np.ndarray:
+    """Zero-padded embedding of the flat parameter vector into the padded
+    (depth, width) frame, through :func:`frame_slots`."""
+    frame = np.zeros(max_param_count(depth, width))
+    frame[frame_slots(net.arch, depth, width)] = net.theta
+    return frame

@@ -9,7 +9,8 @@ layout, independently of the sampler's sufficient-statistics path and of
 ``gibbsnet.network``.  ``enumerate_tiny_gibbs`` covers the scalar-affine
 class h(x) = clip(w*x + b); ``enumerate_flat_gibbs`` any class of up to 7
 coordinates.  ``replay_sampler`` is the one-chain reference for the
-sampler's draw contract, and ``RecordingStream`` records what a run reads.
+sampler's draw contract, ``RecordingStream`` records what a run reads and
+``ConstantStream`` feeds it one uniform throughout.
 """
 
 import itertools
@@ -160,6 +161,17 @@ def coordinate_marginal(table, j):
         key = cells[support.index(j)] if j in support else None
         law[key] = law.get(key, 0.0) + mass
     return law
+
+
+class ConstantStream:
+    """A stand-in for ``gibbsnet.markov.stream`` whose every uniform is
+    ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
 
 
 class RecordingStream:

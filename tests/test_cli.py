@@ -75,6 +75,7 @@ BOUNDS = {"checks": [CHAIN_MGF, BERNSTEIN, KL]}
 SLOPE = {"csv": str(Path(__file__).parent / "data" / "golden_sweep.csv")}
 # State 0 is transient: the stationary law puts no mass on it.
 TRANSIENT = {"family": "explicit", "probs": [[0.5, 0.5], [0.0, 1.0]]}
+NON_SQUARE = {"family": "explicit", "probs": [[0.5, 0.5]]}
 # A rule class cannot be sized at n * gamma <= e: here at p = 0.02 only.
 UNSIZABLE_GRID = {**SWEEP, "classdef": {"rule": "holder"}, "n_grid": [30, 60],
                   "p_grid": [0.5, 0.02]}
@@ -179,6 +180,9 @@ def run(tmp_path, command, doc):
         ("bounds", {"checks": [{**KL, "eta": 0}]}),
         ("bounds", {"checks": [{**KL, "eta": -0.5}]}),
         ("bounds", {"checks": [{**KL, "eta": -1}]}),
+        ("gap", {"chain": NON_SQUARE}),
+        ("sweep", {**SWEEP, "chain": NON_SQUARE}),
+        ("bounds", {"checks": [{**BERNSTEIN, "network": {**NETWORK, "widths": [2, 1]}}]}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -209,7 +213,8 @@ def run(tmp_path, command, doc):
         "bounds-chain-mgf-transient-chain", "bounds-bernstein-transient-chain",
         "bounds-chain-mgf-overflowing-estimate", "bounds-bernstein-overflowing-estimate",
         "bounds-kl-card-above-n-max", "bounds-kl-zero-eta", "bounds-kl-negative-eta",
-        "bounds-kl-eta-minus-one",
+        "bounds-kl-eta-minus-one", "gap-non-square-chain", "sweep-non-square-chain",
+        "bounds-bernstein-network-input-mismatch",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -478,8 +483,10 @@ def test_bounds_overflowing_rhs_reports_inf(tmp_path):
 
 
 # Replacement values for the mutation test: every type a JSON config can
-# hold, and no number above 50, so a valid mutant stays small and fast.
-POOL = [None, True, -1, 0, 1, 2.5, 50, -0.5, 0.5, "x", "", "holder", [], [1], [1, "a"],
+# hold, and no number above 50, so a valid mutant stays small and fast; 2
+# also makes a bernstein_mgf network's widths[0] miss the target's input
+# dimension.
+POOL = [None, True, -1, 0, 1, 2, 2.5, 50, -0.5, 0.5, "x", "", "holder", [], [1], [1, "a"],
         {}, {"a": 1}]
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from oracle_gibbs import (
+    ConstantStream,
     RecordingStream,
     coordinate_marginal,
     enumerate_flat_gibbs,
@@ -237,16 +238,6 @@ class TestSamplerBasics:
         assert "log_score" in doc
         restored = SparseNetwork.from_json(json.dumps({k: v for k, v in doc.items() if k != "log_score"}))
         np.testing.assert_allclose(restored.theta, draws.thetas[-1])
-
-
-class ConstantStream:
-    """A generator whose every uniform is ``value``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, shape):
-        return np.full(shape, self.value)
 
 
 def logistic_data():

@@ -10,6 +10,7 @@ from gibbsnet.network import (
     SparseNetwork,
     embed_to_max,
     forward,
+    frame_slots,
     layer_matrices,
     layer_slices,
     lipschitz_parameter_bound,
@@ -362,6 +363,35 @@ class TestEmbedSlots:
                         for i, value in enumerate(b):
                             want[max_frame_slot(3, layer, i, None)] = value
                     np.testing.assert_array_equal(flat, want)
+
+
+class TestFrameSlots:
+    def test_slot_map_is_increasing(self):
+        # The realisable slots, in frame order, run in flat order.
+        for depth in range(3):
+            for widths in [(1,) + (3,) * depth + (1,), (2,) + (1,) * depth + (1,)]:
+                arch = Architecture(depth, widths)
+                slots = frame_slots(arch, 2, 3)
+                assert slots.size == param_count(arch)
+                assert np.all(np.diff(slots) > 0) and slots[-1] < max_param_count(2, 3)
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_width_padding_is_bit_exact(self, activation):
+        # compose sums each layer's terms in one fixed order, so the padded
+        # network's extra terms are trailing exact zeros: equal floats.
+        rng = np.random.default_rng(7)
+        for widths in [(2, 3, 1), (1, 2, 2, 1), (3, 1, 1)]:
+            depth = len(widths) - 2
+            arch = Architecture(depth, widths)
+            net = dense_net(widths, rng.uniform(-1, 1, size=param_count(arch)), output_clip=0.8)
+            for width in (max(widths), max(widths) + 3):
+                padded_arch = Architecture(depth, (widths[0],) + (width,) * depth + (1,))
+                frame = embed_to_max(net, depth, width)
+                padded = dense_net(padded_arch.widths,
+                                   frame[frame_slots(padded_arch, depth, width)], output_clip=0.8)
+                x = rng.uniform(-3, 3, size=(200, widths[0]))
+                np.testing.assert_array_equal(forward(padded, x, activation),
+                                              forward(net, x, activation))
 
 
 class TestSerialization:
