@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -36,8 +37,10 @@ from .network import (
     Architecture,
     SparseNetwork,
     compose,
+    compose_views,
     frame_slots,
     layer_slices,
+    layer_views,
     max_param_count,
     param_count,
 )
@@ -368,23 +371,29 @@ def sample_posterior(
     empty, support size capped).
     """
     arch, prior, (jumps, log_add_ratio, log_remove_ratio) = _chain_setup(data, classdef, cfg)
-    n_params, cap, slab = prior.n_coords, prior.cap, prior.slab
+    n_params, cap, slab, step = prior.n_coords, prior.cap, prior.slab, cfg.step
     clip = classdef.output_clip
     act_fn = ACTIVATIONS[classdef.activation].fn
-    slices = layer_slices(arch)
     points, risk_fn = _per_state_risk(data, loss)
 
     blocks = _uniform_blocks(stream(cfg.seed, "sampler"), cfg.iters)
     theta = np.zeros(n_params)
+    views = layer_views(layer_slices(arch), theta)
+    # The support as a count and as the sorted list ``on`` of its
+    # coordinates; the mask ``active`` changes only with an accepted jump
+    # and is read only when a draw is kept.  One active coordinate at value
+    # 0: a uniform is at most 1 - 2^-53, so int(u * size) stays below size
+    # for any size under 2^52.
+    on = [int(next(blocks)[0, 0] * n_params)]
+    support = 1
     active = np.zeros(n_params, dtype=bool)
-    # One active coordinate at value 0.  A uniform is at most 1 - 2^-53, so
-    # int(u * size) stays below size for any size under 2^52.
-    active[int(next(blocks)[0, 0] * n_params)] = True
-    risk = risk_fn(compose(slices, theta, points, act_fn, clip)[:, 0])
+    active[on[0]] = True
+    risk = risk_fn(compose_views(views, points, act_fn, clip)[:, 0])
 
     lam = cfg.temperature
     p_add, p_remove, _ = cfg.move_probs
-    n_keep = cfg.n_keep
+    p_jump = p_add + p_remove
+    burn_in, thin, n_keep = cfg.burn_in, cfg.thin, cfg.n_keep
     thetas = np.empty((n_keep, n_params))
     actives = np.empty((n_keep, n_params), dtype=bool)
     log_scores = np.empty(n_keep)
@@ -392,39 +401,51 @@ def sample_posterior(
     proposed = {"add": 0, "remove": 0, "perturb": 0}
     accepted = {"add": 0, "remove": 0, "perturb": 0}
 
+    def gaps(i):
+        # Inactive coordinates below the i-th active one; nondecreasing in i.
+        return on[i] - i
+
     rows = (row for block in blocks for row in block.tolist())
     for it, (u_move, u_index, u_value, u_accept) in enumerate(rows):
-        # Pick the move, the pool its coordinate is drawn from and its
-        # prior/proposal log ratio; the support is counted only for jumps.
+        # Pick the move, its feasibility and its prior/proposal log ratio.
         if u_move < p_add:
-            move, pool, log_ratio = "add", ~active, log_add_ratio
-            feasible = jumps and active.sum() < cap
-        elif u_move < p_add + p_remove:
-            move, pool, log_ratio = "remove", active, log_remove_ratio
-            feasible = jumps and active.sum() > 1
+            move, log_ratio, feasible = "add", log_add_ratio, jumps and support < cap
+        elif u_move < p_jump:
+            move, log_ratio, feasible = "remove", log_remove_ratio, jumps and support > 1
         else:
-            move, pool, log_ratio, feasible = "perturb", active, 0.0, True
+            move, log_ratio, feasible = "perturb", 0.0, True
         proposed[move] += 1
 
         if feasible:
-            idx = np.flatnonzero(pool)
-            j = int(idx[int(u_index * idx.size)])
-            old = theta[j]
+            # The pool's k-th coordinate: the k-th inactive one is k plus
+            # the number i of active ones below it, the i-th active one on[i].
             if move == "add":
-                theta[j] = slab * (2.0 * u_value - 1.0)
-            elif move == "remove":
-                theta[j] = 0.0
+                k = int(u_index * (n_params - support))
+                i = bisect_right(range(support), k, key=gaps)
+                j, value = k + i, slab * (2.0 * u_value - 1.0)
             else:
-                theta[j] = _reflect(old + cfg.step * (2.0 * u_value - 1.0), slab)
-            new_risk = risk_fn(compose(slices, theta, points, act_fn, clip)[:, 0])
+                i = int(u_index * support)
+                j = on[i]
+                value = 0.0 if move == "remove" else _reflect(
+                    theta[j] + step * (2.0 * u_value - 1.0), slab)
+            old = theta[j]
+            theta[j] = value
+            new_risk = risk_fn(compose_views(views, points, act_fn, clip)[:, 0])
             if u_accept < math.exp(min(0.0, -lam * (new_risk - risk) + log_ratio)):
-                active[j] = move != "remove"
                 risk = new_risk
                 accepted[move] += 1
+                if move == "add":
+                    on.insert(i, j)
+                    support += 1
+                    active[j] = True
+                elif move == "remove":
+                    del on[i]
+                    support -= 1
+                    active[j] = False
             else:
                 theta[j] = old
 
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+        if it >= burn_in and (it - burn_in) % thin == 0:
             thetas[kept] = theta
             actives[kept] = active
             log_scores[kept] = -lam * risk
@@ -450,7 +471,7 @@ def _frame_forward(frame: np.ndarray, inputs: np.ndarray, depth: int, in_cols: i
                    clip):
     """forward() of the C networks whose padded (depth, width) frames (see
     :func:`frame_slots`) fill the (C, F) buffer ``frame``, at their stacked
-    inputs (C, m, width): the clipped (C, m, 1) outputs.
+    inputs (C, m, width): the (C, m, 1) outputs, clipped as compose clips.
 
     Each layer sums its weight-column products left to right over the
     frame's columns, then adds the bias, as :func:`compose` does; padded
@@ -466,6 +487,7 @@ def _frame_forward(frame: np.ndarray, inputs: np.ndarray, depth: int, in_cols: i
         cols = in_cols if layer == 0 else width
         layers.append((cols, blocks[:, layer, :cols, :, :rows], blocks[:, layer, width, :, :rows]))
     first = inputs[..., :in_cols].transpose(0, 2, 1)[..., None]
+    low = -clip
 
     def forward():
         for layer, (cols, weights, bias) in enumerate(layers):
@@ -475,7 +497,7 @@ def _frame_forward(frame: np.ndarray, inputs: np.ndarray, depth: int, in_cols: i
                 z = z + terms[:, k]
             z = z + bias
             a = act_fn(z) if layer < depth else z
-        return np.clip(a, -clip, clip)
+        return np.minimum(np.maximum(a, low, out=a), clip, out=a)
 
     return forward
 
@@ -494,8 +516,9 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     summation order, and the risk takes np.dot's per-row dot products: no
     chain's floats depend on its batch-mates.  The chains must share depth,
     activation, the number of distinct input rows, iters, burn_in and thin;
-    otherwise ValueError.  Faster than sample_posterior from about four
-    chains on; at one chain it is about three times slower.
+    otherwise ValueError.  On the sweep benchmark's cells it draws level
+    with sample_posterior at about four chains, is about twice as fast at
+    ten and seven times at fifty, and is about four times slower at one.
     """
     setups = [_chain_setup(*chain) for chain in zip(datas, classdefs, cfgs)]
     states = [_state_tables(data, loss) for data in datas]

@@ -157,31 +157,51 @@ def layer_matrices(arch: Architecture, theta: np.ndarray):
     return out
 
 
-def compose(slices, theta: np.ndarray, x: np.ndarray, act_fn, clip: float | None):
-    """The affine/activation composition over ``slices`` (see
-    :func:`layer_slices`) of the flat vector ``theta`` at the batch ``x``,
-    then a clip to [-clip, clip] unless ``clip`` is None.
+def layer_views(slices, theta: np.ndarray):
+    """Per layer of ``slices`` (see :func:`layer_slices`): (weights, bias,
+    cols), views into ``theta`` that follow its updates in place.  A layer
+    of one column keeps its weights as the (rows,) slice, a wider one as a
+    (cols, 1, rows) view whose k-th row is weight column k."""
+    out = []
+    for w_sl, b_sl, (rows, cols) in slices:
+        weights = theta[w_sl] if cols == 1 else theta[w_sl].reshape(cols, 1, rows)
+        out.append((weights, theta[b_sl], cols))
+    return out
+
+
+def compose_views(views, x: np.ndarray, act_fn, clip: float | None):
+    """The affine/activation composition of the bound :func:`layer_views`
+    at the batch ``x``, then a clip to [-clip, clip] unless ``clip`` is
+    None.
 
     Each layer sums its weight-column products left to right, then adds its
-    bias; column k of a column-major layer is read straight from ``theta``,
-    as row k of a (cols, rows) view.  That order is fixed, so a width-padded
-    copy of the network (see :func:`frame_slots`), whose extra terms are
-    trailing exact zeros, computes the same floats: the lockstep sampler
-    relies on it.  Does no validation: it is the sampler's hot path.
+    bias.  That order is fixed, so a width-padded copy of the network (see
+    :func:`frame_slots`), whose extra terms are trailing exact zeros,
+    computes the same floats: the lockstep sampler relies on it.  The clip
+    is np.maximum then np.minimum, in place on the last layer's fresh
+    output: for clip > 0 that gives the floats np.clip gives (NaN stays
+    NaN, a signed zero keeps its sign), without np.clip's dispatch cost on
+    a few rows or a second output buffer on many.  Does no validation: it
+    is the sampler's hot path.
     """
     a = x
-    last = len(slices) - 1
-    for idx, (w_sl, b_sl, (rows, cols)) in enumerate(slices):
+    last = len(views) - 1
+    for idx, (weights, bias, cols) in enumerate(views):
         if cols == 1:
-            z = a * theta[w_sl]
+            z = a * weights
         else:
-            terms = theta[w_sl].reshape(cols, 1, rows) * a.T[:, :, None]
+            terms = weights * a.T[:, :, None]
             z = terms[0]
             for k in range(1, cols):
                 z = z + terms[k]
-        z = z + theta[b_sl]
+        z = z + bias
         a = act_fn(z) if idx < last else z
-    return a if clip is None else np.clip(a, -clip, clip)
+    return a if clip is None else np.minimum(np.maximum(a, -clip, out=a), clip, out=a)
+
+
+def compose(slices, theta: np.ndarray, x: np.ndarray, act_fn, clip: float | None):
+    """:func:`compose_views` of ``theta`` laid out by ``slices``."""
+    return compose_views(layer_views(slices, theta), x, act_fn, clip)
 
 
 def forward(

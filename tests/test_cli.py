@@ -31,7 +31,8 @@ SAMPLE = {
 }
 
 
-# Fixed-seed `sample` runs, each compared with tests/data/golden_sample_<name>.jsonl.
+# Fixed-seed `sample` runs, each compared with tests/data/golden_sample_<name>.jsonl;
+# CI's entry-point step also runs "logistic" through the installed script.
 GOLDEN_SAMPLES = {
     "rule_temperature": {
         **SAMPLE,

@@ -95,3 +95,32 @@ def test_batch_needs_one_depth_and_state_count():
     fewer = Dataset(inputs=data.inputs[:3], outputs=data.outputs[:3])
     with pytest.raises(ValueError, match="share depth"):
         sample_batch([data, fewer], "square", [classdef, classdef], [cfg, cfg])
+
+
+def wide_case(cap):
+    """(data, classdef, cfg) of a depth-0 chain over 127 inputs, so 128
+    flat coordinates, whose outputs (about 30, with inputs in [0.5, 1] and
+    a slab of 1) need dozens of active weights; adds make up 70% of the
+    proposals."""
+    rng = np.random.default_rng(77)
+    in_dim, n = 127, 60
+    points = rng.uniform(0.5, 1.0, size=(4, in_dim))
+    inputs = points[np.concatenate([np.arange(4), rng.integers(0, 4, size=n - 4)])]
+    outputs = 30.0 + rng.normal(0.0, 0.3, size=n)
+    classdef = ClassDef(depth=0, width=11, sparsity=cap, weight_bound=1.0, output_clip=100.0)
+    cfg = GibbsConfig(support_decay=2.0, weight_bound=1.0, output_clip=100.0, temperature=5.0,
+                      move_probs=(0.7, 0.1, 0.2), step=0.2, iters=1500, burn_in=0, thin=1,
+                      seed=41)
+    return Dataset(inputs=inputs, outputs=outputs), classdef, cfg
+
+
+@pytest.mark.parametrize("cap", [128, 1], ids=["cap-n_coords", "cap-1"])
+def test_wide_flat_layout_matches_replay(cap):
+    # The one-chain loop finds the k-th inactive coordinate from its sorted
+    # active list; here the support grows well past the list's first few
+    # entries, so a lookup off by one picks a wrong (or an active) one.
+    data, classdef, cfg = wide_case(cap)
+    draws = sample_posterior(data, "square", classdef, cfg)
+    assert draws.prior.n_coords == 128 and draws.prior.cap == cap
+    assert draws.support_sizes.max() > 30 if cap > 1 else draws.support_sizes.max() == 1
+    assert_same_chain(draws, *replay_sampler(data, "square", classdef, cfg))

@@ -147,6 +147,31 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             forward(net, np.zeros(3))
 
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_clip_is_np_clip_bit_for_bit(self, activation):
+        # 1-1-1 networks (w1, b1, w2, b2) whose raw outputs at these inputs
+        # land exactly on +-clip, beyond it, inside it, on both signed zeros
+        # and on +-inf and NaN.
+        clip = 2.0
+        if activation == "relu":  # w2 * relu(x), the bias -0.0 keeps a zero's sign
+            thetas = [(1.0, -0.0, w2, -0.0) for w2 in (1.0, -1.0, 2.0, -2.0)]
+        else:  # sigmoid(40) is 1.0 and 4 sigmoid(-40) - 2 rounds to -2.0
+            thetas = [(1.0, 0.0, 4.0, -2.0), (1.0, 0.0, 8.0, -4.0), (1.0, 0.0, -0.0, -0.0)]
+        x = np.array([[-np.inf], [-40.0], [-3.0], [-0.0], [0.0], [0.5], [1.0], [1.5], [40.0],
+                      [np.inf], [np.nan]])
+        raws, clipped = [], []
+        for theta in thetas:
+            net = dense_net((1, 1, 1), theta, output_clip=clip)
+            raws.append(forward(net, x, activation=activation, clip=False)[:, 0])
+            clipped.append(forward(net, x, activation=activation)[:, 0])
+        raw, got = np.concatenate(raws), np.concatenate(clipped)
+        assert {clip, -clip} <= set(raw.tolist())
+        assert np.any(raw > clip) and np.any(raw < -clip) and np.any(np.isnan(raw))
+        zeros = raw[raw == 0.0]
+        assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
+        want = np.clip(raw, -clip, clip)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_sigmoid_activation(self):
         theta = np.array([1.0, 0.0, 1.0, 0.0])  # 1-1-1: w1=1,b1=0,w2=1,b2=0
         net = dense_net((1, 1, 1), theta)
