@@ -18,18 +18,18 @@ import numpy as np
 from .bounds import kl_numeric_check, mc_check_bernstein, mc_check_chain_mgf
 from .errors import (REQUIRED, ConfigError, GibbsNetError, ZeroStationaryMass, check_kinded,
                      check_table)
-from .gibbs import GIBBS
+from .gibbs import GIBBS, sample_posterior
 from .harness import (
     CONFIG,
     NOISE,
     ExperimentConfig,
     SweepResult,
     build_target,
+    cell_data,
     cell_settings,
     chain_law,
     check_noise,
     emit_report,
-    fit_cell,
     fit_rate_slope,
     run_effective_sample_experiment,
     run_rate_sweep,
@@ -47,7 +47,8 @@ GAP = {"chain": ("table", REQUIRED), "k_max": ("int", 10), "mixing_epsilon": ("n
 SIMULATE = {"chain": ("table", REQUIRED), "n": ("int", REQUIRED), "seed": ("int", 0), **OUTPUT_DIR}
 BOUNDS = {"checks": (["any"], ()), **OUTPUT_DIR}
 SLOPE = {"csv": ("str", REQUIRED), **OUTPUT_DIR}
-SAMPLE = {**{k: v for k, v in CONFIG.items() if k != "n_grid"}, "n": ("int", REQUIRED)}
+SAMPLE = {**{k: v for k, v in CONFIG.items() if k not in ("n_grid", "p_grid")},
+          "n": ("int", REQUIRED)}
 EFFSAMPLE = {**CONFIG, "pairs": ("any", REQUIRED)}  # read by run_effective_sample_experiment
 
 NETWORK = {"depth": ("int", REQUIRED), "widths": (["int"], REQUIRED),
@@ -147,7 +148,9 @@ def cmd_sample(doc: dict, args) -> int:
     chain = solve_chain(cfg.chain, cfg.k_max)
     kernel, _, gamma = chain
     target = build_target(cfg.target, kernel.states)
-    draws = fit_cell(cfg, n, chain, target, *cell_settings(cfg, n, gamma, cfg.seed, lam))
+    classdef, gibbs_cfg = cell_settings(cfg, n, gamma, cfg.seed, lam)
+    data = cell_data(cfg, n, chain, target, gibbs_cfg.seed)
+    draws = sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
     out = _out_dir(doc, args)
     path = out / "draws.jsonl"
     path.write_text(draws.to_jsonl())

@@ -64,12 +64,13 @@ class TooFewPoints(GibbsNetError):
     """Not enough distinct grid points for a least-squares fit."""
 
 
-class MismatchedEffectiveSize(GibbsNetError):
-    """Experiment pairs do not share a common effective sample size."""
-
-
 class ConfigError(GibbsNetError):
     """Experiment configuration is malformed."""
+
+
+class MismatchedEffectiveSize(ConfigError):
+    """Experiment pairs do not share a common effective sample size; the
+    config alone decides it, so it is a config error."""
 
 
 REQUIRED = object()  # the schema default of a key a table must hold

@@ -36,9 +36,9 @@ from .network import (
     ACTIVATIONS,
     Architecture,
     SparseNetwork,
-    compose,
     compose_views,
     frame_slots,
+    frame_views,
     layer_slices,
     layer_views,
     max_param_count,
@@ -467,58 +467,23 @@ def sample_posterior(
     )
 
 
-def _frame_forward(frame: np.ndarray, inputs: np.ndarray, depth: int, in_cols: int, act_fn,
-                   clip):
-    """forward() of the C networks whose padded (depth, width) frames (see
-    :func:`frame_slots`) fill the (C, F) buffer ``frame``, at their stacked
-    inputs (C, m, width): the (C, m, 1) outputs, clipped as compose clips.
-
-    Each layer sums its weight-column products left to right over the
-    frame's columns, then adds the bias, as :func:`compose` does; padded
-    columns are trailing exact zeros, so every chain gets the floats its own
-    compose gives.  Only the first ``in_cols`` input columns and the output
-    row of the last layer are read.
-    """
-    width = inputs.shape[2]
-    blocks = frame.reshape(len(frame), depth + 1, width + 1, 1, width)
-    layers = []
-    for layer in range(depth + 1):
-        rows = width if layer < depth else 1
-        cols = in_cols if layer == 0 else width
-        layers.append((cols, blocks[:, layer, :cols, :, :rows], blocks[:, layer, width, :, :rows]))
-    first = inputs[..., :in_cols].transpose(0, 2, 1)[..., None]
-    low = -clip
-
-    def forward():
-        for layer, (cols, weights, bias) in enumerate(layers):
-            terms = weights * (first if layer == 0 else a[..., :cols].transpose(0, 2, 1)[..., None])
-            z = terms[:, 0]
-            for k in range(1, cols):
-                z = z + terms[:, k]
-            z = z + bias
-            a = act_fn(z) if layer < depth else z
-        return np.minimum(np.maximum(a, low, out=a), clip, out=a)
-
-    return forward
-
-
 def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     """Run one chain per (data, classdef, cfg) in lockstep and return each
     chain's draws, equal bit for bit to ``sample_posterior(data, loss,
     classdef, cfg)``.
 
-    The C chains advance together as (C, P) arrays.  Each reads its own
-    sampler stream under the same four-uniform step contract and keeps its
-    thetas and active set in its own flat layout, padded at the end to the
-    batch's largest P, so the k-th coordinate of a pool is the one
-    sample_posterior picks.  The forward pass reads a padded (depth, width)
-    frame through each chain's :func:`frame_slots` map, in compose's
-    summation order, and the risk takes np.dot's per-row dot products: no
+    The C chains advance together as (C, F) arrays, each chain's row its
+    padded (depth, width) frame (see :func:`frame_slots`), under the same
+    four-uniform step contract, each on its own sampler stream.  A chain's
+    realisable slots run in flat order, so the k-th slot of a pool holds the
+    coordinate sample_posterior picks; a kept draw is read back through the
+    slot map.  The forward pass is :func:`compose_views` on views of the
+    state bound once, and the risk takes np.dot's per-row dot products: no
     chain's floats depend on its batch-mates.  The chains must share depth,
     activation, the number of distinct input rows, iters, burn_in and thin;
-    otherwise ValueError.  On the sweep benchmark's cells it draws level
-    with sample_posterior at about four chains, is about twice as fast at
-    ten and seven times at fifty, and is about four times slower at one.
+    otherwise ValueError.  On the sweep benchmark's cells it is level with
+    sample_posterior at about four chains, 2x faster at ten, 7x at fifty
+    and 4x slower at one.
     """
     setups = [_chain_setup(*chain) for chain in zip(datas, classdefs, cfgs)]
     states = [_state_tables(data, loss) for data in datas]
@@ -540,36 +505,35 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     n_chains = len(setups)
     chain = np.arange(n_chains)
 
-    # Flat state, padded at the end; column P of theta stays zero and feeds
-    # every frame slot that a chain does not realise.  Steps address theta
-    # and active by row offset plus coordinate, one index per chain, which
-    # numpy serves faster than (chain, coordinate) pairs.
+    # Steps address theta and active, each chain's frame a row, by row offset
+    # plus slot, one index per chain, which numpy serves faster than (chain,
+    # slot) pairs; ``slots`` maps each flat coordinate to its offset slot.
     n_max = int(n_coords.max())
     width = max(max(arch.widths) for arch in archs)
     in_cols = max(arch.input_dim for arch in archs)
-    theta = np.zeros((n_chains, n_max + 1))
-    active = np.zeros((n_chains, n_max), dtype=bool)
-    realisable = np.arange(n_max) < n_coords[:, None]
-    gather = np.full((n_chains, max_param_count(depth, width)), n_max)
-    inputs = np.zeros((n_chains, m, width))
+    theta = np.zeros((n_chains, max_param_count(depth, width)))
+    active, realisable = np.zeros(theta.shape, dtype=bool), np.zeros(theta.shape, dtype=bool)
+    offsets = theta.shape[1] * chain
+    slots = np.zeros((n_chains, n_max), dtype=np.int64)
+    inputs = np.zeros((n_chains, m, in_cols))
     for c, (arch, (points, _)) in enumerate(zip(archs, states)):
-        gather[c, frame_slots(arch, depth, width)] = np.arange(n_coords[c])
+        own = frame_slots(arch, depth, width)
+        slots[c, :own.size] = own
+        realisable[c, own] = True
         inputs[c, :, :arch.input_dim] = points
-    theta_rows, active_rows = (n_max + 1) * chain, n_max * chain
-    gather += theta_rows[:, None]
-    frame = np.empty(gather.shape)
+    slots += offsets[:, None]
+    views = frame_views(theta, depth, width, in_cols)
+    act_fn = ACTIVATIONS[activation].fn
     clip = np.array([classdef.output_clip for classdef in classdefs])[:, None, None]
-    forward = _frame_forward(frame, inputs, depth, in_cols, ACTIVATIONS[activation].fn, clip)
     risk_fn = _batch_risk([tables for _, tables in states], loss)
     flat_theta, flat_active = theta.reshape(-1), active.reshape(-1)
 
     def risk_of():
-        frame[...] = flat_theta[gather]
-        return risk_fn(forward())
+        return risk_fn(compose_views(views, inputs, act_fn, clip))
 
     blocks = [_uniform_blocks(stream(cfg.seed, "sampler"), iters) for cfg in cfgs]
     start = np.array([next(chain_blocks)[0, 0] for chain_blocks in blocks])
-    active[chain, (start * n_coords).astype(np.int64)] = True
+    flat_active[slots[chain, (start * n_coords).astype(np.int64)]] = True
     support = np.ones(n_chains, dtype=np.int64)
     risk = risk_of()
 
@@ -600,7 +564,7 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
             counts = (active ^ (realisable & add[t][:, None])).cumsum(axis=1)
             pick = (u_index[t] * counts[:, -1]).astype(np.int64)
             j = (counts > pick[:, None]).argmax(axis=1)
-            slot, bit = theta_rows + j, active_rows + j
+            slot = offsets + j
             old = flat_theta[slot]
             new = np.where(add[t], added[t],
                            np.where(remove[t], 0.0, _reflect_array(old + shift[t], slab)))
@@ -616,13 +580,13 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
                 take[c] = u_accept[t, c] < math.exp(log_accept[c])
             take &= feasible
             flat_theta[slot] = np.where(take, new, old)
-            flat_active[bit] ^= take & ~perturb[t]
+            flat_active[slot] ^= take & ~perturb[t]
             support += take * change[t]
             risk = np.where(take, new_risk, risk)
             took[t] = take
             if it >= burn_in and (it - burn_in) % thin == 0:
-                thetas[:, kept] = theta[:, :n_max]
-                actives[:, kept] = active
+                thetas[:, kept] = flat_theta[slots]
+                actives[:, kept] = flat_active[slots]
                 log_scores[:, kept] = neg_lam * risk
                 kept += 1
             it += 1
@@ -664,7 +628,8 @@ def posterior_predictor(draws: PosteriorDraws, mode: str = "single_draw"):
     act_fn = ACTIVATIONS[draws.activation].fn
 
     def predict(x):
-        outs = (compose(slices, theta, x, act_fn, draws.output_clip) for theta in thetas)
+        outs = (compose_views(layer_views(slices, theta), x, act_fn, draws.output_clip)
+                for theta in thetas)
         return (reduce(np.add, outs) / len(thetas))[:, 0]
 
     return predict

@@ -381,14 +381,6 @@ def cell_data(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, seed: in
     return generate_classification(target, kernel, pi, n=n, seed=seed)
 
 
-def fit_cell(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, classdef, gibbs_cfg):
-    """The fit half of a cell on ``chain = (kernel, pi, gamma)`` with the
-    settings of :func:`cell_settings`: draw n observations of ``target``
-    and sample the posterior, each from its own stream of ``gibbs_cfg.seed``."""
-    data = cell_data(cfg, n, chain, target, gibbs_cfg.seed)
-    return sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
-
-
 def run_cell(cfg: ExperimentConfig, n: int, chain, target, classdef, gibbs_cfg, draws,
              fit_time: float) -> SweepRow:
     """One grid cell's row on a precomputed ``chain = (kernel, pi, gamma)``,

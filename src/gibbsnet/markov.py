@@ -339,8 +339,8 @@ def simulate_batch(
     seed's chain stream, so one replication equals ``simulate(kernel, pi,
     n, seed)``.  The uniforms are drawn step-major in blocks of at most
     :data:`BLOCK_FLOATS` and binned at once; each step is then one add and
-    one gather in the step table.  Both loops stay because each is the
-    faster one on a measured shape (2-core Xeon, numpy 2.4): this one on
+    one indexed read of the step table.  Both loops stay because each is
+    the faster one on a measured shape (2-core Xeon, numpy 2.4): this one on
     many short paths, as in the Monte Carlo bound checks (400 paths of 110
     steps of a 4-state chain in 1.9 ms, against 32 ms for 400 calls of
     :func:`simulate`), the scalar walk on one long path (100 000 steps of a

@@ -64,14 +64,6 @@ class TargetSpec:
             if np.any(eta < 0) or np.any(eta > 1):
                 raise ValueError("link probabilities must lie in [0, 1]")
 
-    @property
-    def n_states(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.points.shape[1]
-
 
 def holder_target(beta: float, m: int, scale: float = 1.0, dim: int = 1) -> TargetSpec:
     """Closed-form target scale * |mean(x) - 1/2|^beta, smoothness >= beta:

@@ -169,20 +169,21 @@ def layer_views(slices, theta: np.ndarray):
     return out
 
 
-def compose_views(views, x: np.ndarray, act_fn, clip: float | None):
+def compose_views(views, x: np.ndarray, act_fn, clip):
     """The affine/activation composition of the bound :func:`layer_views`
-    at the batch ``x``, then a clip to [-clip, clip] unless ``clip`` is
-    None.
+    (or of a stack's :func:`frame_views`, with a leading chain axis on
+    ``x`` and on an array ``clip``) at the batch ``x``, then a clip to
+    [-clip, clip] unless ``clip`` is None.  It is the one forward kernel.
 
     Each layer sums its weight-column products left to right, then adds its
     bias.  That order is fixed, so a width-padded copy of the network (see
     :func:`frame_slots`), whose extra terms are trailing exact zeros,
-    computes the same floats: the lockstep sampler relies on it.  The clip
-    is np.maximum then np.minimum, in place on the last layer's fresh
-    output: for clip > 0 that gives the floats np.clip gives (NaN stays
-    NaN, a signed zero keeps its sign), without np.clip's dispatch cost on
-    a few rows or a second output buffer on many.  Does no validation: it
-    is the sampler's hot path.
+    computes the same floats, and so does every chain of a stack: the
+    lockstep sampler relies on it.  The clip is np.maximum then np.minimum,
+    in place on the last layer's fresh output: for clip > 0 that gives the
+    floats np.clip gives (NaN stays NaN, a signed zero keeps its sign),
+    without np.clip's dispatch cost on a few rows or a second output buffer
+    on many.  Does no validation: it is the sampler's hot path.
     """
     a = x
     last = len(views) - 1
@@ -190,18 +191,13 @@ def compose_views(views, x: np.ndarray, act_fn, clip: float | None):
         if cols == 1:
             z = a * weights
         else:
-            terms = weights * a.T[:, :, None]
+            terms = (weights * a.swapaxes(-1, -2)[..., None]).swapaxes(0, -3)
             z = terms[0]
             for k in range(1, cols):
                 z = z + terms[k]
         z = z + bias
         a = act_fn(z) if idx < last else z
     return a if clip is None else np.minimum(np.maximum(a, -clip, out=a), clip, out=a)
-
-
-def compose(slices, theta: np.ndarray, x: np.ndarray, act_fn, clip: float | None):
-    """:func:`compose_views` of ``theta`` laid out by ``slices``."""
-    return compose_views(layer_views(slices, theta), x, act_fn, clip)
 
 
 def forward(
@@ -225,8 +221,8 @@ def forward(
         raise DimensionMismatch(
             f"input dimension {arr.shape[1]} != {net.arch.input_dim}"
         )
-    a = compose(
-        layer_slices(net.arch), net.theta, arr, act.fn,
+    a = compose_views(
+        layer_views(layer_slices(net.arch), net.theta), arr, act.fn,
         net.output_clip if clip else None,
     )
     return a[0] if single else a
@@ -280,8 +276,9 @@ def frame_slots(arch: Architecture, depth: int, width: int) -> np.ndarray:
     [l, width, row], so each layer owns a block of width*(width+1) slots,
     the weight frame column-major and then the bias slots.  Each actual
     layer lands in the top-left corner of its block, so the map is
-    increasing: the realisable slots, in frame order, run in flat order.
-    Padding widths preserves the computed function; padding depth is
+    increasing: the realisable slots, in frame order, run in flat order,
+    and the k-th of them holds flat coordinate k.  Padding widths preserves
+    the computed function (see :func:`frame_views`); padding depth is
     parameter bookkeeping only, since inserted all-zero layers change the
     composition.
     """
@@ -296,6 +293,26 @@ def frame_slots(arch: Architecture, depth: int, width: int) -> np.ndarray:
         parts.append((base + width * np.arange(cols)[:, None] + np.arange(rows)).ravel())
         parts.append(base + width * width + np.arange(rows))
     return np.concatenate(parts)
+
+
+def frame_views(frames: np.ndarray, depth: int, width: int, in_cols: int):
+    """:func:`layer_views` of a stack of padded (depth, width) frames (see
+    :func:`frame_slots`), the (C, max_param_count(depth, width)) array
+    ``frames`` with one network a row: per layer (weights, bias, cols) with
+    a leading chain axis, views that follow ``frames`` in place.  The first
+    layer reads ``in_cols`` input columns and the last one output row, so
+    :func:`compose_views` of them at stacked (C, m, in_cols) inputs, zero
+    past each network's own input columns, gives the (C, m, 1) outputs,
+    each row the floats of that network's own compose_views."""
+    blocks = frames.reshape(len(frames), depth + 1, width + 1, 1, width)
+    views = []
+    for layer in range(depth + 1):
+        cols = in_cols if layer == 0 else width
+        rows = width if layer < depth else 1
+        weights = blocks[:, layer, :cols, :, :rows]
+        views.append((weights[:, 0] if cols == 1 else weights,
+                      blocks[:, layer, width, :, :rows], cols))
+    return views
 
 
 def embed_to_max(net: SparseNetwork, depth: int, width: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from gibbsnet.gibbs import Prior, _per_state_risk, _reflect
 from gibbsnet.markov import stream
-from gibbsnet.network import ACTIVATIONS, compose, layer_slices
+from gibbsnet.network import ACTIVATIONS, compose_views, layer_slices, layer_views
 
 
 def grid_centers(bound: float, bins: int):
@@ -203,7 +203,8 @@ def replay_sampler(data, loss, classdef, cfg):
     points, risk_fn = _per_state_risk(data, loss)
 
     def risk_of(theta):
-        return risk_fn(compose(slices, theta, points, act_fn, classdef.output_clip)[:, 0])
+        return risk_fn(compose_views(layer_views(slices, theta), points, act_fn,
+                                     classdef.output_clip)[:, 0])
 
     rng = stream(cfg.seed, "sampler")
     start = rng.random()

@@ -440,6 +440,24 @@ def test_unknown_loss_writes_no_partial_csv(tmp_path):
     assert not (tmp_path / "sweep_partial.csv").exists()
 
 
+def test_mismatched_effsample_pairs_exit_2(tmp_path, capsys):
+    # p = 0.5 and p = 0.25 give a 4-state two-source chain different gaps, so
+    # n = 100 at both cannot share an effective sample size: the config alone
+    # decides that, before any cell runs.
+    assert run(tmp_path, "effsample", {**EFFSAMPLE, "pairs": [[100, 0.5], [100, 0.25]]}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "n_eff" in err
+    assert not (tmp_path / "effsample_partial.csv").exists()
+
+
+def test_sample_rejects_p_grid(tmp_path, capsys):
+    # `sample` fits at its chain's own p; a p_grid would be silently unused.
+    assert run(tmp_path, "sample", {**SAMPLE, "p_grid": [0.25]}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "p_grid" in err
+    assert not (tmp_path / "draws.jsonl").exists()
+
+
 def test_effsample_medians_per_pair(tmp_path, capsys):
     # Both pairs share n = 1000 (and n * gamma = 750), so only the cell
     # order tells their rows apart.

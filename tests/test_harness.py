@@ -300,8 +300,9 @@ class TestFitCell:
         cfg = small_sweep_config(tmp_path, seed=123)
         chain = harness.solve_chain(cfg.chain, cfg.k_max)
         target = harness.build_target(cfg.target, chain[0].states)
-        settings = harness.cell_settings(cfg, 100, chain[2], cfg.seed)
-        draws = harness.fit_cell(cfg, 100, chain, target, *settings)
+        classdef, gibbs_cfg = harness.cell_settings(cfg, 100, chain[2], cfg.seed)
+        data = harness.cell_data(cfg, 100, chain, target, gibbs_cfg.seed)
+        draws = gibbs.sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
         drawn = {purpose: np.concatenate([block for rec in recs for block in rec.blocks])
                  for purpose, recs in streams.items()}
         assert len(draws) == 200

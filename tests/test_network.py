@@ -8,11 +8,14 @@ from gibbsnet.network import (
     ACTIVATIONS,
     Architecture,
     SparseNetwork,
+    compose_views,
     embed_to_max,
     forward,
     frame_slots,
+    frame_views,
     layer_matrices,
     layer_slices,
+    layer_views,
     lipschitz_parameter_bound,
     max_param_count,
     param_count,
@@ -402,7 +405,7 @@ class TestFrameSlots:
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
     def test_width_padding_is_bit_exact(self, activation):
-        # compose sums each layer's terms in one fixed order, so the padded
+        # compose_views sums each layer's terms in one fixed order, so the padded
         # network's extra terms are trailing exact zeros: equal floats.
         rng = np.random.default_rng(7)
         for widths in [(2, 3, 1), (1, 2, 2, 1), (3, 1, 1)]:
@@ -417,6 +420,39 @@ class TestFrameSlots:
                 x = rng.uniform(-3, 3, size=(200, widths[0]))
                 np.testing.assert_array_equal(forward(padded, x, activation),
                                               forward(net, x, activation))
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "in_cols, hidden", [(1, (1, 1)), (1, (1, 3, 2)), (2, (1, 3, 2))],
+        ids=["one-column-frame", "one-input-column", "wide"],
+    )
+    def test_stacked_frames_are_bit_exact(self, activation, depth, in_cols, hidden):
+        # compose_views on C networks of different widths, stacked in one
+        # frame, gives every network the floats of its own compose_views,
+        # clip included: the padded terms are trailing exact zeros and no
+        # network reads its stack-mates.
+        rng = np.random.default_rng(17 * depth + len(hidden))
+        act_fn = ACTIVATIONS[activation].fn
+        archs = [Architecture(depth, (1 + c % in_cols,) + (width,) * depth + (1,))
+                 for c, width in enumerate(hidden)]
+        width = max(max(arch.widths) for arch in archs)
+        clips = rng.uniform(0.3, 1.5, size=len(archs))
+        x = rng.uniform(-3, 3, size=(len(archs), 40, in_cols))
+        frames = np.zeros((len(archs), max_param_count(depth, width)))
+        own = []
+        for c, arch in enumerate(archs):
+            theta = rng.uniform(-2, 2, size=param_count(arch))
+            frames[c, frame_slots(arch, depth, width)] = theta
+            x[c, :, arch.input_dim:] = 0.0
+            own.append(compose_views(layer_views(layer_slices(arch), theta),
+                                     x[c, :, :arch.input_dim], act_fn, clips[c]))
+        stacked = compose_views(frame_views(frames, depth, width, in_cols), x, act_fn,
+                                clips[:, None, None])
+        assert stacked.shape == (len(archs), 40, 1)
+        assert np.any(np.abs(stacked) == clips[:, None, None])
+        for c, want in enumerate(own):
+            np.testing.assert_array_equal(stacked[c], want)
 
 
 class TestSerialization:
