@@ -29,6 +29,7 @@ from .harness import (
     cell_settings,
     chain_law,
     check_noise,
+    effsample_cells,
     emit_report,
     fit_rate_slope,
     run_effective_sample_experiment,
@@ -40,16 +41,17 @@ from .network import SparseNetwork
 
 OUTPUT_DIR = {"output_dir": ("str", ".")}
 
-# Each subcommand's top-level table, {key: (kind, default)}; sweep, effsample
-# and sample extend harness.CONFIG.
+# Each subcommand's top-level table, {key: (kind, default)}.  sweep reads
+# harness.CONFIG; sample and effsample read it without the grid keys, since
+# they fit at their own n (and p).
 GAP = {"chain": ("table", REQUIRED), "k_max": ("int", 10), "mixing_epsilon": ("number", None),
        "t_cap": ("int", 10_000), **OUTPUT_DIR}
 SIMULATE = {"chain": ("table", REQUIRED), "n": ("int", REQUIRED), "seed": ("int", 0), **OUTPUT_DIR}
 BOUNDS = {"checks": (["any"], ()), **OUTPUT_DIR}
 SLOPE = {"csv": ("str", REQUIRED), **OUTPUT_DIR}
-SAMPLE = {**{k: v for k, v in CONFIG.items() if k not in ("n_grid", "p_grid")},
-          "n": ("int", REQUIRED)}
-EFFSAMPLE = {**CONFIG, "pairs": ("any", REQUIRED)}  # read by run_effective_sample_experiment
+CELLS = {k: v for k, v in CONFIG.items() if k not in ("n_grid", "p_grid")}
+SAMPLE = {**CELLS, "n": ("int", REQUIRED)}
+EFFSAMPLE = {**CELLS, "pairs": ("any", REQUIRED)}  # checked by effsample_cells
 
 NETWORK = {"depth": ("int", REQUIRED), "widths": (["int"], REQUIRED),
            "active_indices": (["int"], REQUIRED), "values": (["number"], REQUIRED),
@@ -219,8 +221,8 @@ def cmd_sweep(doc: dict, args) -> int:
 
 def cmd_effsample(doc: dict, args) -> int:
     doc = check_table(doc, "effsample config", EFFSAMPLE)
-    pairs = doc.pop("pairs")
-    cfg = _experiment_config(doc, args)
+    pairs = effsample_cells(doc.pop("pairs"))
+    cfg = _experiment_config({**doc, "n_grid": sorted({n for n, _ in pairs})}, args)
     out = _out_dir(doc, args)
     result = run_effective_sample_experiment(
         cfg, pairs, csv_path=out / "effsample_partial.csv"

@@ -517,23 +517,30 @@ def fit_rate_slope(result: SweepResult) -> tuple[float, float]:
     return slope, stderr
 
 
+def effsample_cells(pairs) -> tuple:
+    """The (n, p) cells of effsample ``pairs``: a nonempty list of [n, p]
+    with n >= 1, else ConfigError."""
+    cells = check_value(pairs, [("int", "number")], "effsample pairs")
+    if not cells or any(n < 1 for n, _ in cells):
+        raise ConfigError("effsample needs a nonempty 'pairs' list of [n, p] with n >= 1")
+    return cells
+
+
 def run_effective_sample_experiment(
     cfg: ExperimentConfig, pairs, csv_path=None
 ) -> SweepResult:
     """Compare grid cells whose (n, p) pairs share one effective sample
-    size n * gamma(p) within 1%."""
-    cells = check_value(pairs, [("int", "number")], "effsample pairs")
-    if not cells or any(n < 1 for n, _ in cells):
-        raise ConfigError("effsample needs a nonempty 'pairs' list of [n, p] with n >= 1")
-    chains = {p: solve_chain(cfg.chain, cfg.k_max, p) for _, p in cells}
-    effective = [n * chains[p][2] for n, p in cells]
+    size n * gamma(p) within 1%; ``pairs`` are (n, p) cells as
+    :func:`effsample_cells` checks them."""
+    chains = {p: solve_chain(cfg.chain, cfg.k_max, p) for _, p in pairs}
+    effective = [n * chains[p][2] for n, p in pairs]
     center = float(np.mean(effective))
-    for (n, p), n_eff in zip(cells, effective):
+    for (n, p), n_eff in zip(pairs, effective):
         if abs(n_eff - center) > 0.01 * center:
             raise MismatchedEffectiveSize(
                 f"pair (n={n}, p={p}) has n_eff={n_eff:.2f}, expected ~{center:.2f}"
             )
-    return SweepResult(rows=_run_cells(cfg, cells, chains, csv_path))
+    return SweepResult(rows=_run_cells(cfg, pairs, chains, csv_path))
 
 
 def emit_report(result: SweepResult, path_base: str) -> dict:

@@ -11,6 +11,7 @@ of each purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,6 +36,11 @@ STREAM_SALTS = {"chain": None, "noise": 0xE9, "labels": 0xC1, "bernstein": 0xB5,
 # The most floats a blocked loop here holds at once: a trajectory's uniforms
 # per block, or a pseudo-gap's stacked operators per spectral solve.
 BLOCK_FLOATS = 1 << 13
+# The fewest uniforms a trajectory call bins through a bucket table: below
+# it the table's dozen numpy calls cost more than bisecting every uniform
+# (at 3072 keys of a 4-state chain, 27 us against 20 us; at 4096, 29-32 us
+# against 32-46 us; one core of a 2-core Xeon, numpy 2.4).
+TABLE_KEYS = 1 << 12
 
 
 def stream(seed: int, purpose: str) -> np.random.Generator:
@@ -301,6 +307,37 @@ def _step_table(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:
     return grid, table
 
 
+def _binner(grid: np.ndarray, keys: int):
+    """The function ``u -> searchsorted(grid, u, side="right")`` for a call
+    that bins ``keys`` uniforms in [0, 1).  From :data:`TABLE_KEYS` keys on,
+    each uniform is binned by one lookup in a table of B buckets, B the
+    largest power of two <= keys // 8 (at most :data:`BLOCK_FLOATS`), so
+    building the table costs a fraction of the bisections it saves; a
+    smaller call bisects every uniform.
+
+    Bucket b covers [b/B, (b+1)/B) and ``floor(u * B)`` finds it exactly:
+    scaling by a power of two does not round.  A bin changes only at a grid
+    value, so a bucket with no grid value strictly inside it holds one bin,
+    the count of grid values <= b/B; the uniforms in the other buckets
+    (stored as -1) are bisected.
+    """
+    if keys < TABLE_KEYS:
+        return partial(np.searchsorted, grid, side="right")
+    size = 1 << (min(keys // 8, BLOCK_FLOATS).bit_length() - 1)
+    edges = np.arange(size + 1) / size
+    low = np.searchsorted(grid, edges[:-1], side="right")
+    buckets = np.where(np.searchsorted(grid, edges[1:], side="left") > low, -1, low)
+
+    def bins(u: np.ndarray) -> np.ndarray:
+        out = buckets[(u * size).astype(np.int64)]
+        inside = out < 0
+        if inside.any():
+            out[inside] = np.searchsorted(grid, u[inside], side="right")
+        return out
+
+    return bins
+
+
 def _first_states(pi: StationaryDist, u: np.ndarray) -> np.ndarray:
     """States drawn from pi by inverse-CDF sampling, one per uniform."""
     cum_pi = np.cumsum(pi.weights)
@@ -312,19 +349,21 @@ def simulate(
 ) -> np.ndarray:
     """Length-n stationary trajectory as int64 state indices: first state
     drawn from pi, then the chain steps by inverse-CDF sampling, one uniform
-    of the seed's chain stream per state.  Each step looks its uniform's
-    bin up in the kernel's step table (:func:`_step_table`), as Python
-    lists, in blocks of at most :data:`BLOCK_FLOATS` uniforms."""
+    of the seed's chain stream per state.  The uniforms are binned by
+    :func:`_binner` in blocks of at most :data:`BLOCK_FLOATS`, and each step
+    looks its bin up in the kernel's step table (:func:`_step_table`) as
+    Python lists."""
     if n < 1:
         raise ValueError("trajectory length must be positive")
     _check_law(kernel, pi)
     rng = stream(seed, "chain")
     grid, table = _step_table(kernel)
+    bins_of = _binner(grid, n - 1)
     rows = table.tolist()
     states = np.empty(n, dtype=np.int64)
     state = states[0] = int(_first_states(pi, rng.random(1))[0])
     for start in range(1, n, BLOCK_FLOATS):
-        bins = np.searchsorted(grid, rng.random(min(BLOCK_FLOATS, n - start)), side="right")
+        bins = bins_of(rng.random(min(BLOCK_FLOATS, n - start)))
         # Each step reads the state the step before it wrote.
         states[start:start + len(bins)] = [state := rows[state][b] for b in bins.tolist()]
     return states
@@ -338,20 +377,22 @@ def simulate_batch(
     Step t reads uniforms t*replications .. (t+1)*replications - 1 of the
     seed's chain stream, so one replication equals ``simulate(kernel, pi,
     n, seed)``.  The uniforms are drawn step-major in blocks of at most
-    :data:`BLOCK_FLOATS` and binned at once; each step is then one add and
-    one indexed read of the step table.  Both loops stay because each is
-    the faster one on a measured shape (2-core Xeon, numpy 2.4): this one on
-    many short paths, as in the Monte Carlo bound checks (400 paths of 110
-    steps of a 4-state chain in 1.9 ms, against 32 ms for 400 calls of
-    :func:`simulate`), the scalar walk on one long path (100 000 steps of a
-    16-state chain in 12 ms, against 350 ms here, where each step costs
-    about 3.5 us of numpy calls whatever the width).
+    :data:`BLOCK_FLOATS` and binned at once by :func:`_binner`; each step is
+    then one add and one indexed read of the step table.  Both loops stay
+    because each is the faster one on a measured shape (one core of a
+    2-core Xeon, numpy 2.4): this one on many short paths, as in the Monte
+    Carlo bound checks (400 paths of 110 steps of a 4-state chain in
+    0.6-1.0 ms, against 28-31 ms for 400 calls of :func:`simulate`), the
+    scalar walk on one long path (100 000 steps of a 16-state chain in
+    5.4-8.6 ms, against 320-385 ms here, where each step costs about 3.5 us
+    of numpy calls whatever the width).
     """
     if n < 1 or replications < 1:
         raise ValueError("n and replications must be positive")
     _check_law(kernel, pi)
     rng = stream(seed, "chain")
     grid, table = _step_table(kernel)
+    bins_of = _binner(grid, (n - 1) * replications)
     m = kernel.states
     step = table.T.ravel()  # step[b * m + s] == table[s, b]
     paths = np.empty((replications, n), dtype=np.int64)
@@ -359,7 +400,7 @@ def simulate_batch(
     per_block = max(1, BLOCK_FLOATS // replications)
     for start in range(1, n, per_block):
         stop = min(start + per_block, n)
-        block = np.searchsorted(grid, rng.random((stop - start, replications)), side="right")
+        block = bins_of(rng.random((stop - start, replications)))
         block *= m
         for row in block:  # each row's bin offsets become that step's states
             row += state

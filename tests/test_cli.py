@@ -57,6 +57,23 @@ GOLDEN_SAMPLES = {
 }
 
 
+# The Monte Carlo checks' shape (4 states, n = 110, 400 stationary paths a
+# check), compared with tests/data/golden_bounds.json; CI's entry-point step
+# also runs it through the installed script.
+GOLDEN_BOUNDS = {"checks": [
+    {"kind": "chain_mgf",
+     "chain": {"family": "explicit", "probs": [[0.1, 0.2, 0.3, 0.4], [0.35, 0.05, 0.45, 0.15],
+                                               [0.25, 0.25, 0.3, 0.2], [0.6, 0.1, 0.1, 0.2]]},
+     "f_table": [0.7, -0.4, 0.3, -0.9], "n": 110, "theta": 0.02, "replications": 400,
+     "seed": 17},
+    {"kind": "bernstein_mgf", "chain": {"family": "two_source", "p": 0.3, "states": 4},
+     "target": {"kind": "holder"},
+     "network": {"depth": 0, "widths": [1, 1], "active_indices": [0, 1], "values": [0.6, -0.2],
+                 "weight_bound": 1.0, "output_clip": 5.0},
+     "lambda": 0.5, "n": 110, "replications": 400, "seed": 23, "noise": ["uniform", 0.3]},
+]}
+
+
 CHAIN = {"family": "two_source", "p": 0.5, "states": 4}
 NETWORK = {"depth": 0, "widths": [1, 1], "active_indices": [1], "values": [1.0],
            "weight_bound": 1.0, "output_clip": 5.0}
@@ -66,8 +83,7 @@ KL = {"kind": "kl", "card": 2, "eta": 0.1, "decay": 2.0, "slab": 1.0, "n_max": 5
 KL_CARD_ABOVE_N_MAX = {**KL, "card": 6}
 COMPOSITION = {"kind": "composition", "dims": [1, 2, 1], "active_coords": [1, 2],
                "betas": [1.0, 0.5]}
-EFFSAMPLE = {**{k: v for k, v in SWEEP.items() if k != "n_grid"}, "n_grid": [100],
-             "pairs": [[100, 0.5]]}
+EFFSAMPLE = {**{k: v for k, v in SWEEP.items() if k != "n_grid"}, "pairs": [[100, 0.5]]}
 GAP = {"chain": CHAIN, "k_max": 10, "mixing_epsilon": 0.1, "t_cap": 50}
 SIMULATE = {"chain": CHAIN, "n": 50, "seed": 1}
 CHAIN_MGF = {"kind": "chain_mgf", "chain": {"family": "two_source", "p": 0.5},
@@ -458,6 +474,17 @@ def test_sample_rejects_p_grid(tmp_path, capsys):
     assert not (tmp_path / "draws.jsonl").exists()
 
 
+@pytest.mark.parametrize("grid", [{"n_grid": [7, 9]}, {"p_grid": [0.25]},
+                                  {"n_grid": [7, 9], "p_grid": [0.25]}])
+def test_effsample_rejects_grids(tmp_path, capsys, grid):
+    # `effsample` fits its pairs' own (n, p) cells; a grid would be silently
+    # unused, so a config that carries one exits 2 naming the key.
+    assert run(tmp_path, "effsample", {**EFFSAMPLE, **grid}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and re.search(r"\b[np]_grid\b", err), err
+    assert not (tmp_path / "effsample_partial.csv").exists()
+
+
 def test_effsample_medians_per_pair(tmp_path, capsys):
     # Both pairs share n = 1000 (and n * gamma = 750), so only the cell
     # order tells their rows apart.
@@ -482,6 +509,12 @@ def test_sample_golden_draws(tmp_path, name):
     assert run(tmp_path, "sample", GOLDEN_SAMPLES[name]) == 0
     golden = Path(__file__).parent / "data" / f"golden_sample_{name}.jsonl"
     assert (tmp_path / "draws.jsonl").read_text() == golden.read_text()
+
+
+def test_bounds_golden_report(tmp_path):
+    assert run(tmp_path, "bounds", GOLDEN_BOUNDS) == 0
+    golden = Path(__file__).parent / "data" / "golden_bounds.json"
+    assert (tmp_path / "bounds.json").read_bytes() == golden.read_bytes()
 
 
 def test_bounds_overflowing_rhs_reports_inf(tmp_path):

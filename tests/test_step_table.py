@@ -18,6 +18,7 @@ from gibbsnet.cli import main
 from gibbsnet.errors import DimensionMismatch
 from gibbsnet.markov import (
     BLOCK_FLOATS,
+    TABLE_KEYS,
     StationaryDist,
     TransitionKernel,
     pseudo_spectral_gap,
@@ -148,7 +149,8 @@ class TestStepTable:
 
 
 class TestTrajectoriesReplay:
-    SHAPES = [(1, 1), (1, 6), (2, 1), (9, 1), (40, 1), (40, 13), (300, 3)]
+    # The last is the Monte Carlo checks' shape, binned through a bucket table.
+    SHAPES = [(1, 1), (1, 6), (2, 1), (9, 1), (40, 1), (40, 13), (300, 3), (110, 400)]
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     @pytest.mark.parametrize("n, replications", SHAPES)
@@ -205,6 +207,101 @@ class TestTrajectoriesReplay:
         config.write_text(json.dumps(GOLDEN_SIMULATE))
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "trajectory.txt").read_bytes() == GOLDEN_TRAJECTORY.read_bytes()
+
+
+def bucket_count(keys):
+    """The number of buckets of a call that bins ``keys`` uniforms: the
+    largest power of two <= keys // 8, at most BLOCK_FLOATS (1 below
+    TABLE_KEYS, where every uniform is bisected)."""
+    return 1 << (min(keys // 8, BLOCK_FLOATS).bit_length() - 1) if keys >= TABLE_KEYS else 1
+
+
+def bucket_probes(kernel, pi, size):
+    """Uniforms on, one ulp below and one ulp above every CDF value of the
+    kernel and of pi and every edge of ``size`` buckets next to one, plus
+    0.0 and 1 - 2^-53, in [0, 1)."""
+    cdfs = np.concatenate([np.cumsum(kernel.probs, axis=1).ravel(), np.cumsum(pi.weights)])
+    points = np.concatenate([cdfs, np.floor(cdfs * size) / size, np.ceil(cdfs * size) / size])
+    values = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0),
+                             [0.0, 1.0 - 2.0**-53]])
+    return np.unique(values[(values >= 0.0) & (values < 1.0)])
+
+
+BINNED = {
+    "dyadic": two_source_kernel(0.5, states=4),  # every CDF value on a bucket edge
+    "sum_below_one": KERNELS["sum_below_one"],
+    "sum_above_one": KERNELS["sum_above_one"],
+    "sparse_7": KERNELS["sparse_7"],
+}
+# Key counts around the smallest bucket counts, the table threshold and the
+# block size, each with the (n, replications) of a simulate_batch call that
+# bins that many uniforms.
+BATCH_SHAPES = {1: (2, 1), 7: (2, 7), 8: (3, 4), 9: (4, 3),
+                TABLE_KEYS - 1: (820, 5), TABLE_KEYS: (257, 16), TABLE_KEYS + 1: (242, 17),
+                BLOCK_FLOATS - 1: (BLOCK_FLOATS, 1), BLOCK_FLOATS: (1025, 8),
+                BLOCK_FLOATS + 1: (2732, 3)}
+
+
+class TestBucketBinning:
+    """Each uniform is binned by one bucket-table lookup, or bisected where a
+    CDF value lies inside its bucket: bit for bit the bin of a bisection."""
+
+    @pytest.mark.parametrize("name", sorted(BINNED) + ["m_128"])
+    def test_bins_equal_bisection_at_every_size(self, name):
+        # The probes of every bucket count at once, so the check does not
+        # lean on which count a call picks.
+        kernel = {**KERNELS, **BINNED}[name]
+        pi = stationary_distribution(kernel)
+        grid, _ = markov._step_table(kernel)
+        sizes = [1 << p for p in range(BLOCK_FLOATS.bit_length())]
+        u = np.unique(np.concatenate([bucket_probes(kernel, pi, size) for size in sizes]
+                                     + [np.random.default_rng(2).random(500)]))
+        expected = np.searchsorted(grid, u, side="right")
+        for keys in sorted({1, 7, TABLE_KEYS - 1, *(8 * size for size in sizes),
+                            8 * BLOCK_FLOATS + 9}):
+            assert np.array_equal(markov._binner(grid, keys)(u), expected), keys
+
+    def test_most_buckets_of_m_128_fall_back(self):
+        # A grid value strictly inside a bucket sends its uniforms to
+        # bisection: at 1024 buckets, nearly all of them for this kernel.
+        grid, _ = markov._step_table(KERNELS["m_128"])
+        size = bucket_count(BLOCK_FLOATS)
+        cells = np.unique(np.floor(grid[(grid > 0.0) & (grid < 1.0)] * size))
+        assert size == 1024 and cells.size > 0.9 * size
+
+    @staticmethod
+    def replay_scripted(monkeypatch, kernel, pi, n, replications, u):
+        monkeypatch.setattr(markov, "stream", lambda seed, purpose: ScriptedStream(u))
+        steps = u.reshape(n, replications)
+        assert np.array_equal(simulate_batch(kernel, pi, n, replications, 0),
+                              replay_walk(kernel, pi, steps))
+        if replications == 1:
+            assert np.array_equal(simulate(kernel, pi, n, 0), replay_walk(kernel, pi, steps)[0])
+
+    @pytest.mark.parametrize("keys", sorted(BATCH_SHAPES))
+    @pytest.mark.parametrize("name", sorted(BINNED))
+    def test_edge_uniforms_at_each_key_count(self, monkeypatch, name, keys):
+        kernel = BINNED[name]
+        pi = stationary_distribution(kernel)
+        rng = np.random.default_rng(keys)
+        probes = rng.permutation(bucket_probes(kernel, pi, bucket_count(keys)))
+        # One simulate call bins keys = n - 1 uniforms, a batch (n - 1) * R.
+        for n, replications in [(keys + 1, 1), BATCH_SHAPES[keys]]:
+            total = n * replications
+            for start in range(0, probes.size, total):
+                u = np.resize(np.roll(probes, -start), total)
+                self.replay_scripted(monkeypatch, kernel, pi, n, replications, u)
+
+    @pytest.mark.parametrize("keys", [BLOCK_FLOATS - 1, BLOCK_FLOATS, BLOCK_FLOATS + 1])
+    def test_mostly_bisected_kernel(self, monkeypatch, keys):
+        kernel = KERNELS["m_128"]
+        pi = stationary_distribution(kernel)
+        rng = np.random.default_rng(keys)
+        probes = bucket_probes(kernel, pi, bucket_count(keys))
+        for n, replications in [(keys + 1, 1), BATCH_SHAPES[keys]]:
+            picks = rng.choice(probes, size=n * replications - 2)
+            u = rng.permutation(np.concatenate([picks, [0.0, 1.0 - 2.0**-53]]))
+            self.replay_scripted(monkeypatch, kernel, pi, n, replications, u)
 
 
 class TestPseudoGapReplay:
