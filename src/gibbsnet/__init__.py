@@ -44,7 +44,6 @@ from .markov import (
     spectral_gap,
     stationary_distribution,
     time_reversal,
-    tv_distance,
     two_source_kernel,
 )
 from .model import (
@@ -65,7 +64,6 @@ from .model import (
 from .network import (
     Architecture,
     SparseNetwork,
-    embed_to_max,
     forward,
     lipschitz_parameter_bound,
     max_param_count,

@@ -28,9 +28,8 @@ from .markov import (
 from .model import (
     TargetSpec,
     _draw_noise,
-    conditional_excess_logistic,
-    logistic_loss,
-    logistic_target,
+    excess_per_state,
+    logistic_gaps,
     noise_variance,
     rate_exponent,
     target_eta,
@@ -251,24 +250,22 @@ def exact_bernstein_constant(
 
     For the square loss with centered noise of variance v the conditional
     second moment at a state with prediction gap d is d^2 (d^2 + 4v); for
-    the logistic loss both label outcomes are enumerated.  K is 0 when the
+    the logistic loss the label outcomes of positive probability are
+    enumerated, as one of probability 0 adds nothing.  K is 0 when the
     excess vanishes (the loss gap is then identically zero).
     """
     h = np.asarray(h_values, dtype=float)
-    w = pi.weights
+    per_state = excess_per_state(h, target, loss)
+    excess = float(np.dot(pi.weights, per_state))
     if loss == "square":
-        d = h - target_values(target)
-        excess = float(np.dot(w, d**2))
-        second = float(np.dot(w, d**2 * (d**2 + 4.0 * noise_variance(*noise))))
-    elif loss == "logistic":
-        eta = target_eta(target)
-        star = logistic_target(eta)
-        gap_pos = logistic_loss(h, 1.0) - logistic_loss(star, 1.0)
-        gap_neg = logistic_loss(-h, 1.0) - logistic_loss(-star, 1.0)
-        excess = float(np.dot(w, conditional_excess_logistic(eta, h)))
-        second = float(np.dot(w, eta * gap_pos**2 + (1.0 - eta) * gap_neg**2))
+        second = per_state * (per_state + 4.0 * noise_variance(*noise))
     else:
-        raise ValueError(f"unknown loss {loss!r}")
+        eta = target_eta(target)
+        gap_pos, gap_neg = logistic_gaps(h, eta)
+        # The gap of a label with probability 0 is infinite: mask it.
+        second = (eta * np.where(eta > 0.0, gap_pos, 0.0) ** 2
+                  + (1.0 - eta) * np.where(eta < 1.0, gap_neg, 0.0) ** 2)
+    second = float(np.dot(pi.weights, second))
     if excess <= 0.0:
         return 0.0, max(excess, 0.0)
     return second / excess, excess
@@ -307,13 +304,10 @@ def mc_check_bernstein(
         eps = _draw_noise(rng, *noise, paths.shape)
         # (h-y)^2 - (h*-y)^2 with y = h* + eps collapses to d^2 - 2 d eps.
         gaps = d[paths] ** 2 - 2.0 * d[paths] * eps
-    elif loss == "logistic":
-        eta = target_eta(target)
-        star = logistic_target(eta)
-        labels = np.where(rng.random(paths.shape) < eta[paths], 1.0, -1.0)
-        gaps = logistic_loss(h[paths], labels) - logistic_loss(star[paths], labels)
     else:
-        raise ValueError(f"unknown loss {loss!r}")
+        eta = target_eta(target)
+        gap_pos, gap_neg = logistic_gaps(h, eta)
+        gaps = np.where(rng.random(paths.shape) < eta[paths], gap_pos[paths], gap_neg[paths])
     emp_excess = gaps.mean(axis=1)
     upper, upper_se = _mgf_estimate("bernstein_mgf", lam * (emp_excess - excess))
     lower, lower_se = _mgf_estimate("bernstein_mgf", lam * (excess - emp_excess))

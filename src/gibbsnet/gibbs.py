@@ -276,45 +276,50 @@ def _uniform_blocks(rng: np.random.Generator, iters: int):
         yield rng.random((min(UNIFORM_CHUNK, iters - t), 4))
 
 
+# Every loss's empirical risk over the distinct input rows of a sample, as
+# a.f(h) + b.g(h) + c with h the predictions there and (a, b, c) the
+# coefficients of :func:`_state_tables`: {loss: (f, g)}.
+RISK_TERMS = {
+    "square": (np.square, lambda h: h),
+    "logistic": (lambda h: np.logaddexp(0.0, -h), lambda h: np.logaddexp(0.0, h)),
+}
+
+
 def _state_tables(data: Dataset, loss: str):
     """Collapse the sample onto unique input rows.
 
-    Returns (points, tables): the unique rows, and the per-row sums the
-    empirical risk reads, as (weight, y_mean, y_sq) for the square loss and
-    (pos, neg) for the logistic loss.  Inputs repeat heavily on a finite
-    state space, so the sampler only ever evaluates networks there.
+    Returns (points, (a, b, c)): the unique rows, and the coefficients of
+    the empirical risk a.f(h) + b.g(h) + c of :data:`RISK_TERMS`.  For the
+    square loss a is each row's share of the sample, b is -2/n times the sum
+    of its outputs and c the mean squared output; for the logistic loss a
+    and b are each row's shares of positive and negative labels and c is 0.
+    Inputs repeat heavily on a finite state space, so the sampler only ever
+    evaluates networks there.
     """
+    if loss not in RISK_TERMS:
+        raise ValueError(f"unknown loss {loss!r}")
     points, inverse = np.unique(data.inputs, axis=0, return_inverse=True)
     n = float(len(data))
     m = points.shape[0]
+
+    def share(weights=None):
+        return np.bincount(inverse, weights=weights, minlength=m) / n
+
     if loss == "square":
-        weight = np.bincount(inverse, minlength=m) / n
-        y_mean = np.bincount(inverse, weights=data.outputs, minlength=m) / n
-        return points, (weight, y_mean, float(np.sum(data.outputs**2)) / n)
-    if loss == "logistic":
-        pos = np.bincount(inverse, weights=(data.outputs > 0), minlength=m) / n
-        neg = np.bincount(inverse, weights=(data.outputs < 0), minlength=m) / n
-        return points, (pos, neg)
-    raise ValueError(f"unknown loss {loss!r}")
+        # Scaling by -2, a power of two, is exact.
+        return points, (share(), -2.0 * share(data.outputs),
+                        float(np.sum(data.outputs**2)) / n)
+    return points, (share(data.outputs > 0), share(data.outputs < 0), 0.0)
 
 
 def _per_state_risk(data: Dataset, loss: str):
     """(points, risk_fn) of :func:`_state_tables`: risk_fn maps the vector
     of predictions at the points to the empirical risk."""
-    points, tables = _state_tables(data, loss)
-    if loss == "square":
-        weight, y_mean, y_sq = tables
+    points, (a, b, c) = _state_tables(data, loss)
+    f, g = RISK_TERMS[loss]
 
-        def risk_fn(h):
-            return float(np.dot(weight, h * h) - 2.0 * np.dot(y_mean, h) + y_sq)
-
-    else:
-        pos, neg = tables
-
-        def risk_fn(h):
-            return float(
-                np.dot(pos, np.logaddexp(0.0, -h)) + np.dot(neg, np.logaddexp(0.0, h))
-            )
+    def risk_fn(h):
+        return float(np.dot(a, f(h)) + np.dot(b, g(h)) + c)
 
     return points, risk_fn
 
@@ -323,19 +328,12 @@ def _batch_risk(tables: list, loss: str):
     """risk_fn of stacked predictions (C, m, 1) to the C empirical risks of
     :func:`_per_state_risk`: the per-row dot products are a stacked matmul,
     which takes each one as np.dot does."""
-    rows = [np.stack(column)[:, None, :] for column in list(zip(*tables))[:2]]
-    if loss == "square":
-        weight, y_mean = rows
-        y_sq = np.array([table[2] for table in tables])
+    a, b = (np.stack(column)[:, None, :] for column in list(zip(*tables))[:2])
+    c = np.array([table[2] for table in tables])
+    f, g = RISK_TERMS[loss]
 
-        def risk_fn(h):
-            return ((weight @ (h * h))[:, 0, 0] - 2.0 * (y_mean @ h)[:, 0, 0]) + y_sq
-
-    else:
-        pos, neg = rows
-
-        def risk_fn(h):
-            return (pos @ np.logaddexp(0.0, -h))[:, 0, 0] + (neg @ np.logaddexp(0.0, h))[:, 0, 0]
+    def risk_fn(h):
+        return (a @ f(h))[:, 0, 0] + (b @ g(h))[:, 0, 0] + c
 
     return risk_fn
 

@@ -23,8 +23,8 @@ from .bounds import composition_rate_rhs, oracle_rhs
 from .errors import (REQUIRED, ConfigError, DimensionMismatch, InvalidClass,
                      MismatchedEffectiveSize, NonUniqueStationary, TooFewPoints,
                      ZeroStationaryMass, check_kinded, check_table, check_value)
-from .gibbs import (GIBBS, ClassDef, GibbsConfig, Prior, posterior_predictor, sample_batch,
-                    sample_posterior, temperature)
+from .gibbs import (GIBBS, RISK_TERMS, ClassDef, GibbsConfig, Prior, posterior_predictor,
+                    sample_batch, sample_posterior, temperature)
 from .markov import (
     TransitionKernel,
     pseudo_spectral_gap,
@@ -47,7 +47,7 @@ from .network import param_count
 
 CSV_COLUMNS = ("n", "gamma", "n_eff", "excess_risk", "bound_rhs", "seed", "wall_time")
 
-LOSSES = ("square", "logistic")
+LOSSES = tuple(RISK_TERMS)  # the losses the sampler states a risk for
 
 # Config table schemas, {key: (kind, default)}; see errors.check_value.
 CHAINS = {  # by family

@@ -257,16 +257,6 @@ def pseudo_spectral_gap(
     return best
 
 
-def tv_distance(q1: np.ndarray, q2: np.ndarray) -> float:
-    """Total variation distance, i.e. half the L1 distance between the
-    probability vectors."""
-    a = np.asarray(q1, dtype=float)
-    b = np.asarray(q2, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"length mismatch: {a.shape} vs {b.shape}")
-    return 0.5 * float(np.abs(a - b).sum())
-
-
 def mixing_time(
     kernel: TransitionKernel, pi: StationaryDist, epsilon: float, t_cap: int
 ) -> int:

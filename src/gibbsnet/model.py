@@ -207,22 +207,35 @@ def rate_exponents(beta, t, n_eff: float):
     return beta_star, float(np.max(n_eff ** exponents))
 
 
+def logistic_gaps(score, eta):
+    """(gap_pos, gap_neg): per state, the logistic loss of ``score`` minus
+    that of the log-odds of ``eta``, for a positive and for a negative
+    label.  The gap of a label with probability 0 is infinite."""
+    star = logistic_target(eta)
+    return (logistic_loss(score, 1.0) - logistic_loss(star, 1.0),
+            logistic_loss(score, -1.0) - logistic_loss(star, -1.0))
+
+
+def excess_per_state(h, target: TargetSpec, loss: str) -> np.ndarray:
+    """Conditional excess risk at each state of predicting ``h`` there:
+    (h - h*)^2 for the square loss (the noise cancels), and
+    :func:`conditional_excess_logistic` for the logistic loss."""
+    if loss == "square":
+        return (h - target_values(target)) ** 2
+    if loss == "logistic":
+        return conditional_excess_logistic(target_eta(target), h)
+    raise ValueError(f"unknown loss {loss!r}")
+
+
 def excess_risk_mc(predictor, target: TargetSpec, pi: StationaryDist, loss: str) -> float:
     """Excess risk R(h) - R(h*) under the stationary input law.
 
     With finite states and a known conditional law the value is exact: the
-    stationary-weighted sum of per-state conditional expectations (for the
-    square loss the noise cancels and the excess is the pi-weighted squared
-    distance to the target).
+    stationary-weighted sum of the per-state conditional excess risks of
+    :func:`excess_per_state`.
     """
     h = np.asarray(predictor(target.points), dtype=float).reshape(-1)
-    if loss == "square":
-        per_state = (h - target_values(target)) ** 2
-    elif loss == "logistic":
-        per_state = conditional_excess_logistic(target_eta(target), h)
-    else:
-        raise ValueError(f"unknown loss {loss!r}")
-    return float(np.dot(pi.weights, per_state))
+    return float(np.dot(pi.weights, excess_per_state(h, target, loss)))
 
 
 def noise_variance(family: str, scale: float) -> float:

@@ -314,10 +314,3 @@ def frame_views(frames: np.ndarray, depth: int, width: int, in_cols: int):
                       blocks[:, layer, width, :, :rows], cols))
     return views
 
-
-def embed_to_max(net: SparseNetwork, depth: int, width: int) -> np.ndarray:
-    """Zero-padded embedding of the flat parameter vector into the padded
-    (depth, width) frame, through :func:`frame_slots`."""
-    frame = np.zeros(max_param_count(depth, width))
-    frame[frame_slots(net.arch, depth, width)] = net.theta
-    return frame

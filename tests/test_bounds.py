@@ -25,7 +25,12 @@ from gibbsnet.markov import (
     stationary_distribution,
     two_source_kernel,
 )
-from gibbsnet.model import holder_target, noise_variance, target_values
+from gibbsnet.model import (
+    holder_target,
+    logistic_link_target,
+    noise_variance,
+    target_values,
+)
 from gibbsnet.network import Architecture, SparseNetwork
 
 
@@ -231,7 +236,38 @@ class TestExactBernsteinConstant:
         assert k == 0.0 and excess == 0.0
 
 
+    @pytest.mark.parametrize("eta", [[0.0, 0.3, 1.0, 0.8], [1.0, 1.0, 0.0, 0.5]])
+    def test_logistic_degenerate_link_enumeration(self, eta):
+        # Oracle: enumerate the (state, label) outcomes of positive
+        # probability; a label that never occurs adds nothing.
+        kernel = two_source_kernel(0.3, states=4)
+        pi = stationary_distribution(kernel)
+        target = logistic_link_target(eta)
+        h = np.array([0.4, -0.7, 1.1, 0.2])
+        excess = second = 0.0
+        for s, (p_pos, score) in enumerate(zip(eta, h)):
+            star = math.inf if p_pos == 1.0 else -math.inf if p_pos == 0.0 else math.log(
+                p_pos / (1.0 - p_pos))
+            for label, p_label in ((1.0, p_pos), (-1.0, 1.0 - p_pos)):
+                if p_label > 0.0:
+                    gap = math.log1p(math.exp(-label * score)) - math.log1p(
+                        math.exp(-label * star))
+                    excess += pi.weights[s] * p_label * gap
+                    second += pi.weights[s] * p_label * gap**2
+        k, got = exact_bernstein_constant(h, target, pi, "logistic")
+        assert math.isfinite(k)
+        assert got == pytest.approx(excess, rel=1e-12)
+        assert k == pytest.approx(second / excess, rel=1e-12)
+
+
 class TestMcCheckBernstein:
+    def test_unknown_loss_rejected(self):
+        kernel = two_source_kernel(0.5)
+        pi = stationary_distribution(kernel)
+        with pytest.raises(ValueError, match="'hinge'"):
+            mc_check_bernstein(affine_net(0.6, -0.2), holder_target(beta=1.0, m=2), kernel, pi,
+                               "hinge", lam=1.0, n=50, replications=20, seed=0)
+
     def test_exact_target_degenerate(self):
         # The grid target is constant on two states, so a bias-only net
         # reproduces it exactly: both moments are exactly 1, rhs is 1.

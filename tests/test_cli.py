@@ -200,6 +200,7 @@ def run(tmp_path, command, doc):
         ("gap", {"chain": NON_SQUARE}),
         ("sweep", {**SWEEP, "chain": NON_SQUARE}),
         ("bounds", {"checks": [{**BERNSTEIN, "network": {**NETWORK, "widths": [2, 1]}}]}),
+        ("bounds", {"checks": [{**BERNSTEIN, "loss": "hinge"}]}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -231,7 +232,7 @@ def run(tmp_path, command, doc):
         "bounds-chain-mgf-overflowing-estimate", "bounds-bernstein-overflowing-estimate",
         "bounds-kl-card-above-n-max", "bounds-kl-zero-eta", "bounds-kl-negative-eta",
         "bounds-kl-eta-minus-one", "gap-non-square-chain", "sweep-non-square-chain",
-        "bounds-bernstein-network-input-mismatch",
+        "bounds-bernstein-network-input-mismatch", "bounds-bernstein-unknown-loss",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -515,6 +516,17 @@ def test_bounds_golden_report(tmp_path):
     assert run(tmp_path, "bounds", GOLDEN_BOUNDS) == 0
     golden = Path(__file__).parent / "data" / "golden_bounds.json"
     assert (tmp_path / "bounds.json").read_bytes() == golden.read_bytes()
+
+
+def test_bounds_degenerate_link_is_finite(tmp_path):
+    # A link table with eta = 1 at a state: the negative label never occurs
+    # there, so its infinite loss gap adds nothing to the constant.
+    doc = {"checks": [{**BERNSTEIN, "chain": {"family": "two_source", "p": 0.5, "states": 2},
+                       "target": {"kind": "logistic_link", "eta": [0.2, 1.0]},
+                       "loss": "logistic", "replications": 200}]}
+    assert run(tmp_path, "bounds", doc) == 0
+    (report,) = json.loads((tmp_path / "bounds.json").read_text(), parse_constant=_reject_constant)
+    assert math.isfinite(report["params"]["k_exact"]) and math.isfinite(report["rhs_value"])
 
 
 def test_bounds_overflowing_rhs_reports_inf(tmp_path):

@@ -25,6 +25,7 @@ from gibbsnet.gibbs import (
     Prior,
     log_prior,
     posterior_predictor,
+    sample_batch,
     sample_posterior,
     temperature,
 )
@@ -159,6 +160,17 @@ class TestSamplerBasics:
         )
         with pytest.raises(EmptyDataset):
             sample_posterior(data, "square", tiny_classdef(), cfg)
+
+    def test_unknown_loss_rejected(self):
+        data, _, _ = tiny_regression_data()
+        cfg = GibbsConfig(
+            support_decay=2.0, weight_bound=1.0, output_clip=5.0, temperature=1.0,
+            iters=100, burn_in=10,
+        )
+        with pytest.raises(ValueError, match="'hinge'"):
+            sample_posterior(data, "hinge", tiny_classdef(), cfg)
+        with pytest.raises(ValueError, match="'hinge'"):
+            sample_batch([data, data], "hinge", [tiny_classdef()] * 2, [cfg] * 2)
 
     def test_invalid_class_rejected(self):
         with pytest.raises(InvalidClass):

@@ -15,6 +15,7 @@ import pytest
 from gibbsnet.cli import main
 from gibbsnet.errors import (
     DimensionMismatch,
+    EigenFailure,
     NonUniqueStationary,
     NotMixedWithinCap,
     UnvisitedState,
@@ -33,9 +34,18 @@ from gibbsnet.markov import (
     stationary_distribution,
     stream,
     time_reversal,
-    tv_distance,
     two_source_kernel,
 )
+
+
+def tv_distance(q1, q2):
+    """Total variation distance between two probability vectors, as half
+    their L1 distance: the oracle of the mixing-time tests."""
+    a = np.asarray(q1, dtype=float)
+    b = np.asarray(q2, dtype=float)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"length mismatch: {a.shape} vs {b.shape}")
+    return 0.5 * float(np.abs(a - b).sum())
 
 
 def symmetric_two_state(p):
@@ -96,6 +106,33 @@ class TestStationaryDistribution:
         pi = stationary_distribution(kernel)
         np.testing.assert_allclose(pi.weights, power[0], atol=1e-8)
         assert np.max(np.abs(pi.weights @ kernel.probs - pi.weights)) <= 1e-10
+
+    @staticmethod
+    def spoil_eigenvectors(monkeypatch):
+        # Keep the eigenvalues, but hand back the point mass on state 0 for
+        # every eigenvector, which fails the pi P = pi check.
+        eig = np.linalg.eig
+
+        def spoiled(a):
+            values, vectors = eig(a)
+            return values, np.eye(len(a))[:, [0] * len(a)]
+
+        monkeypatch.setattr(np.linalg, "eig", spoiled)
+
+    def test_power_iteration_fallback(self, monkeypatch):
+        kernel = random_positive_kernel(4, seed=13)
+        self.spoil_eigenvectors(monkeypatch)
+        pi = stationary_distribution(kernel)
+        assert np.max(np.abs(pi.weights @ kernel.probs - pi.weights)) <= 1e-10
+
+    def test_power_iteration_fallback_oscillates(self, monkeypatch):
+        # Period 2: the uniform start alternates between (1/3, 1/3, 1/3) and
+        # (1/6, 2/3, 1/6) and never settles.
+        kernel = TransitionKernel(states=3, probs=np.array(
+            [[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]))
+        self.spoil_eigenvectors(monkeypatch)
+        with pytest.raises(EigenFailure):
+            stationary_distribution(kernel)
 
 
 class TestTimeReversal:

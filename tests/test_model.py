@@ -235,6 +235,11 @@ class TestExcessRisk:
         )
         assert excess == pytest.approx(oracle, abs=1e-12)
 
+    def test_unknown_loss_rejected(self):
+        pi = stationary_distribution(two_source_kernel(0.5))
+        with pytest.raises(ValueError, match="'hinge'"):
+            excess_risk_mc(lambda x: np.zeros(len(x)), holder_target(beta=1.0, m=2), pi, "hinge")
+
     def test_mc_fallback_agrees_with_exact(self):
         # Monte Carlo oracle: the per-state excess averaged along a long
         # stationary trajectory converges to the exact pi-weighted sum.

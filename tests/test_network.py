@@ -9,7 +9,6 @@ from gibbsnet.network import (
     Architecture,
     SparseNetwork,
     compose_views,
-    embed_to_max,
     forward,
     frame_slots,
     frame_views,
@@ -44,6 +43,14 @@ def max_frame_slot(width_frame, layer, row, col):
     if col is None:
         return base + width_frame * width_frame + row
     return base + col * width_frame + row
+
+
+def embed_to_max(net, depth, width):
+    """Zero-padded embedding of a network's flat parameter vector into the
+    padded (depth, width) frame, through ``frame_slots``."""
+    frame = np.zeros(max_param_count(depth, width))
+    frame[frame_slots(net.arch, depth, width)] = net.theta
+    return frame
 
 
 def zero_net(net):
