@@ -258,14 +258,6 @@ def _reflect(value: float, bound: float) -> float:
     return y - bound
 
 
-def _reflect_array(value: np.ndarray, bound: np.ndarray) -> np.ndarray:
-    """:func:`_reflect` elementwise, in the same float operations."""
-    period = 4.0 * bound
-    y = (value + bound) % period
-    y = np.where(y > 2.0 * bound, period - y, y)
-    return y - bound
-
-
 def _uniform_blocks(rng: np.random.Generator, iters: int):
     """The sampler's uniforms on [0, 1) as blocks: the (1, 1) start block
     [u], then (steps, 4) blocks with one (move, index, value, accept) row
@@ -333,7 +325,7 @@ def _batch_risk(tables: list, loss: str):
     f, g = RISK_TERMS[loss]
 
     def risk_fn(h):
-        return (a @ f(h))[:, 0, 0] + (b @ g(h))[:, 0, 0] + c
+        return (a @ f(h) + b @ g(h))[:, 0, 0] + c
 
     return risk_fn
 
@@ -477,11 +469,12 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     coordinate sample_posterior picks; a kept draw is read back through the
     slot map.  The forward pass is :func:`compose_views` on views of the
     state bound once, and the risk takes np.dot's per-row dot products: no
-    chain's floats depend on its batch-mates.  The chains must share depth,
-    activation, the number of distinct input rows, iters, burn_in and thin;
-    otherwise ValueError.  On the sweep benchmark's cells it is level with
-    sample_posterior at about four chains, 2x faster at ten, 7x at fifty
-    and 4x slower at one.
+    chain's floats depend on its batch-mates.  What a step reads from its
+    uniforms alone comes from (steps, C) arrays built once per block of
+    them.  The chains must share depth, activation, the number of distinct
+    input rows, iters, burn_in and thin; otherwise ValueError.  On the sweep
+    benchmark's cells it is level with sample_posterior at about three
+    chains, 2.5x faster at ten, 7x at fifty and 3x slower at one.
     """
     setups = [_chain_setup(*chain) for chain in zip(datas, classdefs, cfgs)]
     states = [_state_tables(data, loss) for data in datas]
@@ -522,17 +515,19 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     slots += offsets[:, None]
     views = frame_views(theta, depth, width, in_cols)
     act_fn = ACTIVATIONS[activation].fn
-    clip = np.array([classdef.output_clip for classdef in classdefs])[:, None, None]
+    # (C, m, 1) clip bounds, the outputs' shape: numpy serves it faster than a broadcast.
+    clip = np.repeat(np.array([cd.output_clip for cd in classdefs])[:, None, None], m, axis=1)
+    clip_bounds = (-clip, clip)
+    period = 4.0 * slab
     risk_fn = _batch_risk([tables for _, tables in states], loss)
     flat_theta, flat_active = theta.reshape(-1), active.reshape(-1)
 
     def risk_of():
-        return risk_fn(compose_views(views, inputs, act_fn, clip))
+        return risk_fn(compose_views(views, inputs, act_fn, clip_bounds))
 
     blocks = [_uniform_blocks(stream(cfg.seed, "sampler"), iters) for cfg in cfgs]
     start = np.array([next(chain_blocks)[0, 0] for chain_blocks in blocks])
     flat_active[slots[chain, (start * n_coords).astype(np.int64)]] = True
-    support = np.ones(n_chains, dtype=np.int64)
     risk = risk_of()
 
     n_keep = cfgs[0].n_keep
@@ -543,45 +538,51 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     accepted = np.zeros((3, n_chains), dtype=np.int64)
     it = kept = 0
     for chunk in zip(*blocks):
-        # (steps, C) per uniform, and what each step's move reads from it.
+        # (steps, C) per uniform, and every array of a step that reads no
+        # chain state: what each step's move takes from its uniforms.
         u_move, u_index, u_value, u_accept = np.stack(chunk, axis=2).transpose(1, 0, 2)
         add = u_move < p_add
         remove = ~add & (u_move < p_jump)
         perturb = ~(add | remove)
-        # A move is feasible when lowest <= support <= highest: an add below
-        # the cap, a remove above one coordinate, a jump only with jumps on.
-        lowest = np.where(perturb | jumps, np.where(remove, 2, 0), n_max + 1)
-        highest = np.where(add, cap - 1, n_max)
-        change = add.astype(np.int64) - remove
+        jump = ~perturb
+        # A move is feasible when its pool holds more than floor coordinates:
+        # an add's n_coords - support while support < cap, a remove's support
+        # while above one, a jump only with jumps on (no pool exceeds n_max).
+        floor = np.where(perturb, 0, np.where(jumps, np.where(add, n_coords - cap, 1), n_max))
         log_ratio = np.where(add, log_add, np.where(remove, log_remove, 0.0))
-        added = slab * (2.0 * u_value - 1.0)
+        jump_value = np.where(add, slab * (2.0 * u_value - 1.0), 0.0)
         shift = step * (2.0 * u_value - 1.0)
         took = np.empty(u_move.shape, dtype=bool)
-        for t in range(len(u_move)):
-            feasible = (lowest[t] <= support) & (support <= highest[t])
-            counts = (active ^ (realisable & add[t][:, None])).cumsum(axis=1)
-            pick = (u_index[t] * counts[:, -1]).astype(np.int64)
-            j = (counts > pick[:, None]).argmax(axis=1)
-            slot = offsets + j
+        rows = zip(add[:, :, None], u_index, floor, jump, jump_value, shift, log_ratio, u_accept,
+                   took)
+        for add_t, u_index_t, floor_t, jump_t, value_t, shift_t, ratio_t, u_t, take in rows:
+            counts = (active ^ (realisable & add_t)).cumsum(axis=1)
+            pool_size = counts[:, -1]
+            feasible = pool_size > floor_t
+            pick = (u_index_t * pool_size).astype(np.int64)
+            slot = offsets + (counts > pick[:, None]).argmax(axis=1)
             old = flat_theta[slot]
-            new = np.where(add[t], added[t],
-                           np.where(remove[t], 0.0, _reflect_array(old + shift[t], slab)))
+            # :func:`_reflect` of old + shift in its float operations: where
+            # y <= 2 slab, period - y >= 2 slab >= y, and where y > 2 slab,
+            # period - y <= 2 slab < y, rounded too (4 slab - 2 slab is exact).
+            y = (old + shift_t + slab) % period
+            new = np.where(jump_t, value_t, np.minimum(y, period - y) - slab)
             flat_theta[slot] = new
             new_risk = risk_of()
-            log_accept = np.fmin(0.0, neg_lam * (new_risk - risk) + log_ratio[t])
-            bar = np.exp(log_accept)
-            take = u_accept[t] < bar
+            log_accept = np.fmin(0.0, neg_lam * (new_risk - risk) + ratio_t)
+            gap = u_t - np.exp(log_accept)
+            np.less(gap, 0.0, out=take)  # u < bar: a difference of floats keeps its sign
             # np.exp may differ from math.exp by an ulp or so: settle every
             # accept uniform within 1e-15 of the bar with math.exp, as
             # sample_posterior does.
-            for c in np.flatnonzero(np.abs(u_accept[t] - bar) <= 1e-15):
-                take[c] = u_accept[t, c] < math.exp(log_accept[c])
+            near = np.abs(gap) <= 1e-15
+            if np.count_nonzero(near):
+                for c in np.flatnonzero(near):
+                    take[c] = u_t[c] < math.exp(log_accept[c])
             take &= feasible
             flat_theta[slot] = np.where(take, new, old)
-            flat_active[slot] ^= take & ~perturb[t]
-            support += take * change[t]
-            risk = np.where(take, new_risk, risk)
-            took[t] = take
+            flat_active[slot] ^= take & jump_t
+            np.copyto(risk, new_risk, where=take)
             if it >= burn_in and (it - burn_in) % thin == 0:
                 thetas[:, kept] = flat_theta[slots]
                 actives[:, kept] = flat_active[slots]

@@ -305,6 +305,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
         if self.loss == "logistic" and self.target["kind"] != "logistic_link":
             raise ConfigError("the logistic loss needs a logistic_link target")
+        if self.loss == "square" and not all(0.0 < e < 1.0 for e in self.target.get("eta", [])):
+            raise ConfigError("the square loss fits the log-odds of eta, so eta must lie in (0, 1)")
         if self.classdef["rule"] == "holder" and self.target["kind"] != "holder":
             raise ConfigError("the holder rule needs a holder target")
         if self.predictor not in ("single_draw", "average"):

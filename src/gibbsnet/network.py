@@ -173,7 +173,8 @@ def compose_views(views, x: np.ndarray, act_fn, clip):
     """The affine/activation composition of the bound :func:`layer_views`
     (or of a stack's :func:`frame_views`, with a leading chain axis on
     ``x`` and on an array ``clip``) at the batch ``x``, then a clip to
-    [-clip, clip] unless ``clip`` is None.  It is the one forward kernel.
+    [-clip, clip] unless ``clip`` is None (or given as the pair (-clip,
+    clip), negated once by a caller).  It is the one forward kernel.
 
     Each layer sums its weight-column products left to right, then adds its
     bias.  That order is fixed, so a width-padded copy of the network (see
@@ -191,13 +192,16 @@ def compose_views(views, x: np.ndarray, act_fn, clip):
         if cols == 1:
             z = a * weights
         else:
-            terms = (weights * a.swapaxes(-1, -2)[..., None]).swapaxes(0, -3)
+            terms = np.multiply(weights, a.swapaxes(-1, -2).swapaxes(0, -2)[..., None], order="C")
             z = terms[0]
             for k in range(1, cols):
                 z = z + terms[k]
         z = z + bias
         a = act_fn(z) if idx < last else z
-    return a if clip is None else np.minimum(np.maximum(a, -clip, out=a), clip, out=a)
+    if clip is None:
+        return a
+    low, high = clip if isinstance(clip, tuple) else (-clip, clip)
+    return np.minimum(np.maximum(a, low, out=a), high, out=a)
 
 
 def forward(
@@ -298,19 +302,21 @@ def frame_slots(arch: Architecture, depth: int, width: int) -> np.ndarray:
 def frame_views(frames: np.ndarray, depth: int, width: int, in_cols: int):
     """:func:`layer_views` of a stack of padded (depth, width) frames (see
     :func:`frame_slots`), the (C, max_param_count(depth, width)) array
-    ``frames`` with one network a row: per layer (weights, bias, cols) with
-    a leading chain axis, views that follow ``frames`` in place.  The first
-    layer reads ``in_cols`` input columns and the last one output row, so
-    :func:`compose_views` of them at stacked (C, m, in_cols) inputs, zero
-    past each network's own input columns, gives the (C, m, 1) outputs,
-    each row the floats of that network's own compose_views."""
+    ``frames`` with one network a row: per layer (weights, bias, cols), views
+    that follow ``frames`` in place, with a leading chain axis (after the
+    column axis on a wider layer's weights, so products come out contiguous
+    per column).  The first layer reads ``in_cols`` input columns and the
+    last one output row, so :func:`compose_views` of them at stacked
+    (C, m, in_cols) inputs, zero past each network's own input columns,
+    gives the (C, m, 1) outputs, each row the floats of that network's own
+    compose_views."""
     blocks = frames.reshape(len(frames), depth + 1, width + 1, 1, width)
     views = []
     for layer in range(depth + 1):
         cols = in_cols if layer == 0 else width
         rows = width if layer < depth else 1
         weights = blocks[:, layer, :cols, :, :rows]
-        views.append((weights[:, 0] if cols == 1 else weights,
+        views.append((weights[:, 0] if cols == 1 else weights.swapaxes(0, 1),
                       blocks[:, layer, width, :, :rows], cols))
     return views
 

@@ -652,3 +652,18 @@ def test_mutated_configs_never_traceback(case):
             doc["csv"] = str(Path(out) / "sweep.csv")
             Path(doc["csv"]).write_text(csv_text)
         assert run(Path(out), command, doc) in (0, 2, 3)
+
+
+
+@pytest.mark.parametrize("command, base", [("sample", SAMPLE), ("sweep", SWEEP),
+                                           ("effsample", EFFSAMPLE)],
+                         ids=["sample", "sweep", "effsample"])
+@pytest.mark.parametrize("eta, code", [([0.2, 1.0], 2), ([0.0, 0.6], 2), ([0.2, 0.9], 0)],
+                         ids=["eta-one", "eta-zero", "eta-inside"])
+def test_square_loss_needs_eta_inside_unit_interval(tmp_path, capsys, command, base, eta, code):
+    # The square loss fits the target's log-odds, infinite where eta is 0 or
+    # 1, so every risk would be NaN; a table inside (0, 1) runs.
+    chain = {"family": "two_source", "p": 0.5, "states": 2}
+    doc = {**base, "chain": chain, "target": {"kind": "logistic_link", "eta": eta}}
+    assert run(tmp_path, command, doc) == code
+    assert ("eta" in capsys.readouterr().err) == (code == 2)

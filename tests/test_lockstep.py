@@ -124,3 +124,14 @@ def test_wide_flat_layout_matches_replay(cap):
     assert draws.prior.n_coords == 128 and draws.prior.cap == cap
     assert draws.support_sizes.max() > 30 if cap > 1 else draws.support_sizes.max() == 1
     assert_same_chain(draws, *replay_sampler(data, "square", classdef, cfg))
+
+
+def test_wide_frame_batch_matches_replay():
+    # Both wide chains as one batch: 127 * 128 = 16 256 frame slots a chain,
+    # supports past 30 on one, every add infeasible at cap 1 on the other.
+    cases = [wide_case(128), wide_case(1)]
+    datas, classdefs, cfgs = zip(*cases)
+    batch = sample_batch(datas, "square", classdefs, cfgs)
+    assert batch[0].support_sizes.max() > 30 and batch[1].support_sizes.max() == 1
+    for draws, (data, classdef, cfg) in zip(batch, cases):
+        assert_same_chain(draws, *replay_sampler(data, "square", classdef, cfg))

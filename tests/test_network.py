@@ -460,6 +460,11 @@ class TestFrameSlots:
         assert np.any(np.abs(stacked) == clips[:, None, None])
         for c, want in enumerate(own):
             np.testing.assert_array_equal(stacked[c], want)
+        # The clip given as its (low, high) pair, as the lockstep sampler does.
+        bound = np.repeat(clips[:, None, None], 40, axis=1)
+        np.testing.assert_array_equal(
+            compose_views(frame_views(frames, depth, width, in_cols), x, act_fn, (-bound, bound)),
+            stacked)
 
 
 class TestSerialization:
