@@ -187,8 +187,8 @@ def cmd_bounds(doc: dict, args) -> int:
                         f"dimension {shape[0]} to one output, got {list(net.arch.widths)}"
                     )
                 reports.append(mc_check_bernstein(
-                    net, target, kernel, pi,
-                    lam=table.pop("lambda"), noise=check_noise(table.pop("noise")), **table,
+                    net, target, kernel, pi, lam=table.pop("lambda"),
+                    noise=check_noise(table.pop("noise"), table["n"]), **table,
                 ))
         except (ValueError, IndexError, ZeroStationaryMass) as exc:
             raise ConfigError(f"{kind} check: {exc}") from exc

@@ -135,14 +135,16 @@ def solve_chain(spec: dict, k_max: int, p_override: float | None = None):
     return kernel, pi, gap
 
 
-def check_noise(noise) -> tuple:
-    """A config's ``[family, scale]`` noise entry as a tuple; an unknown
-    family or a negative scale raises ConfigError."""
+def check_noise(noise, n: int) -> tuple:
+    """A config's ``[family, scale]`` noise entry for samples of up to ``n``
+    points as a tuple; an unknown family, a negative scale, or one at which
+    a sum of n squared outputs may overflow (64 n scale^2 not finite, room
+    for draws of up to 8 scales) raises ConfigError."""
     family, scale = check_value(noise, NOISE, "noise")
-    if family not in NOISE_FAMILIES or scale < 0:
+    if family not in NOISE_FAMILIES or scale < 0 or not math.isfinite(64.0 * n * scale * scale):
         raise ConfigError(
-            f"noise must be [family, scale >= 0] with family in {NOISE_FAMILIES}, "
-            f"got {list(noise)}"
+            f"noise must be [family, scale >= 0] with family in {NOISE_FAMILIES} and "
+            f"64 n scale^2 finite at n = {n}, got {list(noise)}"
         )
     return family, scale
 
@@ -287,10 +289,10 @@ class ExperimentConfig:
         self.chain = check_kinded(self.chain, "chain", "family", CHAINS)
         self.classdef = check_table(self.classdef, "classdef", CLASSDEF)
         self.gibbs = check_table(self.gibbs, "gibbs", GIBBS)
-        self.noise = check_noise(self.noise)
         grid = self.n_grid
         if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be nonempty, positive and strictly increasing")
+        self.noise = check_noise(self.noise, grid[-1])
         if self.p_grid == ():
             raise ConfigError("p_grid must be nonempty when given")
         if self.replications < 1 or self.k_max < 1 or self.bernstein_k <= 0:
@@ -484,12 +486,14 @@ def run_rate_sweep(cfg: ExperimentConfig, csv_path=None) -> SweepResult:
 def theory_exponent(cfg: ExperimentConfig) -> float | None:
     """Rate exponent the sweep is probing (see
     :func:`gibbsnet.model.rate_exponent`) for a smooth target, a
-    ``holder`` target being the one-stage composition; None otherwise."""
+    ``holder`` target being the one-stage composition; None otherwise.
+    The states lie on the diagonal (:func:`gibbsnet.model.state_grid`),
+    where each stage reads one scalar, so every stage's active dimension is 1."""
     kind = cfg.target["kind"]
     if kind not in ("holder", "composition"):
         return None
     stages = _holder_stage(cfg.target) if kind == "holder" else cfg.target
-    return rate_exponent(stages["betas"], stages["active_coords"])
+    return rate_exponent(stages["betas"], [1] * len(stages["betas"]))
 
 
 def fit_rate_slope(result: SweepResult) -> tuple[float, float]:

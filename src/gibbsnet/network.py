@@ -258,6 +258,19 @@ def lipschitz_parameter_bound(
     )
 
 
+def output_bound(arch: Architecture, weight_bound: float, input_bound: float,
+                 activation: str) -> float:
+    """Bound on |pre-clip output| of ``arch`` with every coordinate in [-B, B]
+    (B = ``weight_bound``) at inputs with |x| <= A = ``input_bound``: per
+    layer of ``cols`` inputs Z = B (cols A + 1), then A = Z after a ReLU and
+    1 after a sigmoid; each Z gains 1e-9 of itself, above float rounding."""
+    bound = input_bound
+    for _, _, (_, cols) in layer_slices(arch):
+        z = weight_bound * (cols * bound + 1.0) * (1.0 + 1e-9)
+        bound = {"relu": z, "sigmoid": 1.0}[activation]
+    return z
+
+
 def param_distance(net1: SparseNetwork, net2: SparseNetwork) -> float:
     """Distance between parameter vectors in the layerwise class norm: max
     over layers of the weight matrix's maximum row sum and the bias

@@ -32,8 +32,15 @@ SAMPLE = {
 
 
 # Fixed-seed `sample` runs, each compared with tests/data/golden_sample_<name>.jsonl;
-# CI's entry-point step also runs "logistic" through the installed script.
+# CI's entry-point step also runs each through the installed script.  On
+# "idle_clip" (depth 0, slab 1, inputs below 1) no output reaches the clip
+# of 5, so the sampler skips it; "rule_temperature" has a clip that binds.
 GOLDEN_SAMPLES = {
+    "idle_clip": {
+        **SAMPLE,
+        "gibbs": {"iters": 600, "burn_in": 100, "thin": 5, "temperature": 2.0},
+        "seed": 19,
+    },
     "rule_temperature": {
         **SAMPLE,
         "n": 300,
@@ -201,6 +208,7 @@ def run(tmp_path, command, doc):
         ("sweep", {**SWEEP, "chain": NON_SQUARE}),
         ("bounds", {"checks": [{**BERNSTEIN, "network": {**NETWORK, "widths": [2, 1]}}]}),
         ("bounds", {"checks": [{**BERNSTEIN, "loss": "hinge"}]}),
+        ("bounds", {"checks": [{**BERNSTEIN, "noise": ["gaussian", 1e160]}]}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -233,6 +241,7 @@ def run(tmp_path, command, doc):
         "bounds-kl-card-above-n-max", "bounds-kl-zero-eta", "bounds-kl-negative-eta",
         "bounds-kl-eta-minus-one", "gap-non-square-chain", "sweep-non-square-chain",
         "bounds-bernstein-network-input-mismatch", "bounds-bernstein-unknown-loss",
+        "bounds-bernstein-overflowing-noise-scale",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -257,6 +266,22 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, suffix, number):
         path.write_text(f'{{"chain": {json.dumps(CHAIN)}, "n": {number}}}')
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command, base", [("sample", SAMPLE), ("sweep", SWEEP)])
+@pytest.mark.parametrize("noise", [["gaussian", 1e160], ["gaussian", 1e308],
+                                   ["uniform", 1e160], ["uniform", 1e308]])
+def test_overflowing_noise_scale_exits_2(tmp_path, capsys, command, base, noise):
+    # Squared outputs of such a scale overflow, so every risk would be inf
+    # and every move accepted on a NaN: rejected before any row or draw.
+    assert run(tmp_path, command, {**base, "noise": noise}) == 2
+    assert capsys.readouterr().err.startswith("config error: noise")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command, base", [("sample", SAMPLE), ("sweep", SWEEP)])
+def test_large_noise_scale_runs(tmp_path, command, base):
+    assert run(tmp_path, command, {**base, "noise": ["gaussian", 1e3]}) == 0
 
 
 # Valid bases for the typed-number test below, one per table shape.

@@ -16,7 +16,7 @@ from oracle_gibbs import (
     tv_between_tables,
 )
 
-from gibbsnet import gibbs, markov
+from gibbsnet import gibbs, markov, network
 from gibbsnet.errors import EmptyDataset, InvalidClass, NoDraws, OutOfSupport
 from gibbsnet.gibbs import (
     ClassDef,
@@ -326,6 +326,62 @@ class TestDrawContract:
         assert np.all(draws.thetas[~draws.actives] == 0.0)
         for i in range(len(draws)):
             draws.network(i)  # constructor re-checks the invariants
+
+
+def recorded_clips(monkeypatch):
+    """The clip argument of every forward pass ``sample_posterior`` makes."""
+    clips = []
+
+    def recording(views, x, act_fn, clip):
+        clips.append(clip)
+        return network.compose_views(views, x, act_fn, clip)
+
+    monkeypatch.setattr(gibbs, "compose_views", recording)
+    return clips
+
+
+def assert_replays(draws, data, loss, classdef, cfg):
+    thetas, actives, log_scores, rates = replay_sampler(data, loss, classdef, cfg)
+    assert np.array_equal(draws.thetas, thetas)
+    assert np.array_equal(draws.actives, actives)
+    assert np.array_equal(draws.log_scores, log_scores)
+    assert draws.acceptance_rates == rates
+
+
+class TestIdleClip:
+    """``sample_posterior`` skips the output clip only where the class's
+    output bound proves it idle; the draw-contract replay always clips."""
+
+    # Slab 0.5 and width 2 keep every pre-clip output at inputs in [0, 1]
+    # below 2: at most 1.9375 for ReLU at depth 2, 1.5 after a sigmoid layer.
+    @pytest.mark.parametrize("loss", ["square", "logistic"])
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_idle_clip_is_skipped_bit_for_bit(self, monkeypatch, loss, activation, depth):
+        data = tiny_regression_data(seed=depth)[0] if loss == "square" else logistic_data()
+        classdef = ClassDef(depth=depth, width=2, sparsity=6, weight_bound=0.5, output_clip=2.0,
+                            activation=activation)
+        cfg = GibbsConfig(support_decay=2.0, weight_bound=0.5, output_clip=2.0, temperature=10.0,
+                          step=0.2, iters=1500, burn_in=300, thin=3, seed=10 + depth)
+        clips = recorded_clips(monkeypatch)
+        draws = sample_posterior(data, loss, classdef, cfg)
+        assert clips and all(clip is None for clip in clips)
+        assert_replays(draws, data, loss, classdef, cfg)
+
+    # Depth 0, slab 1, inputs 0.25 and 0.75: outputs reach 1.75 exactly at
+    # the corner (1, 1), so a clip of 1.75 stays on, and one of 1.2 binds.
+    @pytest.mark.parametrize("clip", [1.75, 1.2], ids=["clip-at-exact-bound", "binding-clip"])
+    def test_clip_kept_where_a_network_reaches_it(self, monkeypatch, clip):
+        data = tiny_regression_data(seed=3)[0]
+        classdef = ClassDef(depth=0, width=1, sparsity=2, weight_bound=1.0, output_clip=clip)
+        cfg = GibbsConfig(support_decay=2.0, weight_bound=1.0, output_clip=clip, temperature=1.0,
+                          step=0.5, iters=3000, burn_in=500, seed=4)
+        clips = recorded_clips(monkeypatch)
+        draws = sample_posterior(data, "square", classdef, cfg)
+        assert clips and all(c is not None for c in clips)
+        assert_replays(draws, data, "square", classdef, cfg)
+        if clip < 1.75:
+            assert np.max(0.75 * draws.thetas[:, 0] + draws.thetas[:, 1]) > clip
 
 
 class TestPriorSampling:

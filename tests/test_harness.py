@@ -409,8 +409,19 @@ class TestBuilders:
             chain={"family": "two_source", "p": 0.5},
             n_grid=[100],
         )
-        # beta* = (0.5, 0.5) on t = (1, 2): exponents -1/2 and -1/3.
-        assert theory_exponent(config) == pytest.approx(-1.0 / 3.0)
+        # beta* = (0.5, 0.5); on the diagonal states every stage reads one
+        # scalar, so t = (1, 1) whatever active_coords says: both exponents -1/2.
+        assert theory_exponent(config) == pytest.approx(-0.5)
+
+    def test_theory_exponent_holder_on_diagonal(self):
+        # A dim-3 holder target on diagonal states is a function of one
+        # scalar: -2 beta / (2 beta + 1), not -2 beta / (2 beta + 3).
+        config = ExperimentConfig(
+            target={"kind": "holder", "beta": 2.0, "dim": 3},
+            chain={"family": "two_source", "p": 0.5},
+            n_grid=[100],
+        )
+        assert theory_exponent(config) == pytest.approx(-4.0 / 5.0)
 
     def test_holder_rule_bound_is_one_stage_composition(self):
         config = ExperimentConfig(

@@ -17,6 +17,7 @@ from gibbsnet.network import (
     layer_views,
     lipschitz_parameter_bound,
     max_param_count,
+    output_bound,
     param_count,
     param_distance,
 )
@@ -213,6 +214,37 @@ class TestLipschitzParameterBound:
             for b in (0.5, 1.0, 2.0, 4.0)
         ]
         assert all(v2 > v1 for v1, v2 in zip(values, values[1:]))
+
+
+class TestOutputBound:
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_bounds_every_weight_vector_of_the_slab(self, activation, depth):
+        # Corner (+-B) and uniform weight vectors at inputs on the corners
+        # and inside of [-A, A]^2: no pre-clip output exceeds the bound, and
+        # a ReLU network of all-+B weights at x = (A, A) attains it.
+        rng = np.random.default_rng(depth)
+        arch = Architecture(depth, (2,) + (3,) * depth + (1,))
+        slab, reach = 0.7, 1.3
+        x = np.vstack([[[reach, reach], [-reach, reach], [reach, -reach], [-reach, -reach]],
+                       rng.uniform(-reach, reach, size=(8, 2))])
+        corners = slab * rng.choice([-1.0, 1.0], size=(300, param_count(arch)))
+        inside = rng.uniform(-slab, slab, size=(300, param_count(arch)))
+        thetas = np.vstack([np.full(param_count(arch), slab), corners, inside])
+        slices, act_fn = layer_slices(arch), ACTIVATIONS[activation].fn
+        worst = max(float(np.max(np.abs(compose_views(layer_views(slices, theta), x, act_fn,
+                                                      None)))) for theta in thetas)
+        bound = output_bound(arch, slab, reach, activation)
+        assert worst <= bound
+        if activation == "relu":
+            assert worst >= bound / (1.0 + 1e-6)
+
+    def test_hand_values(self):
+        # Depth 0 on one input: B (|x| + 1).  Depth 1, width 2, sigmoid:
+        # the hidden outputs are below 1, so B (2 + 1) whatever the input.
+        assert output_bound(Architecture(0, (1, 1)), 1.0, 0.75, "relu") == pytest.approx(1.75)
+        assert output_bound(Architecture(1, (1, 2, 1)), 0.5, 9.0, "sigmoid") == pytest.approx(1.5)
+        assert output_bound(Architecture(0, (1, 1)), 1.0, 0.75, "relu") > 1.75
 
 
 def random_sparse_pair(rng, activation):
