@@ -239,7 +239,11 @@ def cmd_effsample(doc: dict, args) -> int:
 
 def cmd_slope(doc: dict, args) -> int:
     doc = check_table(doc, "slope config", SLOPE)
-    result = SweepResult.from_csv(Path(doc["csv"]).read_text())
+    try:
+        text = Path(doc["csv"]).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"slope csv: {exc}") from exc
+    result = SweepResult.from_csv(text)
     slope, stderr = fit_rate_slope(result)
     payload = {"slope": slope, "stderr": stderr}
     print(json.dumps(payload, indent=2))

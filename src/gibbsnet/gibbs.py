@@ -269,6 +269,21 @@ def _uniform_blocks(rng: np.random.Generator, iters: int):
         yield rng.random((min(UNIFORM_CHUNK, iters - t), 4))
 
 
+def _decode_block(block: np.ndarray, t: int, cfg: GibbsConfig, slab: float):
+    """What the steps of a (steps, 4) uniform block, the first at iteration
+    t, take from their uniforms alone: (proposals per move, one row a step of
+    (move (0 add, 1 remove, 2 perturb), index uniform, add value, perturb
+    shift, accept uniform, whether its draw is kept), as Python numbers)."""
+    p_add, p_remove, _ = cfg.move_probs
+    moves = np.searchsorted((p_add, p_add + p_remove), block[:, 0], side="right")
+    unit = 2.0 * block[:, 2] - 1.0
+    its = np.arange(t, t + len(block))
+    keep = (its >= cfg.burn_in) & ((its - cfg.burn_in) % cfg.thin == 0)
+    return np.bincount(moves, minlength=3), zip(
+        moves.tolist(), block[:, 1].tolist(), (slab * unit).tolist(),
+        (cfg.step * unit).tolist(), block[:, 3].tolist(), keep.tolist())
+
+
 # Every loss's empirical risk over the distinct input rows of a sample, as
 # a.f(h) + b.g(h) + c with h the predictions there and (a, b, c) the
 # coefficients of :func:`_state_tables`: {loss: (f, g)}.
@@ -332,6 +347,12 @@ def _batch_risk(tables: list, loss: str):
     return risk_fn
 
 
+def _acceptance_rates(proposed, accepted) -> dict:
+    """{move: accepted / proposed} of a chain's per-move counts, 0.0 where none was proposed."""
+    return {move: (accepted[i] / int(proposed[i]) if proposed[i] else 0.0)
+            for i, move in enumerate(("add", "remove", "perturb"))}
+
+
 def _chain_setup(data: Dataset, classdef: ClassDef, cfg: GibbsConfig):
     """(arch, prior, (jumps, log add ratio, log remove ratio)) of one chain,
     after the checks :func:`sample_posterior` documents."""
@@ -366,7 +387,7 @@ def sample_posterior(
     it: for finite |z| < clip, np.maximum and np.minimum return z itself.
     """
     arch, prior, (jumps, log_add_ratio, log_remove_ratio) = _chain_setup(data, classdef, cfg)
-    n_params, cap, slab, step = prior.n_coords, prior.cap, prior.slab, cfg.step
+    n_params, cap, slab = prior.n_coords, prior.cap, prior.slab
     clip = classdef.output_clip
     act_fn = ACTIVATIONS[classdef.activation].fn
     points, risk_fn = _per_state_risk(data, loss)
@@ -389,10 +410,7 @@ def sample_posterior(
     active[on[0]] = True
     risk = risk_fn(compose_views(views, points, act_fn, clip_bounds)[:, 0])
 
-    lam = cfg.temperature
-    p_add, p_remove, _ = cfg.move_probs
-    p_jump = p_add + p_remove
-    burn_in, thin, n_keep = cfg.burn_in, cfg.thin, cfg.n_keep
+    lam, n_keep = cfg.temperature, cfg.n_keep
     thetas = np.empty((n_keep, n_params))
     actives = np.empty((n_keep, n_params), dtype=bool)
     log_scores = np.empty(n_keep)
@@ -404,17 +422,9 @@ def sample_posterior(
         return on[i] - i
 
     for t, block in zip(range(0, cfg.iters, UNIFORM_CHUNK), blocks):
-        # What each step of the block takes from its uniforms alone: its move
-        # (0 add, 1 remove, 2 perturb), an add's value, a perturb's shift
-        # and whether its draw is kept.
-        moves = np.searchsorted((p_add, p_jump), block[:, 0], side="right")
-        proposed += np.bincount(moves, minlength=3)
-        unit = 2.0 * block[:, 2] - 1.0
-        its = np.arange(t, t + len(block))
-        keep = (its >= burn_in) & ((its - burn_in) % thin == 0)
-        for move, u_index, add_value, shift, u_accept, keep_t in zip(
-                moves.tolist(), block[:, 1].tolist(), (slab * unit).tolist(),
-                (step * unit).tolist(), block[:, 3].tolist(), keep.tolist()):
+        counts, rows = _decode_block(block, t, cfg, slab)
+        proposed += counts
+        for move, u_index, add_value, shift, u_accept, keep_t in rows:
             # The move's feasibility and its prior/proposal log ratio.
             if move == 0:
                 log_ratio, feasible = log_add_ratio, jumps and support < cap
@@ -457,11 +467,10 @@ def sample_posterior(
                 log_scores[kept] = -lam * risk
                 kept += 1
 
-    rates = {move: (accepted[i] / int(proposed[i]) if proposed[i] else 0.0)
-             for i, move in enumerate(("add", "remove", "perturb"))}
     return PosteriorDraws(arch=arch, prior=prior, output_clip=clip, activation=classdef.activation,
                           thetas=thetas[:kept], actives=actives[:kept],
-                          log_scores=log_scores[:kept], acceptance_rates=rates)
+                          log_scores=log_scores[:kept],
+                          acceptance_rates=_acceptance_rates(proposed, accepted))
 
 
 def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
@@ -469,19 +478,20 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     chain's draws, equal bit for bit to ``sample_posterior(data, loss,
     classdef, cfg)``.
 
-    The C chains advance together as (C, F) arrays, each chain's row its
-    padded (depth, width) frame (see :func:`frame_slots`), under the same
-    four-uniform step contract, each on its own sampler stream.  A chain's
-    realisable slots run in flat order, so the k-th slot of a pool holds the
-    coordinate sample_posterior picks; a kept draw is read back through the
-    slot map.  The forward pass is :func:`compose_views` on views of the
-    state bound once, and the risk takes np.dot's per-row dot products: no
-    chain's floats depend on its batch-mates.  What a step reads from its
-    uniforms alone comes from (steps, C) arrays built once per block of
-    them.  The chains must share depth, activation, the number of distinct
-    input rows, iters, burn_in and thin; otherwise ValueError.  On the sweep
-    benchmark's cells it is level with sample_posterior at about three
-    chains, 2.5x faster at ten, 7.5-9x at fifty and 3-3.5x slower at one.
+    Every chain takes sample_posterior's scalar step on its own sampler
+    stream: its sorted support list and bisection, :func:`_reflect` and the
+    same accept test, on Python floats.  The chains' states are the rows of
+    one (C, F) array, each row the chain's padded (depth, width) frame (see
+    :func:`frame_slots`), into which a chain writes its proposal through its
+    list of the frame slots of its flat coordinates.  Once every chain has
+    proposed, one :func:`compose_views` of the frames and one stacked risk
+    price all proposals, and no pass runs when no chain's move is feasible.
+    Each row's floats are those of its own network, so no chain depends on
+    its batch-mates.  The chains must share depth, activation, the number of
+    distinct input rows, iters, burn_in and thin; otherwise ValueError.  On
+    the sweep benchmark's cells it runs at 0.8x the speed of sample_posterior
+    on one chain, 1.3-1.5x on two, 2.1-2.4x on four, 2.9-3.1x on ten and
+    4.6-6x on fifty.
     """
     setups = [_chain_setup(*chain) for chain in zip(datas, classdefs, cfgs)]
     states = [_state_tables(data, loss) for data in datas]
@@ -492,130 +502,115 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
                          "rows, iters, burn_in and thin")
     ((depth, activation, m, iters, burn_in, thin),) = shared
     archs, priors, ratios = zip(*setups)
-    jumps, log_add, log_remove = (np.array(column) for column in zip(*ratios))
-    n_coords = np.array([prior.n_coords for prior in priors])
-    cap = np.array([prior.cap for prior in priors])
-    slab = np.array([prior.slab for prior in priors])
-    step = np.array([cfg.step for cfg in cfgs])
-    neg_lam = np.array([-cfg.temperature for cfg in cfgs])
-    p_add = np.array([cfg.move_probs[0] for cfg in cfgs])
-    p_jump = np.array([cfg.move_probs[0] + cfg.move_probs[1] for cfg in cfgs])
-    n_chains = len(setups)
-    chain = np.arange(n_chains)
-
-    # Steps address theta and active, each chain's frame a row, by row offset
-    # plus slot, one index per chain, which numpy serves faster than (chain,
-    # slot) pairs; ``slots`` maps each flat coordinate to its offset slot.
-    n_max = int(n_coords.max())
+    n_chains, n_max = len(setups), max(prior.n_coords for prior in priors)
     width = max(max(arch.widths) for arch in archs)
     in_cols = max(arch.input_dim for arch in archs)
-    theta = np.zeros((n_chains, max_param_count(depth, width)))
-    active, realisable = np.zeros(theta.shape, dtype=bool), np.zeros(theta.shape, dtype=bool)
-    offsets = theta.shape[1] * chain
+    frames = np.zeros((n_chains, max_param_count(depth, width)))
+    flat_theta, flat_active = frames.reshape(-1), np.zeros(frames.size, dtype=bool)
+    # slots[c, k]: the index in flat_theta of chain c's flat coordinate k.
     slots = np.zeros((n_chains, n_max), dtype=np.int64)
     inputs = np.zeros((n_chains, m, in_cols))
     for c, (arch, (points, _)) in enumerate(zip(archs, states)):
         own = frame_slots(arch, depth, width)
-        slots[c, :own.size] = own
-        realisable[c, own] = True
+        slots[c, :own.size] = own + c * frames.shape[1]
         inputs[c, :, :arch.input_dim] = points
-    slots += offsets[:, None]
-    views = frame_views(theta, depth, width, in_cols)
+    views = frame_views(frames, depth, width, in_cols)
     act_fn = ACTIVATIONS[activation].fn
     # (C, m, 1) clip bounds, the outputs' shape: numpy serves it faster than a broadcast.
     clip = np.repeat(np.array([cd.output_clip for cd in classdefs])[:, None, None], m, axis=1)
     clip_bounds = (-clip, clip)
-    period = 4.0 * slab
     risk_fn = _batch_risk([tables for _, tables in states], loss)
-    flat_theta, flat_active = theta.reshape(-1), active.reshape(-1)
 
-    def risk_of():
-        return risk_fn(compose_views(views, inputs, act_fn, clip_bounds))
+    def risks_of():
+        return risk_fn(compose_views(views, inputs, act_fn, clip_bounds)).tolist()
 
-    blocks = [_uniform_blocks(stream(cfg.seed, "sampler"), iters) for cfg in cfgs]
-    start = np.array([next(chain_blocks)[0, 0] for chain_blocks in blocks])
-    flat_active[slots[chain, (start * n_coords).astype(np.int64)]] = True
-    risk = risk_of()
+    # The start risks: a chain's one active coordinate starts at 0, so its row is zeros.
+    risks, rates = risks_of(), [None] * n_chains
 
+    def chain_steps(c, cfg, prior, ratios):
+        # Chain c's steps as sample_posterior takes them, two resumes a step:
+        # the first writes its proposal into its frame row and yields whether
+        # the move is feasible, the second takes the batch's new risks and
+        # accepts or restores.  ``risks[c]`` is the chain's current risk.
+        jumps, log_add_ratio, log_remove_ratio = ratios
+        n_params, cap, slab, lam = prior.n_coords, prior.cap, prior.slab, cfg.temperature
+        slot_of = slots[c, :n_params].tolist()
+        blocks = _uniform_blocks(stream(cfg.seed, "sampler"), iters)
+        on = [int(next(blocks)[0, 0] * n_params)]
+        support, risk = 1, risks[c]
+        flat_active[slot_of[on[0]]] = True
+        proposed, accepted = np.zeros(3, dtype=np.int64), [0, 0, 0]
+
+        def gaps(i):
+            return on[i] - i
+
+        for t, block in zip(range(0, iters, UNIFORM_CHUNK), blocks):
+            counts, rows = _decode_block(block, t, cfg, slab)
+            proposed += counts
+            for move, u_index, add_value, shift, u_accept, _ in rows:
+                if move == 0:
+                    log_ratio, feasible = log_add_ratio, jumps and support < cap
+                elif move == 1:
+                    log_ratio, feasible = log_remove_ratio, jumps and support > 1
+                else:
+                    log_ratio, feasible = 0.0, True
+                if not feasible:
+                    yield False
+                else:
+                    if move == 0:
+                        k = int(u_index * (n_params - support))
+                        i = bisect_right(range(support), k, key=gaps)
+                        j = k + i
+                    else:
+                        i = int(u_index * support)
+                        j = on[i]
+                    slot = slot_of[j]
+                    old = flat_theta.item(slot)
+                    flat_theta[slot] = (add_value if move == 0 else 0.0 if move == 1
+                                        else _reflect(old + shift, slab))
+                    new_risk = (yield True)[c]
+                    if u_accept < math.exp(min(0.0, -lam * (new_risk - risk) + log_ratio)):
+                        risk = risks[c] = new_risk
+                        accepted[move] += 1
+                        if move == 0:
+                            on.insert(i, j)
+                            support += 1
+                            flat_active[slot] = True
+                        elif move == 1:
+                            del on[i]
+                            support -= 1
+                            flat_active[slot] = False
+                    else:
+                        flat_theta[slot] = old
+                yield
+        rates[c] = _acceptance_rates(proposed, accepted)
+
+    chains = [chain_steps(c, *chain) for c, chain in enumerate(zip(cfgs, priors, ratios))]
     n_keep = cfgs[0].n_keep
     thetas = np.empty((n_chains, n_keep, n_max))
     actives = np.empty((n_chains, n_keep, n_max), dtype=bool)
     log_scores = np.empty((n_chains, n_keep))
-    proposed = np.zeros((3, n_chains), dtype=np.int64)
-    accepted = np.zeros((3, n_chains), dtype=np.int64)
-    it = kept = 0
-    for chunk in zip(*blocks):
-        # (steps, C) per uniform, and every array of a step that reads no
-        # chain state: what each step's move takes from its uniforms.
-        u_move, u_index, u_value, u_accept = np.stack(chunk, axis=2).transpose(1, 0, 2)
-        add = u_move < p_add
-        remove = ~add & (u_move < p_jump)
-        perturb = ~(add | remove)
-        jump = ~perturb
-        # A move is feasible when its pool holds more than floor coordinates:
-        # an add's n_coords - support while support < cap, a remove's support
-        # while above one, a jump only with jumps on (no pool exceeds n_max).
-        floor = np.where(perturb, 0, np.where(jumps, np.where(add, n_coords - cap, 1), n_max))
-        log_ratio = np.where(add, log_add, np.where(remove, log_remove, 0.0))
-        jump_value = np.where(add, slab * (2.0 * u_value - 1.0), 0.0)
-        shift = step * (2.0 * u_value - 1.0)
-        took = np.empty(u_move.shape, dtype=bool)
-        rows = zip(add[:, :, None], u_index, floor, jump, jump_value, shift, log_ratio, u_accept,
-                   took)
-        for add_t, u_index_t, floor_t, jump_t, value_t, shift_t, ratio_t, u_t, take in rows:
-            counts = (active ^ (realisable & add_t)).cumsum(axis=1)
-            pool_size = counts[:, -1]
-            feasible = pool_size > floor_t
-            pick = (u_index_t * pool_size).astype(np.int64)
-            slot = offsets + (counts > pick[:, None]).argmax(axis=1)
-            old = flat_theta[slot]
-            # :func:`_reflect` of old + shift in its float operations: where
-            # y <= 2 slab, period - y >= 2 slab >= y, and where y > 2 slab,
-            # period - y <= 2 slab < y, rounded too (4 slab - 2 slab is exact).
-            y = (old + shift_t + slab) % period
-            new = np.where(jump_t, value_t, np.minimum(y, period - y) - slab)
-            flat_theta[slot] = new
-            new_risk = risk_of()
-            log_accept = np.fmin(0.0, neg_lam * (new_risk - risk) + ratio_t)
-            gap = u_t - np.exp(log_accept)
-            np.less(gap, 0.0, out=take)  # u < bar: a difference of floats keeps its sign
-            # np.exp may differ from math.exp by an ulp or so: settle every
-            # accept uniform within 1e-15 of the bar with math.exp, as
-            # sample_posterior does.
-            near = np.abs(gap) <= 1e-15
-            if np.count_nonzero(near):
-                for c in np.flatnonzero(near):
-                    take[c] = u_t[c] < math.exp(log_accept[c])
-            take &= feasible
-            flat_theta[slot] = np.where(take, new, old)
-            flat_active[slot] ^= take & jump_t
-            np.copyto(risk, new_risk, where=take)
-            if it >= burn_in and (it - burn_in) % thin == 0:
-                thetas[:, kept] = flat_theta[slots]
-                actives[:, kept] = flat_active[slots]
-                log_scores[:, kept] = neg_lam * risk
-                kept += 1
-            it += 1
-        for move, mask in enumerate((add, remove, perturb)):
-            proposed[move] += mask.sum(axis=0)
-            accepted[move] += (took & mask).sum(axis=0)
+    kept = 0
+    for it in range(iters):
+        moved = [next(steps) for steps in chains]
+        new_risks = risks_of() if any(moved) else None
+        for steps in chains:
+            steps.send(new_risks)
+        if it >= burn_in and (it - burn_in) % thin == 0:
+            thetas[:, kept] = flat_theta[slots]
+            actives[:, kept] = flat_active[slots]
+            log_scores[:, kept] = risks
+            kept += 1
+    for steps in chains:
+        next(steps, None)
+    log_scores *= -np.array([cfg.temperature for cfg in cfgs])[:, None]
 
-    draws = []
-    for c, (arch, prior, classdef) in enumerate(zip(archs, priors, classdefs)):
-        size = prior.n_coords
-        rates = {move: (int(accepted[i, c]) / int(proposed[i, c]) if proposed[i, c] else 0.0)
-                 for i, move in enumerate(("add", "remove", "perturb"))}
-        draws.append(PosteriorDraws(
-            arch=arch,
-            prior=prior,
-            output_clip=classdef.output_clip,
-            activation=activation,
-            thetas=np.ascontiguousarray(thetas[c, :, :size]),
-            actives=np.ascontiguousarray(actives[c, :, :size]),
-            log_scores=log_scores[c],
-            acceptance_rates=rates,
-        ))
-    return draws
+    return [PosteriorDraws(arch=arch, prior=prior, output_clip=classdef.output_clip,
+                           activation=activation,
+                           thetas=np.ascontiguousarray(thetas[c, :, :prior.n_coords]),
+                           actives=np.ascontiguousarray(actives[c, :, :prior.n_coords]),
+                           log_scores=log_scores[c], acceptance_rates=rates[c])
+            for c, (arch, prior, classdef) in enumerate(zip(archs, priors, classdefs))]
 
 
 def posterior_predictor(draws: PosteriorDraws, mode: str = "single_draw"):

@@ -412,8 +412,8 @@ def estimate_pseudo_gap(states: np.ndarray, m: int, k_max: int = 10) -> float:
         raise UnvisitedState("trajectory too short to form bigrams")
     if np.any(states < 0) or np.any(states >= m):
         raise ValueError("trajectory contains out-of-range state indices")
-    counts = np.zeros((m, m))
-    np.add.at(counts, (states[:-1], states[1:]), 1.0)
+    s = states.astype(np.int64, copy=False)
+    counts = np.bincount(s[:-1] * m + s[1:], minlength=m * m).reshape(m, m)
     row_tot = counts.sum(axis=1)
     if np.any(row_tot == 0):
         missing = int(np.flatnonzero(row_tot == 0)[0])

@@ -428,6 +428,20 @@ def test_slope_malformed_csv_exits_2(tmp_path, capsys, text, line):
     assert line is None or f"line {line}:" in err
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.write_bytes(GOLDEN_CSV.encode("utf-8").replace(b"gamma", b"g\xe4mma", 1)),
+    lambda path: None,
+    lambda path: path.mkdir(),
+], ids=["not-utf-8", "missing", "directory"])
+def test_slope_unreadable_csv_exits_2(tmp_path, capsys, make):
+    csv = tmp_path / "data" / "sweep.csv"
+    csv.parent.mkdir()
+    make(csv)
+    assert run(tmp_path, "slope", {"csv": str(csv)}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: slope csv: ") and "Traceback" not in err
+
+
 def _reject_constant(name):
     raise ValueError(f"a report file holds the non-JSON constant {name}")
 

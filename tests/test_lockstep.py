@@ -2,6 +2,8 @@
 batch, bit for bit, equals its own one-chain engine run,
 ``sample_posterior`` and the draw-contract replay."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracle_gibbs import ConstantStream, replay_sampler
@@ -54,16 +56,21 @@ def assert_same_chain(draws, thetas, actives, log_scores, rates):
     assert np.array_equal([draws.acceptance_rates[m] for m in moves], [rates[m] for m in moves])
 
 
+SHAPES = [("square", "relu", 1), ("logistic", "sigmoid", 1), ("square", "sigmoid", 0),
+          ("logistic", "relu", 2)]
+
+
 @pytest.mark.parametrize(
-    "loss, activation, depth",
-    [("square", "relu", 1), ("logistic", "sigmoid", 1), ("square", "sigmoid", 0),
-     ("logistic", "relu", 2)],
+    "loss, activation, depth, chains",
+    [pytest.param(*shape, CHAINS, id="-".join(map(str, shape))) for shape in SHAPES]
+    + [pytest.param(*shape, chains, id="-".join(map(str, shape)) + f"-{chains}chains")
+       for shape in SHAPES for chains in (2, 3, 4)],
 )
-def test_every_chain_equals_its_one_chain_runs(loss, activation, depth):
-    cases = [chain_case(c, loss, activation, depth) for c in range(CHAINS)]
+def test_every_chain_equals_its_one_chain_runs(loss, activation, depth, chains):
+    cases = [chain_case(c, loss, activation, depth) for c in range(chains)]
     datas, classdefs, cfgs = zip(*cases)
     batch = sample_batch(datas, loss, classdefs, cfgs)
-    assert len(batch) == CHAINS
+    assert len(batch) == chains
     for draws, (data, classdef, cfg) in zip(batch, cases):
         (alone,) = sample_batch([data], loss, [classdef], [cfg])
         scalar = sample_posterior(data, loss, classdef, cfg)
@@ -72,6 +79,33 @@ def test_every_chain_equals_its_one_chain_runs(loss, activation, depth):
                               other.acceptance_rates)
         assert_same_chain(draws, *replay_sampler(data, loss, classdef, cfg))
         assert draws.arch == scalar.arch and draws.prior == scalar.prior
+
+
+def test_batch_without_feasible_moves(monkeypatch):
+    # Jumps only, at a sparsity cap of 1: no add or remove is ever feasible,
+    # so every chain keeps its start and the batch prices no proposal.
+    cases = []
+    for c in range(3):
+        data, classdef, cfg = chain_case(c, "square", "relu", 1)
+        cases.append((data, replace(classdef, sparsity=1),
+                      replace(cfg, move_probs=(0.5, 0.5, 0.0))))
+    datas, classdefs, cfgs = zip(*cases)
+    passes = []
+    compose_views = gibbs.compose_views
+
+    def counted(*args):
+        passes.append(args)
+        return compose_views(*args)
+
+    monkeypatch.setattr(gibbs, "compose_views", counted)
+    batch = sample_batch(datas, "square", classdefs, cfgs)
+    assert len(passes) == 1  # the start risks
+    for draws, (data, classdef, cfg) in zip(batch, cases):
+        assert (draws.support_sizes == 1).all() and (draws.thetas == 0.0).all()
+        scalar = sample_posterior(data, "square", classdef, cfg)
+        assert_same_chain(draws, scalar.thetas, scalar.actives, scalar.log_scores,
+                          scalar.acceptance_rates)
+        assert_same_chain(draws, *replay_sampler(data, "square", classdef, cfg))
 
 
 @pytest.mark.parametrize("value", [0.0, np.nextafter(1.0, 0.0)], ids=["zero", "below-one"])

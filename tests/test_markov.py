@@ -374,6 +374,19 @@ class TestEstimatePseudoGap:
         with pytest.raises(UnvisitedState):
             estimate_pseudo_gap(np.zeros(100, dtype=np.int64), m=2)
 
+    @pytest.mark.parametrize("m, n, seed", [(2, 50, 0), (5, 1000, 1), (16, 5000, 2), (64, 3000, 3)])
+    def test_matches_plain_bigram_counts(self, m, n, seed):
+        # The plug-in pair built from counts tallied one bigram at a time.
+        rng = np.random.default_rng(seed)
+        traj = np.concatenate([np.arange(m), rng.integers(0, m, size=n)])
+        counts = np.zeros((m, m))
+        for i, j in zip(traj[:-1].tolist(), traj[1:].tolist()):
+            counts[i, j] += 1.0
+        probs = (counts + 1.0) / (counts.sum(axis=1) + m)[:, None]
+        plug_in = TransitionKernel(states=m, probs=probs)
+        expected = pseudo_spectral_gap(plug_in, stationary_distribution(plug_in), 7)
+        assert estimate_pseudo_gap(traj, m=m, k_max=7) == expected
+
     def test_error_shrinks_with_sample_size(self):
         kernel = two_source_kernel(0.2)
         pi = stationary_distribution(kernel)
