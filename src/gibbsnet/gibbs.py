@@ -15,8 +15,13 @@ dimension-matching factors collapse, leaving acceptance ratios
     perturb: exp(-lambda dR)
 
 The chain is strictly sequential per seed; draws are immutable afterwards.
-``sample_batch`` advances many independent chains in lockstep, each bit for
-bit the chain ``sample_posterior`` runs.
+One generator, ``_chain``, states its step once: the sampler stream, the
+support bookkeeping, the accept test, the acceptance counts and the kept
+draws.  ``sample_posterior`` hands it a one-network pricing callable and
+runs the whole chain in one resume; ``sample_batch`` advances many
+independent chains in lockstep, resuming each once a step and pricing every
+proposal with one stacked forward pass, so each chain is bit for bit the
+chain ``sample_posterior`` runs.
 """
 
 from __future__ import annotations
@@ -114,6 +119,8 @@ class GibbsConfig:
             object.__setattr__(self, "step", self.weight_bound / 10.0)
         if self.step <= 0:
             raise ValueError("perturbation step must be positive")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be nonnegative")
         if self.iters <= self.burn_in:
             raise ValueError("iters must exceed burn_in")
         if self.thin < 1:
@@ -347,15 +354,9 @@ def _batch_risk(tables: list, loss: str):
     return risk_fn
 
 
-def _acceptance_rates(proposed, accepted) -> dict:
-    """{move: accepted / proposed} of a chain's per-move counts, 0.0 where none was proposed."""
-    return {move: (accepted[i] / int(proposed[i]) if proposed[i] else 0.0)
-            for i, move in enumerate(("add", "remove", "perturb"))}
-
-
 def _chain_setup(data: Dataset, classdef: ClassDef, cfg: GibbsConfig):
-    """(arch, prior, (jumps, log add ratio, log remove ratio)) of one chain,
-    after the checks :func:`sample_posterior` documents."""
+    """(arch, prior) of one chain, after the checks :func:`sample_posterior`
+    documents."""
     if len(data) == 0:
         raise EmptyDataset("cannot sample a posterior from no data")
     if not (
@@ -364,13 +365,106 @@ def _chain_setup(data: Dataset, classdef: ClassDef, cfg: GibbsConfig):
     ):
         raise InvalidClass("config bounds must match the class bounds")
     arch = classdef.architecture(input_dim=data.inputs.shape[1])
-    prior = Prior.of_class(classdef, arch.input_dim, cfg.support_decay)
+    return arch, Prior.of_class(classdef, arch.input_dim, cfg.support_decay)
+
+
+def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, price=None):
+    """One chain's reversible-jump steps on its own sampler stream, the one
+    step both samplers take.
+
+    The chain's flat coordinate k lives at ``theta[slots[k]]``, or at
+    ``theta[k]`` when ``slots`` is None (so a kept draw copies ``theta``
+    without a gather): each step writes its proposal there and restores it
+    on a reject.  With ``price``, a callable that returns the empirical risk
+    of what ``theta`` holds, the first resume runs the whole chain.  Without
+    it, the chain yields before its first step and is sent its start risk;
+    then each step yields whether its move is feasible and, in the resume
+    that takes the next step, is sent its proposal's risk (ignored after an
+    infeasible move).  The last resume yields the chain's draws as
+    :class:`PosteriorDraws` fields.
+    """
     p_add, p_remove, _ = cfg.move_probs
     log_decay = math.log(prior.decay)
     jumps = p_add > 0 and p_remove > 0
     log_add_ratio = math.log(p_remove / p_add) - log_decay if jumps else 0.0
     log_remove_ratio = math.log(p_add / p_remove) + log_decay if jumps else 0.0
-    return arch, prior, (jumps, log_add_ratio, log_remove_ratio)
+    n_params, cap, slab, lam = prior.n_coords, prior.cap, prior.slab, cfg.temperature
+    slot_of = range(n_params) if slots is None else slots.tolist()
+    blocks = _uniform_blocks(stream(cfg.seed, "sampler"), cfg.iters)
+    # The support as a count and as the sorted list ``on`` of its
+    # coordinates; the mask ``active`` changes only with an accepted jump
+    # and is read only when a draw is kept.  One active coordinate at value
+    # 0: a uniform is at most 1 - 2^-53, so int(u * size) stays below size
+    # for any size under 2^52.
+    on = [int(next(blocks)[0, 0] * n_params)]
+    support = 1
+    active = np.zeros(n_params, dtype=bool)
+    active[on[0]] = True
+    risk = price() if price else (yield)
+
+    thetas = np.empty((cfg.n_keep, n_params))
+    actives = np.empty((cfg.n_keep, n_params), dtype=bool)
+    log_scores = np.empty(cfg.n_keep)
+    kept = 0
+    proposed, accepted = np.zeros(3, dtype=np.int64), [0, 0, 0]
+
+    def gaps(i):
+        # Inactive coordinates below the i-th active one; nondecreasing in i.
+        return on[i] - i
+
+    for t, block in zip(range(0, cfg.iters, UNIFORM_CHUNK), blocks):
+        counts, rows = _decode_block(block, t, cfg, slab)
+        proposed += counts
+        for move, u_index, add_value, shift, u_accept, keep in rows:
+            # The move's feasibility and its prior/proposal log ratio.
+            if move == 0:
+                log_ratio, feasible = log_add_ratio, jumps and support < cap
+            elif move == 1:
+                log_ratio, feasible = log_remove_ratio, jumps and support > 1
+            else:
+                log_ratio, feasible = 0.0, True
+
+            if feasible:
+                # The pool's k-th coordinate: the k-th inactive one is k plus
+                # the number i of active ones below it, the i-th active one on[i].
+                if move == 0:
+                    k = int(u_index * (n_params - support))
+                    i = bisect_right(range(support), k, key=gaps)
+                    j = k + i
+                else:
+                    i = int(u_index * support)
+                    j = on[i]
+                slot = slot_of[j]
+                old = theta.item(slot)
+                theta[slot] = (add_value if move == 0 else 0.0 if move == 1
+                               else _reflect(old + shift, slab))
+                new_risk = price() if price else (yield True)
+                if u_accept < math.exp(min(0.0, -lam * (new_risk - risk) + log_ratio)):
+                    risk = new_risk
+                    accepted[move] += 1
+                    if move == 0:
+                        on.insert(i, j)
+                        support += 1
+                        active[j] = True
+                    elif move == 1:
+                        del on[i]
+                        support -= 1
+                        active[j] = False
+                else:
+                    theta[slot] = old
+            elif not price:
+                yield False
+
+            if keep:
+                thetas[kept] = theta if slots is None else theta[slots]
+                actives[kept] = active
+                log_scores[kept] = -lam * risk
+                kept += 1
+
+    # Each move's accepted / proposed, 0.0 where none was proposed.
+    rates = {move: (accepted[i] / int(proposed[i]) if proposed[i] else 0.0)
+             for i, move in enumerate(("add", "remove", "perturb"))}
+    yield dict(thetas=thetas, actives=actives, log_scores=log_scores, acceptance_rates=rates)
 
 
 def sample_posterior(
@@ -386,91 +480,23 @@ def sample_posterior(
     no network the chain meets reaches the clip, and the forward pass skips
     it: for finite |z| < clip, np.maximum and np.minimum return z itself.
     """
-    arch, prior, (jumps, log_add_ratio, log_remove_ratio) = _chain_setup(data, classdef, cfg)
-    n_params, cap, slab = prior.n_coords, prior.cap, prior.slab
+    arch, prior = _chain_setup(data, classdef, cfg)
     clip = classdef.output_clip
     act_fn = ACTIVATIONS[classdef.activation].fn
     points, risk_fn = _per_state_risk(data, loss)
     # The clip, idle (see above) or as prebuilt (m, 1) bounds.
-    bound = output_bound(arch, slab, float(np.abs(points).max()), classdef.activation)
+    bound = output_bound(arch, prior.slab, float(np.abs(points).max()), classdef.activation)
     clip_bounds = None if bound < clip else (np.full((len(points), 1), -clip),
                                              np.full((len(points), 1), clip))
-
-    blocks = _uniform_blocks(stream(cfg.seed, "sampler"), cfg.iters)
-    theta = np.zeros(n_params)
+    theta = np.zeros(prior.n_coords)
     views = layer_views(layer_slices(arch), theta)
-    # The support as a count and as the sorted list ``on`` of its
-    # coordinates; the mask ``active`` changes only with an accepted jump
-    # and is read only when a draw is kept.  One active coordinate at value
-    # 0: a uniform is at most 1 - 2^-53, so int(u * size) stays below size
-    # for any size under 2^52.
-    on = [int(next(blocks)[0, 0] * n_params)]
-    support = 1
-    active = np.zeros(n_params, dtype=bool)
-    active[on[0]] = True
-    risk = risk_fn(compose_views(views, points, act_fn, clip_bounds)[:, 0])
 
-    lam, n_keep = cfg.temperature, cfg.n_keep
-    thetas = np.empty((n_keep, n_params))
-    actives = np.empty((n_keep, n_params), dtype=bool)
-    log_scores = np.empty(n_keep)
-    kept = 0
-    proposed, accepted = np.zeros(3, dtype=np.int64), [0, 0, 0]
+    def price():
+        return risk_fn(compose_views(views, points, act_fn, clip_bounds)[:, 0])
 
-    def gaps(i):
-        # Inactive coordinates below the i-th active one; nondecreasing in i.
-        return on[i] - i
-
-    for t, block in zip(range(0, cfg.iters, UNIFORM_CHUNK), blocks):
-        counts, rows = _decode_block(block, t, cfg, slab)
-        proposed += counts
-        for move, u_index, add_value, shift, u_accept, keep_t in rows:
-            # The move's feasibility and its prior/proposal log ratio.
-            if move == 0:
-                log_ratio, feasible = log_add_ratio, jumps and support < cap
-            elif move == 1:
-                log_ratio, feasible = log_remove_ratio, jumps and support > 1
-            else:
-                log_ratio, feasible = 0.0, True
-
-            if feasible:
-                # The pool's k-th coordinate: the k-th inactive one is k plus
-                # the number i of active ones below it, the i-th active one on[i].
-                if move == 0:
-                    k = int(u_index * (n_params - support))
-                    i = bisect_right(range(support), k, key=gaps)
-                    j, value = k + i, add_value
-                else:
-                    i = int(u_index * support)
-                    j = on[i]
-                    value = 0.0 if move == 1 else _reflect(theta.item(j) + shift, slab)
-                old = theta[j]
-                theta[j] = value
-                new_risk = risk_fn(compose_views(views, points, act_fn, clip_bounds)[:, 0])
-                if u_accept < math.exp(min(0.0, -lam * (new_risk - risk) + log_ratio)):
-                    risk = new_risk
-                    accepted[move] += 1
-                    if move == 0:
-                        on.insert(i, j)
-                        support += 1
-                        active[j] = True
-                    elif move == 1:
-                        del on[i]
-                        support -= 1
-                        active[j] = False
-                else:
-                    theta[j] = old
-
-            if keep_t:
-                thetas[kept] = theta
-                actives[kept] = active
-                log_scores[kept] = -lam * risk
-                kept += 1
-
-    return PosteriorDraws(arch=arch, prior=prior, output_clip=clip, activation=classdef.activation,
-                          thetas=thetas[:kept], actives=actives[:kept],
-                          log_scores=log_scores[:kept],
-                          acceptance_rates=_acceptance_rates(proposed, accepted))
+    draws = next(_chain(cfg, prior, theta, None, price))
+    return PosteriorDraws(arch=arch, prior=prior, output_clip=clip,
+                          activation=classdef.activation, **draws)
 
 
 def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
@@ -478,42 +504,40 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     chain's draws, equal bit for bit to ``sample_posterior(data, loss,
     classdef, cfg)``.
 
-    Every chain takes sample_posterior's scalar step on its own sampler
-    stream: its sorted support list and bisection, :func:`_reflect` and the
-    same accept test, on Python floats.  The chains' states are the rows of
-    one (C, F) array, each row the chain's padded (depth, width) frame (see
-    :func:`frame_slots`), into which a chain writes its proposal through its
-    list of the frame slots of its flat coordinates.  Once every chain has
-    proposed, one :func:`compose_views` of the frames and one stacked risk
-    price all proposals, and no pass runs when no chain's move is feasible.
-    Each row's floats are those of its own network, so no chain depends on
-    its batch-mates.  The chains must share depth, activation, the number of
-    distinct input rows, iters, burn_in and thin; otherwise ValueError.  On
-    the sweep benchmark's cells it runs at 0.8x the speed of sample_posterior
-    on one chain, 1.3-1.5x on two, 2.1-2.4x on four, 2.9-3.1x on ten and
-    4.6-6x on fifty.
+    Every chain is a :func:`_chain`, the generator whose step
+    sample_posterior runs, on its own sampler stream.  The chains' states
+    are the rows of one (C, F) array, each row the chain's padded (depth,
+    width) frame (see :func:`frame_slots`), into which a chain writes its
+    proposal through the frame slots of its flat coordinates.  Each step
+    resumes every chain once: it takes the risk of its last proposal, then
+    writes its next one and yields whether that move is feasible.  Once
+    every chain has proposed, one :func:`compose_views` of the frames and
+    one stacked risk price all proposals, and no pass runs when no chain's
+    move is feasible.  Each row's floats are those of its own network, so
+    no chain depends on its batch-mates.  The chains must share depth,
+    activation, the number of distinct input rows and iters; otherwise
+    ValueError.  On the sweep benchmark's cells it runs at 0.8x the speed of
+    sample_posterior on one chain, 1.3-1.4x on two, 1.9-2.3x on four,
+    3.1-3.7x on ten and 4.8-5.4x on fifty.
     """
     setups = [_chain_setup(*chain) for chain in zip(datas, classdefs, cfgs)]
     states = [_state_tables(data, loss) for data in datas]
-    shared = {(classdef.depth, classdef.activation, len(points), cfg.iters, cfg.burn_in, cfg.thin)
+    shared = {(classdef.depth, classdef.activation, len(points), cfg.iters)
               for classdef, cfg, (points, _) in zip(classdefs, cfgs, states)}
     if len(shared) != 1:
         raise ValueError("a batch's chains must share depth, activation, distinct input "
-                         "rows, iters, burn_in and thin")
-    ((depth, activation, m, iters, burn_in, thin),) = shared
-    archs, priors, ratios = zip(*setups)
-    n_chains, n_max = len(setups), max(prior.n_coords for prior in priors)
+                         "rows and iters")
+    ((depth, activation, m, iters),) = shared
+    archs, priors = zip(*setups)
     width = max(max(arch.widths) for arch in archs)
     in_cols = max(arch.input_dim for arch in archs)
-    frames = np.zeros((n_chains, max_param_count(depth, width)))
-    flat_theta, flat_active = frames.reshape(-1), np.zeros(frames.size, dtype=bool)
-    # slots[c, k]: the index in flat_theta of chain c's flat coordinate k.
-    slots = np.zeros((n_chains, n_max), dtype=np.int64)
-    inputs = np.zeros((n_chains, m, in_cols))
-    for c, (arch, (points, _)) in enumerate(zip(archs, states)):
-        own = frame_slots(arch, depth, width)
-        slots[c, :own.size] = own + c * frames.shape[1]
+    frames = np.zeros((len(setups), max_param_count(depth, width)))
+    inputs = np.zeros((len(setups), m, in_cols))
+    flat, chains = frames.reshape(-1), []
+    for c, (arch, prior, cfg, (points, _)) in enumerate(zip(archs, priors, cfgs, states)):
         inputs[c, :, :arch.input_dim] = points
+        slots = frame_slots(arch, depth, width) + c * frames.shape[1]
+        chains.append(_chain(cfg, prior, flat, slots))
     views = frame_views(frames, depth, width, in_cols)
     act_fn = ACTIVATIONS[activation].fn
     # (C, m, 1) clip bounds, the outputs' shape: numpy serves it faster than a broadcast.
@@ -524,93 +548,17 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     def risks_of():
         return risk_fn(compose_views(views, inputs, act_fn, clip_bounds)).tolist()
 
-    # The start risks: a chain's one active coordinate starts at 0, so its row is zeros.
-    risks, rates = risks_of(), [None] * n_chains
-
-    def chain_steps(c, cfg, prior, ratios):
-        # Chain c's steps as sample_posterior takes them, two resumes a step:
-        # the first writes its proposal into its frame row and yields whether
-        # the move is feasible, the second takes the batch's new risks and
-        # accepts or restores.  ``risks[c]`` is the chain's current risk.
-        jumps, log_add_ratio, log_remove_ratio = ratios
-        n_params, cap, slab, lam = prior.n_coords, prior.cap, prior.slab, cfg.temperature
-        slot_of = slots[c, :n_params].tolist()
-        blocks = _uniform_blocks(stream(cfg.seed, "sampler"), iters)
-        on = [int(next(blocks)[0, 0] * n_params)]
-        support, risk = 1, risks[c]
-        flat_active[slot_of[on[0]]] = True
-        proposed, accepted = np.zeros(3, dtype=np.int64), [0, 0, 0]
-
-        def gaps(i):
-            return on[i] - i
-
-        for t, block in zip(range(0, iters, UNIFORM_CHUNK), blocks):
-            counts, rows = _decode_block(block, t, cfg, slab)
-            proposed += counts
-            for move, u_index, add_value, shift, u_accept, _ in rows:
-                if move == 0:
-                    log_ratio, feasible = log_add_ratio, jumps and support < cap
-                elif move == 1:
-                    log_ratio, feasible = log_remove_ratio, jumps and support > 1
-                else:
-                    log_ratio, feasible = 0.0, True
-                if not feasible:
-                    yield False
-                else:
-                    if move == 0:
-                        k = int(u_index * (n_params - support))
-                        i = bisect_right(range(support), k, key=gaps)
-                        j = k + i
-                    else:
-                        i = int(u_index * support)
-                        j = on[i]
-                    slot = slot_of[j]
-                    old = flat_theta.item(slot)
-                    flat_theta[slot] = (add_value if move == 0 else 0.0 if move == 1
-                                        else _reflect(old + shift, slab))
-                    new_risk = (yield True)[c]
-                    if u_accept < math.exp(min(0.0, -lam * (new_risk - risk) + log_ratio)):
-                        risk = risks[c] = new_risk
-                        accepted[move] += 1
-                        if move == 0:
-                            on.insert(i, j)
-                            support += 1
-                            flat_active[slot] = True
-                        elif move == 1:
-                            del on[i]
-                            support -= 1
-                            flat_active[slot] = False
-                    else:
-                        flat_theta[slot] = old
-                yield
-        rates[c] = _acceptance_rates(proposed, accepted)
-
-    chains = [chain_steps(c, *chain) for c, chain in enumerate(zip(cfgs, priors, ratios))]
-    n_keep = cfgs[0].n_keep
-    thetas = np.empty((n_chains, n_keep, n_max))
-    actives = np.empty((n_chains, n_keep, n_max), dtype=bool)
-    log_scores = np.empty((n_chains, n_keep))
-    kept = 0
-    for it in range(iters):
-        moved = [next(steps) for steps in chains]
-        new_risks = risks_of() if any(moved) else None
-        for steps in chains:
-            steps.send(new_risks)
-        if it >= burn_in and (it - burn_in) % thin == 0:
-            thetas[:, kept] = flat_theta[slots]
-            actives[:, kept] = flat_active[slots]
-            log_scores[:, kept] = risks
-            kept += 1
+    # Each chain yields once before its first step; its one active
+    # coordinate starts at 0, so its start risk is its zero row's.
     for steps in chains:
-        next(steps, None)
-    log_scores *= -np.array([cfg.temperature for cfg in cfgs])[:, None]
-
+        next(steps)
+    risks = risks_of()
+    for _ in range(iters):
+        if any([steps.send(risk) for steps, risk in zip(chains, risks)]):
+            risks = risks_of()
     return [PosteriorDraws(arch=arch, prior=prior, output_clip=classdef.output_clip,
-                           activation=activation,
-                           thetas=np.ascontiguousarray(thetas[c, :, :prior.n_coords]),
-                           actives=np.ascontiguousarray(actives[c, :, :prior.n_coords]),
-                           log_scores=log_scores[c], acceptance_rates=rates[c])
-            for c, (arch, prior, classdef) in enumerate(zip(archs, priors, classdefs))]
+                           activation=activation, **steps.send(risk))
+            for steps, risk, arch, prior, classdef in zip(chains, risks, archs, priors, classdefs)]
 
 
 def posterior_predictor(draws: PosteriorDraws, mode: str = "single_draw"):

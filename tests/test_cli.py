@@ -91,6 +91,8 @@ KL_CARD_ABOVE_N_MAX = {**KL, "card": 6}
 COMPOSITION = {"kind": "composition", "dims": [1, 2, 1], "active_coords": [1, 2],
                "betas": [1.0, 0.5]}
 EFFSAMPLE = {**{k: v for k, v in SWEEP.items() if k != "n_grid"}, "pairs": [[100, 0.5]]}
+# A negative burn_in, under which n_keep would count draws before step 0.
+NEGATIVE_BURN_IN = {"iters": 200, "burn_in": -5, "thin": 3}
 GAP = {"chain": CHAIN, "k_max": 10, "mixing_epsilon": 0.1, "t_cap": 50}
 SIMULATE = {"chain": CHAIN, "n": 50, "seed": 1}
 CHAIN_MGF = {"kind": "chain_mgf", "chain": {"family": "two_source", "p": 0.5},
@@ -209,6 +211,9 @@ def run(tmp_path, command, doc):
         ("bounds", {"checks": [{**BERNSTEIN, "network": {**NETWORK, "widths": [2, 1]}}]}),
         ("bounds", {"checks": [{**BERNSTEIN, "loss": "hinge"}]}),
         ("bounds", {"checks": [{**BERNSTEIN, "noise": ["gaussian", 1e160]}]}),
+        ("sweep", {**SWEEP, "replications": 2, "gibbs": NEGATIVE_BURN_IN}),
+        ("sample", {**SAMPLE, "gibbs": NEGATIVE_BURN_IN}),
+        ("effsample", {**EFFSAMPLE, "gibbs": NEGATIVE_BURN_IN}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -241,7 +246,8 @@ def run(tmp_path, command, doc):
         "bounds-kl-card-above-n-max", "bounds-kl-zero-eta", "bounds-kl-negative-eta",
         "bounds-kl-eta-minus-one", "gap-non-square-chain", "sweep-non-square-chain",
         "bounds-bernstein-network-input-mismatch", "bounds-bernstein-unknown-loss",
-        "bounds-bernstein-overflowing-noise-scale",
+        "bounds-bernstein-overflowing-noise-scale", "sweep-negative-burn-in",
+        "sample-negative-burn-in", "effsample-negative-burn-in",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):

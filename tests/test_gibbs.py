@@ -151,6 +151,15 @@ class TestTemperature:
         assert temperature(2000, 0.5, 1.0) == pytest.approx(2 * temperature(1000, 0.5, 1.0))
 
 
+class TestGibbsConfig:
+    @pytest.mark.parametrize("iters, burn_in", [(200, -5), (-1, -3)])
+    def test_negative_burn_in_rejected(self, iters, burn_in):
+        # n_keep would count draws before step 0, which no chain keeps.
+        with pytest.raises(ValueError, match="burn_in must be nonnegative"):
+            GibbsConfig(support_decay=2.0, weight_bound=1.0, output_clip=5.0, temperature=1.0,
+                        iters=iters, burn_in=burn_in, thin=3)
+
+
 class TestSamplerBasics:
     def test_empty_data_rejected(self):
         data = Dataset(inputs=np.zeros((0, 1)), outputs=np.zeros(0))

@@ -129,6 +129,23 @@ def test_batch_needs_one_depth_and_state_count():
     fewer = Dataset(inputs=data.inputs[:3], outputs=data.outputs[:3])
     with pytest.raises(ValueError, match="share depth"):
         sample_batch([data, fewer], "square", [classdef, classdef], [cfg, cfg])
+    longer = replace(cfg, iters=cfg.iters + 1)
+    with pytest.raises(ValueError, match="share depth"):
+        sample_batch([data, data], "square", [classdef, classdef], [cfg, longer])
+
+
+def test_batch_chains_keep_their_own_draws():
+    # One iters, but each chain its own burn_in and thin: every chain keeps
+    # the draws its own keep rule names, however many its batch-mates keep.
+    cases = []
+    for c, (burn_in, thin) in enumerate([(0, 1), (100, 3), (599, 1), (250, 60), (7, 13)]):
+        data, classdef, cfg = chain_case(c, "square", "relu", 1)
+        cases.append((data, classdef, replace(cfg, burn_in=burn_in, thin=thin)))
+    datas, classdefs, cfgs = zip(*cases)
+    batch = sample_batch(datas, "square", classdefs, cfgs)
+    assert [len(draws) for draws in batch] == [600, 167, 1, 6, 46]
+    for draws, (data, classdef, cfg) in zip(batch, cases):
+        assert_same_chain(draws, *replay_sampler(data, "square", classdef, cfg))
 
 
 def wide_case(cap):
