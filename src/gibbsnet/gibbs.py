@@ -17,11 +17,11 @@ dimension-matching factors collapse, leaving acceptance ratios
 The chain is strictly sequential per seed; draws are immutable afterwards.
 One generator, ``_chain``, states its step once: the sampler stream, the
 support bookkeeping, the accept test, the acceptance counts and the kept
-draws.  ``sample_posterior`` hands it a one-network pricing callable and
-runs the whole chain in one resume; ``sample_batch`` advances many
-independent chains in lockstep, resuming each once a step and pricing every
-proposal with one stacked forward pass, so each chain is bit for bit the
-chain ``sample_posterior`` runs.
+draws.  Each step resumes it once with the risk of its last proposal.
+``sample_posterior`` prices one chain's proposals with its one-network
+forward pass; ``sample_batch`` advances many independent chains in
+lockstep and prices all their proposals with one stacked forward pass, so
+each chain is bit for bit the chain ``sample_posterior`` runs.
 """
 
 from __future__ import annotations
@@ -368,20 +368,18 @@ def _chain_setup(data: Dataset, classdef: ClassDef, cfg: GibbsConfig):
     return arch, Prior.of_class(classdef, arch.input_dim, cfg.support_decay)
 
 
-def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, price=None):
+def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
     """One chain's reversible-jump steps on its own sampler stream, the one
     step both samplers take.
 
-    The chain's flat coordinate k lives at ``theta[slots[k]]``, or at
-    ``theta[k]`` when ``slots`` is None (so a kept draw copies ``theta``
-    without a gather): each step writes its proposal there and restores it
-    on a reject.  With ``price``, a callable that returns the empirical risk
-    of what ``theta`` holds, the first resume runs the whole chain.  Without
-    it, the chain yields before its first step and is sent its start risk;
-    then each step yields whether its move is feasible and, in the resume
-    that takes the next step, is sent its proposal's risk (ignored after an
-    infeasible move).  The last resume yields the chain's draws as
-    :class:`PosteriorDraws` fields.
+    The chain's flat coordinate k lives at ``theta[slots[k]]``: each step
+    writes its proposal there and restores it on a reject.  A kept step
+    copies all of ``theta``, and the draws gather their coordinates through
+    ``slots`` once, at the end.  The chain yields before its first step and
+    is sent its start risk; then each step yields whether its move is
+    feasible and, in the resume that takes the next step, is sent its
+    proposal's risk (ignored after an infeasible move).  The last resume
+    yields the chain's draws as :class:`PosteriorDraws` fields.
     """
     p_add, p_remove, _ = cfg.move_probs
     log_decay = math.log(prior.decay)
@@ -389,7 +387,7 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, price=None)
     log_add_ratio = math.log(p_remove / p_add) - log_decay if jumps else 0.0
     log_remove_ratio = math.log(p_add / p_remove) + log_decay if jumps else 0.0
     n_params, cap, slab, lam = prior.n_coords, prior.cap, prior.slab, cfg.temperature
-    slot_of = range(n_params) if slots is None else slots.tolist()
+    slot_of = slots.tolist()
     blocks = _uniform_blocks(stream(cfg.seed, "sampler"), cfg.iters)
     # The support as a count and as the sorted list ``on`` of its
     # coordinates; the mask ``active`` changes only with an accepted jump
@@ -400,9 +398,9 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, price=None)
     support = 1
     active = np.zeros(n_params, dtype=bool)
     active[on[0]] = True
-    risk = price() if price else (yield)
+    risk = yield
 
-    thetas = np.empty((cfg.n_keep, n_params))
+    kept_theta = np.empty((cfg.n_keep, theta.size))
     actives = np.empty((cfg.n_keep, n_params), dtype=bool)
     log_scores = np.empty(cfg.n_keep)
     kept = 0
@@ -438,7 +436,7 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, price=None)
                 old = theta.item(slot)
                 theta[slot] = (add_value if move == 0 else 0.0 if move == 1
                                else _reflect(old + shift, slab))
-                new_risk = price() if price else (yield True)
+                new_risk = yield True
                 if u_accept < math.exp(min(0.0, -lam * (new_risk - risk) + log_ratio)):
                     risk = new_risk
                     accepted[move] += 1
@@ -452,11 +450,11 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, price=None)
                         active[j] = False
                 else:
                     theta[slot] = old
-            elif not price:
+            else:
                 yield False
 
             if keep:
-                thetas[kept] = theta if slots is None else theta[slots]
+                kept_theta[kept] = theta
                 actives[kept] = active
                 log_scores[kept] = -lam * risk
                 kept += 1
@@ -464,7 +462,8 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, price=None)
     # Each move's accepted / proposed, 0.0 where none was proposed.
     rates = {move: (accepted[i] / int(proposed[i]) if proposed[i] else 0.0)
              for i, move in enumerate(("add", "remove", "perturb"))}
-    yield dict(thetas=thetas, actives=actives, log_scores=log_scores, acceptance_rates=rates)
+    yield dict(thetas=kept_theta.take(slots, axis=1), actives=actives, log_scores=log_scores,
+               acceptance_rates=rates)
 
 
 def sample_posterior(
@@ -494,7 +493,13 @@ def sample_posterior(
     def price():
         return risk_fn(compose_views(views, points, act_fn, clip_bounds)[:, 0])
 
-    draws = next(_chain(cfg, prior, theta, None, price))
+    steps = _chain(cfg, prior, theta, np.arange(prior.n_coords))
+    next(steps)
+    risk = price()
+    for _ in range(cfg.iters):
+        if steps.send(risk):
+            risk = price()
+    draws = steps.send(risk)
     return PosteriorDraws(arch=arch, prior=prior, output_clip=clip,
                           activation=classdef.activation, **draws)
 
@@ -516,9 +521,9 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     move is feasible.  Each row's floats are those of its own network, so
     no chain depends on its batch-mates.  The chains must share depth,
     activation, the number of distinct input rows and iters; otherwise
-    ValueError.  On the sweep benchmark's cells it runs at 0.8x the speed of
-    sample_posterior on one chain, 1.3-1.4x on two, 1.9-2.3x on four,
-    3.1-3.7x on ten and 4.8-5.4x on fifty.
+    ValueError.  On the sweep benchmark's cells it runs at 0.8-0.9x the speed
+    of sample_posterior on one chain, 1.3-1.4x on two, 2.0-2.1x on four,
+    3.2-3.8x on ten and 4.7-6.1x on fifty.
     """
     setups = [_chain_setup(*chain) for chain in zip(datas, classdefs, cfgs)]
     states = [_state_tables(data, loss) for data in datas]
@@ -533,11 +538,10 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     in_cols = max(arch.input_dim for arch in archs)
     frames = np.zeros((len(setups), max_param_count(depth, width)))
     inputs = np.zeros((len(setups), m, in_cols))
-    flat, chains = frames.reshape(-1), []
+    chains = []
     for c, (arch, prior, cfg, (points, _)) in enumerate(zip(archs, priors, cfgs, states)):
         inputs[c, :, :arch.input_dim] = points
-        slots = frame_slots(arch, depth, width) + c * frames.shape[1]
-        chains.append(_chain(cfg, prior, flat, slots))
+        chains.append(_chain(cfg, prior, frames[c], frame_slots(arch, depth, width)))
     views = frame_views(frames, depth, width, in_cols)
     act_fn = ACTIVATIONS[activation].fn
     # (C, m, 1) clip bounds, the outputs' shape: numpy serves it faster than a broadcast.

@@ -48,6 +48,8 @@ def chain_case(c, loss, activation, depth):
 
 
 def assert_same_chain(draws, thetas, actives, log_scores, rates):
+    # Row-major, as the draws are read: one network per row.
+    assert draws.thetas.flags.c_contiguous
     assert np.array_equal(draws.thetas, thetas)
     assert np.array_equal(draws.actives, actives)
     assert np.array_equal(draws.log_scores, log_scores)
