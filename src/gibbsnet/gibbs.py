@@ -75,6 +75,8 @@ class ClassDef:
             raise InvalidClass("sparsity cap exceeds the padded parameter count")
         if self.weight_bound <= 0 or self.output_clip <= 0:
             raise InvalidClass("bounds must be positive")
+        if not math.isfinite(4.0 * self.weight_bound):
+            raise InvalidClass("4 * weight_bound, a perturb's reflection period, must be finite")
         if self.activation not in ACTIVATIONS:
             raise InvalidClass(f"unknown activation {self.activation!r}")
 
@@ -172,6 +174,8 @@ class Prior:
     def __post_init__(self):
         if self.decay < 2 or not 1 <= self.cap <= self.n_coords:
             raise ValueError("need support decay >= 2 and 1 <= cap <= n_coords")
+        if not math.isfinite(4.0 * self.slab):
+            raise ValueError("4 * slab, a perturb's reflection period, must be finite")
 
     @classmethod
     def of_class(cls, classdef: ClassDef, input_dim: int, decay: float) -> Prior:
@@ -504,34 +508,60 @@ def sample_posterior(
                           activation=classdef.activation, **draws)
 
 
+# Floats a lockstep batch may allocate for its chains' kept draws, so a
+# sweep's memory stays bounded whatever its replications and thinning.
+BATCH_FLOATS = 1 << 23
+
+
+def _batch_key(classdef: ClassDef, cfg: GibbsConfig, m: int) -> tuple:
+    """What one batch's chains share: depth, activation, m distinct input rows, iters."""
+    return classdef.depth, classdef.activation, m, cfg.iters
+
+
+def lockstep_batches(datas, classdefs, cfgs) -> list:
+    """Indices of the chains (data, classdef, cfg) in :func:`sample_batch`
+    batches: chains of one :func:`_batch_key`, in order, at most BATCH_FLOATS
+    floats of kept draws a batch, a kept draw costing a chain a row of the
+    group's widest frame, its mask at a byte a coordinate and its coordinates."""
+    groups: dict = {}
+    for i, (data, classdef, cfg) in enumerate(zip(datas, classdefs, cfgs)):
+        key = _batch_key(classdef, cfg, len(np.unique(data.inputs, axis=0)))
+        groups.setdefault(key, []).append(i)
+    batches = []
+    for (depth, *_), rows in groups.items():
+        archs = [classdefs[i].architecture(datas[i].inputs.shape[1]) for i in rows]
+        frame = max_param_count(depth, max(max(arch.widths) for arch in archs))
+        floats = max(cfgs[i].n_keep * (frame + 9 * param_count(arch) / 8)
+                     for i, arch in zip(rows, archs))
+        size = max(1, int(BATCH_FLOATS // floats))
+        batches += [rows[start:start + size] for start in range(0, len(rows), size)]
+    return batches
+
+
 def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     """Run one chain per (data, classdef, cfg) in lockstep and return each
     chain's draws, equal bit for bit to ``sample_posterior(data, loss,
     classdef, cfg)``.
 
-    Every chain is a :func:`_chain`, the generator whose step
-    sample_posterior runs, on its own sampler stream.  The chains' states
-    are the rows of one (C, F) array, each row the chain's padded (depth,
-    width) frame (see :func:`frame_slots`), into which a chain writes its
-    proposal through the frame slots of its flat coordinates.  Each step
-    resumes every chain once: it takes the risk of its last proposal, then
-    writes its next one and yields whether that move is feasible.  Once
-    every chain has proposed, one :func:`compose_views` of the frames and
-    one stacked risk price all proposals, and no pass runs when no chain's
-    move is feasible.  Each row's floats are those of its own network, so
-    no chain depends on its batch-mates.  The chains must share depth,
-    activation, the number of distinct input rows and iters; otherwise
-    ValueError.  On the sweep benchmark's cells it runs at 0.8-0.9x the speed
-    of sample_posterior on one chain, 1.3-1.4x on two, 2.0-2.1x on four,
-    3.2-3.8x on ten and 4.7-6.1x on fifty.
+    Every chain is a :func:`_chain` on its own sampler stream, writing its
+    proposals into its row of one (C, F) array, its padded (depth, width)
+    frame, through :func:`frame_slots`.  Each step resumes every chain
+    once, then one :func:`compose_views` of the frames and one stacked risk
+    price all proposals; no pass runs when no chain's move is feasible.
+    Each row's floats are those of its own network, so no chain depends on
+    its batch-mates.  The chains must share their :func:`_batch_key`, else
+    ValueError.  One chain runs :func:`sample_posterior`; on the sweep
+    benchmark's cells, lockstep beats it 1.3-1.4x on two chains, 2.0-2.1x
+    on four, 3.2-3.8x on ten and 4.7-6.1x on fifty.
     """
+    if len(datas) == 1:
+        return [sample_posterior(datas[0], loss, classdefs[0], cfgs[0])]
     setups = [_chain_setup(*chain) for chain in zip(datas, classdefs, cfgs)]
     states = [_state_tables(data, loss) for data in datas]
-    shared = {(classdef.depth, classdef.activation, len(points), cfg.iters)
+    shared = {_batch_key(classdef, cfg, len(points))
               for classdef, cfg, (points, _) in zip(classdefs, cfgs, states)}
     if len(shared) != 1:
-        raise ValueError("a batch's chains must share depth, activation, distinct input "
-                         "rows and iters")
+        raise ValueError("chains must share depth, activation, distinct input rows and iters")
     ((depth, activation, m, iters),) = shared
     archs, priors = zip(*setups)
     width = max(max(arch.widths) for arch in archs)

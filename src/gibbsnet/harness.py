@@ -3,7 +3,7 @@ sweeps, effective-sample-size comparisons, slope fitting and report files.
 
 Everything is driven by one configuration document (see README for the
 schema).  Sweeps fit their grid cells in lockstep batches (see
-:func:`gibbsnet.gibbs.sample_batch`) with per-row derived seeds (base seed
+:func:`gibbsnet.gibbs.lockstep_batches`) with per-row derived seeds (base seed
 XOR row index), so a config plus seed fully determines the emitted rows;
 CSV rows are flushed in row order as their batches complete, so partial
 results survive a failure.
@@ -23,8 +23,8 @@ from .bounds import composition_rate_rhs, oracle_rhs
 from .errors import (REQUIRED, ConfigError, DimensionMismatch, InvalidClass,
                      MismatchedEffectiveSize, NonUniqueStationary, TooFewPoints,
                      ZeroStationaryMass, check_kinded, check_table, check_value)
-from .gibbs import (GIBBS, RISK_TERMS, ClassDef, GibbsConfig, Prior, posterior_predictor,
-                    sample_batch, sample_posterior, temperature)
+from .gibbs import (GIBBS, RISK_TERMS, ClassDef, GibbsConfig, Prior, lockstep_batches,
+                    posterior_predictor, sample_batch, temperature)
 from .markov import (
     TransitionKernel,
     pseudo_spectral_gap,
@@ -43,7 +43,6 @@ from .model import (
     rate_exponent,
     rate_exponents,
 )
-from .network import param_count
 
 CSV_COLUMNS = ("n", "gamma", "n_eff", "excess_risk", "bound_rhs", "seed", "wall_time")
 
@@ -406,39 +405,14 @@ def run_cell(cfg: ExperimentConfig, n: int, chain, target, classdef, gibbs_cfg, 
     )
 
 
-# Retained draw floats (chains x kept draws x coordinates) per lockstep
-# batch: rows beyond it run as further batches, so a sweep's memory stays
-# bounded whatever its replications and thinning.
-BATCH_FLOATS = 1 << 23
-
-
-def _lockstep_batches(datas, settings) -> list:
-    """Row indices in lockstep batches: rows that share depth and the number
-    of distinct input rows (see :func:`sample_batch`), in row order, cut to
-    at most BATCH_FLOATS retained draw floats a batch."""
-    groups: dict = {}
-    for i, (data, (classdef, _)) in enumerate(zip(datas, settings)):
-        groups.setdefault((classdef.depth, len(np.unique(data.inputs, axis=0))), []).append(i)
-    batches = []
-    for rows in groups.values():
-        floats = max(settings[i][1].n_keep
-                     * param_count(settings[i][0].architecture(datas[i].inputs.shape[1]))
-                     for i in rows)
-        size = max(1, BATCH_FLOATS // floats)
-        batches += [rows[start:start + size] for start in range(0, len(rows), size)]
-    return batches
-
-
 def _run_cells(cfg: ExperimentConfig, cells, chains: dict, csv_path) -> list:
     """Run each (n, p) cell ``cfg.replications`` times, on ``chains[p]`` and
     one target built for the sweep, with row seeds base seed XOR row index.
-    Every row's settings are resolved before ``csv_path`` is opened.  Every
-    row's data are drawn, then each batch of :func:`_lockstep_batches` is
-    fitted by :func:`sample_batch` (a batch of one by
-    :func:`sample_posterior`) and its rows are scored.  Rows are flushed to
-    ``csv_path`` in row order as their batches complete, so partial results
-    survive a failure.  A row's wall time is its share of its batch's
-    sampler time plus its own data and scoring."""
+    Every row's settings are resolved before ``csv_path`` is opened and
+    every row's data drawn; then :func:`sample_batch` fits each batch of
+    :func:`lockstep_batches`, whose rows are scored and flushed to
+    ``csv_path`` in row order.  A row's wall time is its share of its
+    batch's sampler time plus its own data and scoring."""
     kernel = next(iter(chains.values()))[0]
     target = build_target(cfg.target, kernel.states)
     runs = [(n, p) for n, p in cells for _ in range(cfg.replications)]
@@ -453,14 +427,10 @@ def _run_cells(cfg: ExperimentConfig, cells, chains: dict, csv_path) -> list:
             datas.append(cell_data(cfg, n, chains[p], target, gibbs_cfg.seed))
             own_times.append(time.perf_counter() - start)
         written = 0
-        for batch in _lockstep_batches(datas, settings):
+        for batch in lockstep_batches(datas, *zip(*settings)):
             start = time.perf_counter()
-            if len(batch) == 1:
-                (i,) = batch
-                fitted = [sample_posterior(datas[i], cfg.loss, *settings[i])]
-            else:
-                fitted = sample_batch([datas[i] for i in batch], cfg.loss,
-                                      *zip(*(settings[i] for i in batch)))
+            fitted = sample_batch([datas[i] for i in batch], cfg.loss,
+                                  *zip(*(settings[i] for i in batch)))
             share = (time.perf_counter() - start) / len(batch)
             for i, draws in zip(batch, fitted):
                 (n, p), (classdef, gibbs_cfg) = runs[i], settings[i]

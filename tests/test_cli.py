@@ -88,6 +88,8 @@ BERNSTEIN = {"kind": "bernstein_mgf", "chain": CHAIN, "target": {"kind": "holder
              "network": NETWORK, "lambda": 1.0, "n": 100, "replications": 20}
 KL = {"kind": "kl", "card": 2, "eta": 0.1, "decay": 2.0, "slab": 1.0, "n_max": 5}
 KL_CARD_ABOVE_N_MAX = {**KL, "card": 6}
+# 4 * 1e308 overflows, so a perturb's reflection would have no period.
+WEIGHT_BOUND_1E308 = {"depth": 1, "width": 2, "sparsity": 4, "weight_bound": 1e308}
 COMPOSITION = {"kind": "composition", "dims": [1, 2, 1], "active_coords": [1, 2],
                "betas": [1.0, 0.5]}
 EFFSAMPLE = {**{k: v for k, v in SWEEP.items() if k != "n_grid"}, "pairs": [[100, 0.5]]}
@@ -211,6 +213,10 @@ def run(tmp_path, command, doc):
         ("bounds", {"checks": [{**BERNSTEIN, "network": {**NETWORK, "widths": [2, 1]}}]}),
         ("bounds", {"checks": [{**BERNSTEIN, "loss": "hinge"}]}),
         ("bounds", {"checks": [{**BERNSTEIN, "noise": ["gaussian", 1e160]}]}),
+        ("sample", {**SAMPLE, "classdef": WEIGHT_BOUND_1E308}),
+        ("sample", {**SAMPLE, "classdef": {**WEIGHT_BOUND_1E308, "weight_bound": 5e307}}),
+        ("sweep", {**SWEEP, "classdef": WEIGHT_BOUND_1E308}),
+        ("bounds", {"checks": [{**KL, "slab": 1e308}]}),
         ("sweep", {**SWEEP, "replications": 2, "gibbs": NEGATIVE_BURN_IN}),
         ("sample", {**SAMPLE, "gibbs": NEGATIVE_BURN_IN}),
         ("effsample", {**EFFSAMPLE, "gibbs": NEGATIVE_BURN_IN}),
@@ -246,7 +252,9 @@ def run(tmp_path, command, doc):
         "bounds-kl-card-above-n-max", "bounds-kl-zero-eta", "bounds-kl-negative-eta",
         "bounds-kl-eta-minus-one", "gap-non-square-chain", "sweep-non-square-chain",
         "bounds-bernstein-network-input-mismatch", "bounds-bernstein-unknown-loss",
-        "bounds-bernstein-overflowing-noise-scale", "sweep-negative-burn-in",
+        "bounds-bernstein-overflowing-noise-scale", "sample-weight-bound-period-overflows",
+        "sample-weight-bound-period-overflows-5e307", "sweep-weight-bound-period-overflows",
+        "bounds-kl-slab-period-overflows", "sweep-negative-burn-in",
         "sample-negative-burn-in", "effsample-negative-burn-in",
     ],
 )
@@ -254,6 +262,7 @@ def test_config_errors_exit_2(tmp_path, capsys, command, doc):
     assert run(tmp_path, command, doc) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
+    assert not list(tmp_path.glob("*_partial.csv"))
     if doc == {"checks": [KL_CARD_ABOVE_N_MAX]}:
         assert "card 6" in err and "n_max 5" in err
 

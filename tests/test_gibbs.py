@@ -1,6 +1,7 @@
 """Tests for the spike-and-slab prior and the reversible-jump sampler."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,8 +85,10 @@ class TestPriorNormalizer:
         small = ClassDef(depth=1, width=2, sparsity=4, weight_bound=1.5, output_clip=1.0)
         assert Prior.of_class(small, 1, 3.0) == Prior(7, 4, 3.0, 1.5)
 
-    @pytest.mark.parametrize("args", [(2, 2, 1.5, 1.0), (2, 3, 2.0, 1.0), (2, 0, 2.0, 1.0)],
-                             ids=["decay-below-2", "cap-above-n-coords", "zero-cap"])
+    @pytest.mark.parametrize("args", [(2, 2, 1.5, 1.0), (2, 3, 2.0, 1.0), (2, 0, 2.0, 1.0),
+                                      (2, 2, 2.0, 5e307)],
+                             ids=["decay-below-2", "cap-above-n-coords", "zero-cap",
+                                  "slab-period-overflows"])
     def test_invalid_rejected(self, args):
         with pytest.raises(ValueError):
             Prior(*args)
@@ -187,6 +190,14 @@ class TestSamplerBasics:
         with pytest.raises(InvalidClass):
             ClassDef(depth=0, width=1, sparsity=3, weight_bound=1.0, output_clip=1.0)
 
+    @pytest.mark.parametrize("bound", [5e307, 1e308])
+    def test_weight_bound_needs_finite_reflection_period(self, bound):
+        # A perturb folds its weight back with period 4 * bound; an infinite
+        # period would leave inf or NaN weights.
+        with pytest.raises(InvalidClass, match="period"):
+            ClassDef(depth=1, width=2, sparsity=4, weight_bound=bound, output_clip=1.0)
+        ClassDef(depth=1, width=2, sparsity=4, weight_bound=bound / 2.5, output_clip=1.0)
+
     def test_same_seed_identical_draws(self):
         data, _, _ = tiny_regression_data()
         cfg = GibbsConfig(
@@ -259,6 +270,34 @@ class TestSamplerBasics:
         assert "log_score" in doc
         restored = SparseNetwork.from_json(json.dumps({k: v for k, v in doc.items() if k != "log_score"}))
         np.testing.assert_allclose(restored.theta, draws.thetas[-1])
+
+
+class TestLockstepBatches:
+    def test_batches_keep_draws_within_budget(self, monkeypatch):
+        # Depth 1, width 2 on 8 inputs: 21 coordinates, each draw kept in a
+        # 144-float frame row.  A budget that counted the 21 alone would put
+        # 22 of these chains in a batch, 8x over it.
+        monkeypatch.setattr(gibbs, "BATCH_FLOATS", 1_400_000)
+        rng = np.random.default_rng(0)
+        classdef = ClassDef(depth=1, width=2, sparsity=4, weight_bound=1.0, output_clip=2.0)
+        datas = [Dataset(inputs=rng.random((6, 8)), outputs=rng.random(6)) for _ in range(60)]
+        cfgs = [GibbsConfig(support_decay=2.0, weight_bound=1.0, output_clip=2.0,
+                            temperature=1.0, iters=3000, burn_in=0, seed=c) for c in range(60)]
+        batches = gibbs.lockstep_batches(datas, [classdef] * 60, cfgs)
+        assert sum(batches, []) == list(range(60))
+        assert min(map(len, batches)) >= 2
+        # Chains of one shape allocate alike, so one batch of each size
+        # stands for all of that size.
+        tracemalloc.start()
+        try:
+            for batch in {len(batch): batch for batch in batches}.values():
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sample_batch([datas[i] for i in batch], "square", [classdef] * len(batch),
+                             [cfgs[i] for i in batch])
+                assert tracemalloc.get_traced_memory()[1] - base <= 8 * gibbs.BATCH_FLOATS
+        finally:
+            tracemalloc.stop()
 
 
 def logistic_data():

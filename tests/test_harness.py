@@ -254,7 +254,7 @@ class TestRunRateSweep:
     def test_lockstep_batches_leave_rows_unchanged(self, tmp_path, monkeypatch):
         # n = 20 on 16 states leaves states unvisited, so the rows fall into
         # batches of different distinct-input counts: fitted in lockstep, or
-        # at a one-float budget one row at a time by sample_posterior.
+        # at a one-float budget one row a batch, which sample_posterior runs.
         cfg = small_sweep_config(
             tmp_path, chain={"family": "two_source", "p": 0.5, "states": 16},
             n_grid=[20, 400, 3000], p_grid=[0.5, 0.25], replications=2,
@@ -263,15 +263,20 @@ class TestRunRateSweep:
                                     "sparsity_scale": 0.5, "bound_cap": 1.5}},
             gibbs={"iters": 700, "burn_in": 100, "thin": 20},
         )
-        fits = []
-        monkeypatch.setattr(harness, "sample_batch",
-                            lambda *args: fits.append(len(args[0])) or gibbs.sample_batch(*args))
+        sizes = []
+
+        def recorded(*args):
+            batches = gibbs.lockstep_batches(*args)
+            sizes.append([len(batch) for batch in batches])
+            return batches
+
+        monkeypatch.setattr(harness, "lockstep_batches", recorded)
         path = tmp_path / "partial.csv"
         lockstep = run_rate_sweep(cfg, csv_path=path)
-        assert len(fits) >= 2 and sum(fits) < 12  # some rows fitted alone
-        monkeypatch.setattr(harness, "BATCH_FLOATS", 1)
+        assert sum(size > 1 for size in sizes[0]) >= 2 and 1 in sizes[0]  # some rows alone
+        monkeypatch.setattr(gibbs, "BATCH_FLOATS", 1)
         alone = run_rate_sweep(cfg)
-        assert len(fits) == 2
+        assert sizes[1] == [1] * 12
         assert lockstep.to_csv(include_timing=False) == alone.to_csv(include_timing=False)
         assert [row.seed for row in lockstep.rows] == [cfg.seed ^ i for i in range(12)]
         assert path.read_text() == lockstep.to_csv()
