@@ -150,7 +150,7 @@ def cmd_sample(doc: dict, args) -> int:
     chain = solve_chain(cfg.chain, cfg.k_max)
     kernel, _, gamma = chain
     target = build_target(cfg.target, kernel.states)
-    classdef, gibbs_cfg = cell_settings(cfg, n, gamma, cfg.seed, lam)
+    classdef, gibbs_cfg = cell_settings(cfg, n, gamma, cfg.seed, target, lam)
     data = cell_data(cfg, n, chain, target, gibbs_cfg.seed)
     draws = sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
     out = _out_dir(doc, args)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -90,7 +90,9 @@ class GibbsConfig:
     """Prior and sampler settings.
 
     ``move_probs`` are the (add, remove, perturb) proposal probabilities;
-    ``step`` defaults to a tenth of the slab half-width.
+    ``step`` defaults to a tenth of the slab half-width, and 2 *
+    weight_bound + step, the most a perturb's reflection folds, must be
+    finite.
     """
 
     support_decay: float
@@ -121,6 +123,9 @@ class GibbsConfig:
             object.__setattr__(self, "step", self.weight_bound / 10.0)
         if self.step <= 0:
             raise ValueError("perturbation step must be positive")
+        if not math.isfinite(2.0 * self.weight_bound + self.step):
+            raise ValueError("2 * weight_bound + step, the most a perturb's reflection "
+                             "folds, must be finite")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
         if self.iters <= self.burn_in:
@@ -345,22 +350,37 @@ def _per_state_risk(data: Dataset, loss: str):
 
 
 def _batch_risk(tables: list, loss: str):
-    """risk_fn of stacked predictions (C, m, 1) to the C empirical risks of
-    :func:`_per_state_risk`: the per-row dot products are a stacked matmul,
-    which takes each one as np.dot does."""
-    a, b = (np.stack(column)[:, None, :] for column in list(zip(*tables))[:2])
+    """risk_fn of stacked predictions (C, m), one chain a row, to the C
+    empirical risks of :func:`_per_state_risk`: the per-row dot products
+    are one np.vecdot, whose float64 loop takes each one as np.dot does."""
+    a, b = (np.stack(column) for column in list(zip(*tables))[:2])
     c = np.array([table[2] for table in tables])
     f, g = RISK_TERMS[loss]
 
     def risk_fn(h):
-        return (a @ f(h) + b @ g(h))[:, 0, 0] + c
+        return np.vecdot(a, f(h)) + np.vecdot(b, g(h)) + c
 
     return risk_fn
 
 
+def class_output_bound(classdef: ClassDef, inputs: np.ndarray) -> float:
+    """:func:`output_bound` of ``classdef`` at the (n, input_dim) rows
+    ``inputs``: no network of the class has a pre-clip output there above
+    it.  A class whose bound is not finite raises InvalidClass: its forward
+    pass may overflow, and a NaN risk would pass every accept test."""
+    arch = classdef.architecture(input_dim=inputs.shape[1])
+    bound = output_bound(arch, classdef.weight_bound, float(np.abs(inputs).max()),
+                         classdef.activation)
+    if not math.isfinite(bound):
+        raise InvalidClass(f"pre-clip outputs of depth {classdef.depth}, width "
+                           f"{classdef.width} and weight bound {classdef.weight_bound:g} "
+                           "may overflow at these inputs")
+    return bound
+
+
 def _chain_setup(data: Dataset, classdef: ClassDef, cfg: GibbsConfig):
-    """(arch, prior) of one chain, after the checks :func:`sample_posterior`
-    documents."""
+    """(arch, prior, :func:`class_output_bound`) of one chain, after the
+    checks :func:`sample_posterior` documents."""
     if len(data) == 0:
         raise EmptyDataset("cannot sample a posterior from no data")
     if not (
@@ -368,8 +388,9 @@ def _chain_setup(data: Dataset, classdef: ClassDef, cfg: GibbsConfig):
         and math.isclose(cfg.output_clip, classdef.output_clip)
     ):
         raise InvalidClass("config bounds must match the class bounds")
+    bound = class_output_bound(classdef, data.inputs)
     arch = classdef.architecture(input_dim=data.inputs.shape[1])
-    return arch, Prior.of_class(classdef, arch.input_dim, cfg.support_decay)
+    return arch, Prior.of_class(classdef, arch.input_dim, cfg.support_decay), bound
 
 
 def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
@@ -377,7 +398,10 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
     step both samplers take.
 
     The chain's flat coordinate k lives at ``theta[slots[k]]``: each step
-    writes its proposal there and restores it on a reject.  A kept step
+    writes its proposal there and restores it on a reject.  The support is
+    two sorted lists, ``on`` and ``off``, of the active and inactive
+    coordinates: a move's pool is one of them, and an accepted jump moves
+    its coordinate from one to the other.  A kept step
     copies all of ``theta``, and the draws gather their coordinates through
     ``slots`` once, at the end.  The chain yields before its first step and
     is sent its start risk; then each step yields whether its move is
@@ -393,12 +417,13 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
     n_params, cap, slab, lam = prior.n_coords, prior.cap, prior.slab, cfg.temperature
     slot_of = slots.tolist()
     blocks = _uniform_blocks(stream(cfg.seed, "sampler"), cfg.iters)
-    # The support as a count and as the sorted list ``on`` of its
-    # coordinates; the mask ``active`` changes only with an accepted jump
-    # and is read only when a draw is kept.  One active coordinate at value
-    # 0: a uniform is at most 1 - 2^-53, so int(u * size) stays below size
-    # for any size under 2^52.
+    # The support as a count and as the sorted lists ``on`` and ``off`` of
+    # its coordinates and the others; the mask ``active`` changes only with
+    # an accepted jump and is read only when a draw is kept.  One active
+    # coordinate at value 0: a uniform is at most 1 - 2^-53, so int(u * size)
+    # stays below size for any size under 2^52.
     on = [int(next(blocks)[0, 0] * n_params)]
+    off = [j for j in range(n_params) if j != on[0]]
     support = 1
     active = np.zeros(n_params, dtype=bool)
     active[on[0]] = True
@@ -409,10 +434,6 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
     log_scores = np.empty(cfg.n_keep)
     kept = 0
     proposed, accepted = np.zeros(3, dtype=np.int64), [0, 0, 0]
-
-    def gaps(i):
-        # Inactive coordinates below the i-th active one; nondecreasing in i.
-        return on[i] - i
 
     for t, block in zip(range(0, cfg.iters, UNIFORM_CHUNK), blocks):
         counts, rows = _decode_block(block, t, cfg, slab)
@@ -427,12 +448,11 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
                 log_ratio, feasible = 0.0, True
 
             if feasible:
-                # The pool's k-th coordinate: the k-th inactive one is k plus
-                # the number i of active ones below it, the i-th active one on[i].
+                # The pool's i-th coordinate: an add draws from ``off``, the
+                # other moves from ``on``.
                 if move == 0:
-                    k = int(u_index * (n_params - support))
-                    i = bisect_right(range(support), k, key=gaps)
-                    j = k + i
+                    i = int(u_index * (n_params - support))
+                    j = off[i]
                 else:
                     i = int(u_index * support)
                     j = on[i]
@@ -441,15 +461,19 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
                 theta[slot] = (add_value if move == 0 else 0.0 if move == 1
                                else _reflect(old + shift, slab))
                 new_risk = yield True
-                if u_accept < math.exp(min(0.0, -lam * (new_risk - risk) + log_ratio)):
+                # exp(min(0.0, x)) without the builtin call, NaN and -0.0 included.
+                x = -lam * (new_risk - risk) + log_ratio
+                if u_accept < math.exp(x if x < 0.0 else 0.0):
                     risk = new_risk
                     accepted[move] += 1
                     if move == 0:
-                        on.insert(i, j)
+                        del off[i]
+                        insort(on, j)
                         support += 1
                         active[j] = True
                     elif move == 1:
                         del on[i]
+                        insort(off, j)
                         support -= 1
                         active[j] = False
                 else:
@@ -478,24 +502,25 @@ def sample_posterior(
     The stationary law is the tempered posterior on the class, restricted
     to supports of size at most the sparsity cap; every draw satisfies the
     hard class constraints (active weights inside the slab, support never
-    empty, support size capped).  Every proposal stays in the slab, so where
-    :func:`output_bound` of the slab at the data's inputs is below the clip,
-    no network the chain meets reaches the clip, and the forward pass skips
-    it: for finite |z| < clip, np.maximum and np.minimum return z itself.
+    empty, support size capped).  A class whose :func:`class_output_bound`
+    at the data's inputs is not finite raises InvalidClass.  Every proposal
+    stays in the slab, so where that bound is below the clip, no network
+    the chain meets reaches the clip, and the forward pass skips it: for
+    finite |z| < clip, np.maximum and np.minimum return z itself.
     """
-    arch, prior = _chain_setup(data, classdef, cfg)
+    arch, prior, bound = _chain_setup(data, classdef, cfg)
     clip = classdef.output_clip
     act_fn = ACTIVATIONS[classdef.activation].fn
     points, risk_fn = _per_state_risk(data, loss)
-    # The clip, idle (see above) or as prebuilt (m, 1) bounds.
-    bound = output_bound(arch, prior.slab, float(np.abs(points).max()), classdef.activation)
-    clip_bounds = None if bound < clip else (np.full((len(points), 1), -clip),
-                                             np.full((len(points), 1), clip))
+    points = np.ascontiguousarray(points.T)
+    # The clip, idle (see above) or as prebuilt (m,) bounds.
+    clip_bounds = None if bound < clip else (np.full(points.shape[1], -clip),
+                                             np.full(points.shape[1], clip))
     theta = np.zeros(prior.n_coords)
     views = layer_views(layer_slices(arch), theta)
 
     def price():
-        return risk_fn(compose_views(views, points, act_fn, clip_bounds)[:, 0])
+        return risk_fn(compose_views(views, points, act_fn, clip_bounds))
 
     steps = _chain(cfg, prior, theta, np.arange(prior.n_coords))
     next(steps)
@@ -546,13 +571,14 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     Every chain is a :func:`_chain` on its own sampler stream, writing its
     proposals into its row of one (C, F) array, its padded (depth, width)
     frame, through :func:`frame_slots`.  Each step resumes every chain
-    once, then one :func:`compose_views` of the frames and one stacked risk
-    price all proposals; no pass runs when no chain's move is feasible.
+    once, then one :func:`compose_views` of the frames at the chains'
+    (in_cols, C, m) inputs and one row-wise risk price all proposals; no
+    pass runs when no chain's move is feasible.
     Each row's floats are those of its own network, so no chain depends on
     its batch-mates.  The chains must share their :func:`_batch_key`, else
     ValueError.  One chain runs :func:`sample_posterior`; on the sweep
-    benchmark's cells, lockstep beats it 1.3-1.4x on two chains, 2.0-2.1x
-    on four, 3.2-3.8x on ten and 4.7-6.1x on fifty.
+    benchmark's cells, lockstep beats it about 1.1x on two chains, 2.0x on
+    four, 3.7x on ten, 4.8x on 25, 5.4x on fifty and 5.0x on a hundred.
     """
     if len(datas) == 1:
         return [sample_posterior(datas[0], loss, classdefs[0], cfgs[0])]
@@ -563,19 +589,19 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     if len(shared) != 1:
         raise ValueError("chains must share depth, activation, distinct input rows and iters")
     ((depth, activation, m, iters),) = shared
-    archs, priors = zip(*setups)
+    archs, priors, _ = zip(*setups)
     width = max(max(arch.widths) for arch in archs)
     in_cols = max(arch.input_dim for arch in archs)
     frames = np.zeros((len(setups), max_param_count(depth, width)))
-    inputs = np.zeros((len(setups), m, in_cols))
+    inputs = np.zeros((in_cols, len(setups), m))
     chains = []
     for c, (arch, prior, cfg, (points, _)) in enumerate(zip(archs, priors, cfgs, states)):
-        inputs[c, :, :arch.input_dim] = points
+        inputs[:arch.input_dim, c] = points.T
         chains.append(_chain(cfg, prior, frames[c], frame_slots(arch, depth, width)))
     views = frame_views(frames, depth, width, in_cols)
     act_fn = ACTIVATIONS[activation].fn
-    # (C, m, 1) clip bounds, the outputs' shape: numpy serves it faster than a broadcast.
-    clip = np.repeat(np.array([cd.output_clip for cd in classdefs])[:, None, None], m, axis=1)
+    # (C, m) clip bounds, the outputs' shape: numpy serves it faster than a broadcast.
+    clip = np.repeat(np.array([cd.output_clip for cd in classdefs])[:, None], m, axis=1)
     clip_bounds = (-clip, clip)
     risk_fn = _batch_risk([tables for _, tables in states], loss)
 
@@ -611,8 +637,8 @@ def posterior_predictor(draws: PosteriorDraws, mode: str = "single_draw"):
     act_fn = ACTIVATIONS[draws.activation].fn
 
     def predict(x):
-        outs = (compose_views(layer_views(slices, theta), x, act_fn, draws.output_clip)
+        outs = (compose_views(layer_views(slices, theta), x.T, act_fn, draws.output_clip)
                 for theta in thetas)
-        return (reduce(np.add, outs) / len(thetas))[:, 0]
+        return reduce(np.add, outs) / len(thetas)
 
     return predict

@@ -23,8 +23,8 @@ from .bounds import composition_rate_rhs, oracle_rhs
 from .errors import (REQUIRED, ConfigError, DimensionMismatch, InvalidClass,
                      MismatchedEffectiveSize, NonUniqueStationary, TooFewPoints,
                      ZeroStationaryMass, check_kinded, check_table, check_value)
-from .gibbs import (GIBBS, RISK_TERMS, ClassDef, GibbsConfig, Prior, lockstep_batches,
-                    posterior_predictor, sample_batch, temperature)
+from .gibbs import (GIBBS, RISK_TERMS, ClassDef, GibbsConfig, Prior, class_output_bound,
+                    lockstep_batches, posterior_predictor, sample_batch, temperature)
 from .markov import (
     TransitionKernel,
     pseudo_spectral_gap,
@@ -366,11 +366,18 @@ def _bound_rhs(cfg: ExperimentConfig, depth: int, prior: Prior, n: int, gamma: f
     )
 
 
-def cell_settings(cfg: ExperimentConfig, n: int, gamma: float, seed: int, lam=None):
+def cell_settings(cfg: ExperimentConfig, n: int, gamma: float, seed: int, target: TargetSpec,
+                  lam=None):
     """``(classdef, gibbs_cfg)`` of one cell: the class sized at n * gamma,
     sampler settings at ``seed`` and temperature ``lam`` (default from
-    :func:`temperature`); pure, so a sweep checks them all before fitting."""
+    :func:`temperature`); pure, so a sweep checks them all before fitting.
+    A class whose pre-clip outputs may overflow at ``target``'s states
+    (see :func:`gibbsnet.gibbs.class_output_bound`) raises ConfigError."""
     classdef = resolve_classdef(cfg.classdef, cfg.target, n * gamma)
+    try:
+        class_output_bound(classdef, target.points)
+    except InvalidClass as exc:
+        raise ConfigError(f"classdef: {exc}") from exc
     lam = temperature(n, gamma, cfg.bernstein_k) if lam is None else lam
     return classdef, GibbsConfig.from_doc(cfg.gibbs, classdef, lam, seed)
 
@@ -416,7 +423,8 @@ def _run_cells(cfg: ExperimentConfig, cells, chains: dict, csv_path) -> list:
     kernel = next(iter(chains.values()))[0]
     target = build_target(cfg.target, kernel.states)
     runs = [(n, p) for n, p in cells for _ in range(cfg.replications)]
-    settings = [cell_settings(cfg, n, chains[p][2], cfg.seed ^ i) for i, (n, p) in enumerate(runs)]
+    settings = [cell_settings(cfg, n, chains[p][2], cfg.seed ^ i, target)
+                for i, (n, p) in enumerate(runs)]
     rows = [None] * len(runs)
     with io.StringIO() if csv_path is None else open(csv_path, "w") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")

@@ -159,40 +159,55 @@ def layer_matrices(arch: Architecture, theta: np.ndarray):
 
 def layer_views(slices, theta: np.ndarray):
     """Per layer of ``slices`` (see :func:`layer_slices`): (weights, bias,
-    cols), views into ``theta`` that follow its updates in place.  A layer
-    of one column keeps its weights as the (rows,) slice, a wider one as a
-    (cols, 1, rows) view whose k-th row is weight column k."""
-    out = []
-    for w_sl, b_sl, (rows, cols) in slices:
-        weights = theta[w_sl] if cols == 1 else theta[w_sl].reshape(cols, 1, rows)
-        out.append((weights, theta[b_sl], cols))
-    return out
+    cols), views into ``theta`` that follow its updates in place, laid out
+    for :func:`compose_views`: (cols, rows, 1) weights, whose k-th entry is
+    weight column k, and a (rows, 1) bias, cut by :func:`_layer_view`."""
+    last = len(slices) - 1
+    return [_layer_view(theta[w_sl].reshape(cols, rows, 1), theta[b_sl].reshape(rows, 1),
+                        cols, idx == last)
+            for idx, (w_sl, b_sl, (rows, cols)) in enumerate(slices)]
+
+
+def _layer_view(weights, bias, cols: int, last: bool):
+    """(weights, bias, cols) of one layer from (cols, rows, ..., 1) weights
+    and (rows, ..., 1) bias views: a one-output last layer drops the row
+    axis, so the network's outputs come out without one, and a one-column
+    layer drops the column axis, which it has no sum over."""
+    if last and bias.shape[0] == 1:
+        weights, bias = weights[:, 0], bias[0]
+    return (weights[0] if cols == 1 else weights), bias, cols
 
 
 def compose_views(views, x: np.ndarray, act_fn, clip):
     """The affine/activation composition of the bound :func:`layer_views`
-    (or of a stack's :func:`frame_views`, with a leading chain axis on
-    ``x`` and on an array ``clip``) at the batch ``x``, then a clip to
-    [-clip, clip] unless ``clip`` is None (or given as the pair (-clip,
-    clip), negated once by a caller).  It is the one forward kernel.
+    at the feature-major inputs ``x``, (in, m) with one input point a
+    column, or of a stack's :func:`frame_views` at (in, C, m) inputs and an
+    array ``clip`` with a leading chain axis; then a clip to [-clip, clip]
+    unless ``clip`` is None (or given as the pair (-clip, clip), negated
+    once by a caller).  A one-output network's outputs come out as (m,),
+    a stack's as (C, m), one network a row; a wider last layer's as (out,
+    m).  It is the one forward kernel.
 
-    Each layer sums its weight-column products left to right, then adds its
-    bias.  That order is fixed, so a width-padded copy of the network (see
-    :func:`frame_slots`), whose extra terms are trailing exact zeros,
+    Each output sums its weight-column products left to right, then adds
+    its bias.  That order is fixed, so a width-padded copy of the network
+    (see :func:`frame_slots`), whose extra terms are trailing exact zeros,
     computes the same floats, and so does every chain of a stack: the
-    lockstep sampler relies on it.  The clip is np.maximum then np.minimum,
-    in place on the last layer's fresh output: for clip > 0 that gives the
-    floats np.clip gives (NaN stays NaN, a signed zero keeps its sign),
-    without np.clip's dispatch cost on a few rows or a second output buffer
-    on many.  Does no validation: it is the sampler's hot path.
+    lockstep sampler relies on it.  A layer with a row axis (every layer
+    but a one-output last one) reads its inputs with a new axis for it, so
+    one multiply forms all its (cols, rows, ..., m) products.  The clip is
+    np.maximum then np.minimum, in place on the last layer's fresh output:
+    for clip > 0 that gives the floats np.clip gives (NaN stays NaN, a
+    signed zero keeps its sign), without np.clip's dispatch cost on a few
+    rows or a second output buffer on many.  Does no validation: it is the
+    sampler's hot path.
     """
     a = x
     last = len(views) - 1
     for idx, (weights, bias, cols) in enumerate(views):
         if cols == 1:
-            z = a * weights
+            z = weights * a[0]
         else:
-            terms = np.multiply(weights, a.swapaxes(-1, -2).swapaxes(0, -2)[..., None], order="C")
+            terms = np.multiply(weights, a[:, None] if weights.ndim > a.ndim else a, order="C")
             z = terms[0]
             for k in range(1, cols):
                 z = z + terms[k]
@@ -226,9 +241,9 @@ def forward(
             f"input dimension {arr.shape[1]} != {net.arch.input_dim}"
         )
     a = compose_views(
-        layer_views(layer_slices(net.arch), net.theta), arr, act.fn,
+        layer_views(layer_slices(net.arch), net.theta), arr.T, act.fn,
         net.output_clip if clip else None,
-    )
+    ).T.reshape(len(arr), net.arch.output_dim)
     return a[0] if single else a
 
 
@@ -316,20 +331,19 @@ def frame_views(frames: np.ndarray, depth: int, width: int, in_cols: int):
     """:func:`layer_views` of a stack of padded (depth, width) frames (see
     :func:`frame_slots`), the (C, max_param_count(depth, width)) array
     ``frames`` with one network a row: per layer (weights, bias, cols), views
-    that follow ``frames`` in place, with a leading chain axis (after the
-    column axis on a wider layer's weights, so products come out contiguous
-    per column).  The first layer reads ``in_cols`` input columns and the
-    last one output row, so :func:`compose_views` of them at stacked
-    (C, m, in_cols) inputs, zero past each network's own input columns,
-    gives the (C, m, 1) outputs, each row the floats of that network's own
-    compose_views."""
-    blocks = frames.reshape(len(frames), depth + 1, width + 1, 1, width)
+    that follow ``frames`` in place, with the chain axis after the column
+    and row axes: (cols, rows, C, 1) weights and (rows, C, 1) bias, cut as
+    :func:`layer_views` cuts them.  The first layer reads ``in_cols``
+    input columns and the last one output row, so :func:`compose_views` of
+    them at stacked (in_cols, C, m) inputs, zero past each network's own
+    input columns, gives the (C, m) outputs, each row the floats of that
+    network's own compose_views."""
+    blocks = frames.reshape(len(frames), depth + 1, width + 1, width, 1)
     views = []
     for layer in range(depth + 1):
         cols = in_cols if layer == 0 else width
         rows = width if layer < depth else 1
-        weights = blocks[:, layer, :cols, :, :rows]
-        views.append((weights[:, 0] if cols == 1 else weights.swapaxes(0, 1),
-                      blocks[:, layer, width, :, :rows], cols))
+        views.append(_layer_view(blocks[:, layer, :cols, :rows].transpose(1, 2, 0, 3),
+                                 blocks[:, layer, width, :rows].swapaxes(0, 1),
+                                 cols, layer == depth))
     return views
-

@@ -203,8 +203,8 @@ def replay_sampler(data, loss, classdef, cfg):
     points, risk_fn = _per_state_risk(data, loss)
 
     def risk_of(theta):
-        return risk_fn(compose_views(layer_views(slices, theta), points, act_fn,
-                                     classdef.output_clip)[:, 0])
+        return risk_fn(compose_views(layer_views(slices, theta), points.T, act_fn,
+                                     classdef.output_clip))
 
     rng = stream(cfg.seed, "sampler")
     start = rng.random()

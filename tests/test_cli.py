@@ -95,6 +95,11 @@ COMPOSITION = {"kind": "composition", "dims": [1, 2, 1], "active_coords": [1, 2]
 EFFSAMPLE = {**{k: v for k, v in SWEEP.items() if k != "n_grid"}, "pairs": [[100, 0.5]]}
 # A negative burn_in, under which n_keep would count draws before step 0.
 NEGATIVE_BURN_IN = {"iters": 200, "burn_in": -5, "thin": 3}
+# Depth 2, width 3: pre-clip outputs of up to about 18 B^3 overflow at B = 1e160.
+OVERFLOWING_OUTPUTS = {"depth": 2, "width": 3, "sparsity": 6, "weight_bound": 1e160}
+# A perturb's reflection folds up to 2 * 4e307 + 1.7e308, which overflows.
+OVERFLOWING_STEP = {"classdef": {"depth": 0, "width": 1, "sparsity": 2, "weight_bound": 4e307},
+                    "gibbs": {"iters": 200, "burn_in": 100, "step": 1.7e308}}
 GAP = {"chain": CHAIN, "k_max": 10, "mixing_epsilon": 0.1, "t_cap": 50}
 SIMULATE = {"chain": CHAIN, "n": 50, "seed": 1}
 CHAIN_MGF = {"kind": "chain_mgf", "chain": {"family": "two_source", "p": 0.5},
@@ -220,6 +225,10 @@ def run(tmp_path, command, doc):
         ("sweep", {**SWEEP, "replications": 2, "gibbs": NEGATIVE_BURN_IN}),
         ("sample", {**SAMPLE, "gibbs": NEGATIVE_BURN_IN}),
         ("effsample", {**EFFSAMPLE, "gibbs": NEGATIVE_BURN_IN}),
+        ("sample", {**SAMPLE, "classdef": OVERFLOWING_OUTPUTS}),
+        ("sweep", {**SWEEP, "classdef": OVERFLOWING_OUTPUTS}),
+        ("sample", {**SAMPLE, **OVERFLOWING_STEP}),
+        ("sweep", {**SWEEP, **OVERFLOWING_STEP}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -256,6 +265,8 @@ def run(tmp_path, command, doc):
         "sample-weight-bound-period-overflows-5e307", "sweep-weight-bound-period-overflows",
         "bounds-kl-slab-period-overflows", "sweep-negative-burn-in",
         "sample-negative-burn-in", "effsample-negative-burn-in",
+        "sample-outputs-may-overflow", "sweep-outputs-may-overflow",
+        "sample-reflection-overflows", "sweep-reflection-overflows",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -297,6 +308,13 @@ def test_overflowing_noise_scale_exits_2(tmp_path, capsys, command, base, noise)
 @pytest.mark.parametrize("command, base", [("sample", SAMPLE), ("sweep", SWEEP)])
 def test_large_noise_scale_runs(tmp_path, command, base):
     assert run(tmp_path, command, {**base, "noise": ["gaussian", 1e3]}) == 0
+
+
+@pytest.mark.parametrize("command, base", [("sample", SAMPLE), ("sweep", SWEEP)])
+def test_large_finite_output_bound_runs(tmp_path, command, base):
+    # At B = 1e100 every pre-clip output stays below about 2e301.
+    classdef = {**OVERFLOWING_OUTPUTS, "weight_bound": 1e100}
+    assert run(tmp_path, command, {**base, "classdef": classdef}) == 0
 
 
 # Valid bases for the typed-number test below, one per table shape.

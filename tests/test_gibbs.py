@@ -198,6 +198,42 @@ class TestSamplerBasics:
             ClassDef(depth=1, width=2, sparsity=4, weight_bound=bound, output_clip=1.0)
         ClassDef(depth=1, width=2, sparsity=4, weight_bound=bound / 2.5, output_clip=1.0)
 
+    def test_step_needs_finite_reflection(self):
+        # A perturb folds old + shift + bound, up to 2 * bound + step: at
+        # 4e307 + 1.7e308 that sum overflows, and the chain kept inf weights.
+        with pytest.raises(ValueError, match="step"):
+            GibbsConfig(support_decay=2.0, weight_bound=4e307, output_clip=1.0,
+                        temperature=1.0, step=1.7e308)
+        GibbsConfig(support_decay=2.0, weight_bound=4e307, output_clip=1.0, temperature=1.0,
+                    step=1e307)
+
+    @staticmethod
+    def wide_slab_case(bound):
+        """Depth 2, width 3 on 50 inputs in [0, 1], at weight bound ``bound``."""
+        rng = np.random.default_rng(0)
+        data = Dataset(inputs=rng.uniform(size=(50, 1)), outputs=rng.normal(size=50))
+        classdef = ClassDef(depth=2, width=3, sparsity=10, weight_bound=bound, output_clip=1.0)
+        cfg = GibbsConfig(support_decay=2.0, weight_bound=bound, output_clip=1.0,
+                          temperature=5.0, iters=2000, burn_in=0, seed=0)
+        return data, classdef, cfg
+
+    @pytest.mark.parametrize("bound", [1e160, 1e200, 4e307])
+    def test_class_whose_outputs_may_overflow_rejected(self, bound):
+        # Pre-clip outputs of up to about 18 B^3 overflow, and a NaN risk
+        # passes every accept test: at 1e160 the chain kept NaN log scores.
+        data, classdef, cfg = self.wide_slab_case(bound)
+        with pytest.raises(InvalidClass, match="overflow"):
+            sample_posterior(data, "square", classdef, cfg)
+        with pytest.raises(InvalidClass, match="overflow"):
+            sample_batch([data, data], "square", [classdef] * 2, [cfg] * 2)
+
+    def test_class_with_finite_output_bound_runs(self):
+        data, classdef, cfg = self.wide_slab_case(1e100)
+        batch = sample_batch([data] * 2, "square", [classdef] * 2, [cfg] * 2)
+        for draws in (*batch, sample_posterior(data, "square", classdef, cfg)):
+            assert len(draws) == 2000
+            assert np.isfinite(draws.log_scores).all() and np.isfinite(draws.thetas).all()
+
     def test_same_seed_identical_draws(self):
         data, _, _ = tiny_regression_data()
         cfg = GibbsConfig(

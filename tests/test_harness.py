@@ -305,7 +305,7 @@ class TestFitCell:
         cfg = small_sweep_config(tmp_path, seed=123)
         chain = harness.solve_chain(cfg.chain, cfg.k_max)
         target = harness.build_target(cfg.target, chain[0].states)
-        classdef, gibbs_cfg = harness.cell_settings(cfg, 100, chain[2], cfg.seed)
+        classdef, gibbs_cfg = harness.cell_settings(cfg, 100, chain[2], cfg.seed, target)
         data = harness.cell_data(cfg, 100, chain, target, gibbs_cfg.seed)
         draws = gibbs.sample_posterior(data, cfg.loss, classdef, gibbs_cfg)
         drawn = {purpose: np.concatenate([block for rec in recs for block in rec.blocks])

@@ -232,7 +232,7 @@ class TestOutputBound:
         inside = rng.uniform(-slab, slab, size=(300, param_count(arch)))
         thetas = np.vstack([np.full(param_count(arch), slab), corners, inside])
         slices, act_fn = layer_slices(arch), ACTIVATIONS[activation].fn
-        worst = max(float(np.max(np.abs(compose_views(layer_views(slices, theta), x, act_fn,
+        worst = max(float(np.max(np.abs(compose_views(layer_views(slices, theta), x.T, act_fn,
                                                       None)))) for theta in thetas)
         bound = output_bound(arch, slab, reach, activation)
         assert worst <= bound
@@ -477,26 +477,88 @@ class TestFrameSlots:
                  for c, width in enumerate(hidden)]
         width = max(max(arch.widths) for arch in archs)
         clips = rng.uniform(0.3, 1.5, size=len(archs))
-        x = rng.uniform(-3, 3, size=(len(archs), 40, in_cols))
+        x = rng.uniform(-3, 3, size=(in_cols, len(archs), 40))
         frames = np.zeros((len(archs), max_param_count(depth, width)))
         own = []
         for c, arch in enumerate(archs):
             theta = rng.uniform(-2, 2, size=param_count(arch))
             frames[c, frame_slots(arch, depth, width)] = theta
-            x[c, :, arch.input_dim:] = 0.0
+            x[arch.input_dim:, c] = 0.0
             own.append(compose_views(layer_views(layer_slices(arch), theta),
-                                     x[c, :, :arch.input_dim], act_fn, clips[c]))
+                                     x[:arch.input_dim, c], act_fn, clips[c]))
         stacked = compose_views(frame_views(frames, depth, width, in_cols), x, act_fn,
-                                clips[:, None, None])
-        assert stacked.shape == (len(archs), 40, 1)
-        assert np.any(np.abs(stacked) == clips[:, None, None])
+                                clips[:, None])
+        assert stacked.shape == (len(archs), 40)
+        assert np.any(np.abs(stacked) == clips[:, None])
         for c, want in enumerate(own):
             np.testing.assert_array_equal(stacked[c], want)
         # The clip given as its (low, high) pair, as the lockstep sampler does.
-        bound = np.repeat(clips[:, None, None], 40, axis=1)
+        bound = np.repeat(clips[:, None], 40, axis=1)
         np.testing.assert_array_equal(
             compose_views(frame_views(frames, depth, width, in_cols), x, act_fn, (-bound, bound)),
             stacked)
+
+
+def scalar_outputs(arch, theta, points, activation, clip):
+    """Reference for the forward kernel's summation order, over numpy float64
+    scalars: at each input point (a column of ``points``, shape (in, m)),
+    each output sums its weight-column products left to right, then adds its
+    bias, applies ACTIVATIONS[activation].fn on a hidden layer, and is
+    clipped with max then min."""
+    act_fn = ACTIVATIONS[activation].fn
+    theta = np.asarray(theta, dtype=np.float64)
+    outputs = []
+    for point in points.T:
+        a = list(point)
+        for layer, (w_sl, b_sl, (rows, cols)) in enumerate(layer_slices(arch)):
+            z = []
+            for row in range(rows):
+                total = theta[w_sl.start + row] * a[0]
+                for col in range(1, cols):
+                    total = total + theta[w_sl.start + col * rows + row] * a[col]
+                z.append(total + theta[b_sl.start + row])
+            a = [act_fn(v) for v in z] if layer < arch.depth else z
+        (out,) = a
+        outputs.append(min(max(out, -clip), clip))
+    return np.array(outputs)
+
+
+class TestKernelSummationOrder:
+    """compose_views against :func:`scalar_outputs`, bit for bit, for one
+    network at (in, m) inputs and for a stack of padded frames at
+    (in_cols, C, m) inputs."""
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "chains, m, in_cols", [(1, 1, 1), (1, 6, 2), (3, 1, 2), (4, 9, 3), (5, 7, 1)],
+        ids=["one-row-one-point", "one-row", "one-point", "wide-inputs", "one-input"],
+    )
+    def test_matches_scalar_reference(self, activation, depth, chains, m, in_cols):
+        rng = np.random.default_rng(100 * depth + 10 * chains + m)
+        act_fn = ACTIVATIONS[activation].fn
+        # Chain c reads in_cols - c % in_cols inputs at width 3 - c % 3.
+        archs = [Architecture(depth, (in_cols - c % in_cols,) + (3 - c % 3,) * depth + (1,))
+                 for c in range(chains)]
+        width = max(max(arch.widths) for arch in archs)
+        clips = rng.uniform(0.5, 2.0, size=chains)
+        x = rng.uniform(-2, 2, size=(in_cols, chains, m))
+        frames = np.zeros((chains, max_param_count(depth, width)))
+        wants = []
+        for c, arch in enumerate(archs):
+            theta = rng.uniform(-1.5, 1.5, size=param_count(arch))
+            frames[c, frame_slots(arch, depth, width)] = theta
+            x[arch.input_dim:, c] = 0.0
+            points = x[:arch.input_dim, c]
+            want = scalar_outputs(arch, theta, points, activation, clips[c])
+            got = compose_views(layer_views(layer_slices(arch), theta), points, act_fn, clips[c])
+            assert got.shape == (m,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            wants.append(want)
+        stacked = compose_views(frame_views(frames, depth, width, in_cols), x, act_fn,
+                                clips[:, None])
+        assert stacked.shape == (chains, m)
+        assert np.array_equal(stacked.view(np.int64), np.array(wants).view(np.int64))
 
 
 class TestSerialization:
