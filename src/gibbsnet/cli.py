@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -74,27 +73,17 @@ CHECKS = {
 }
 
 
-def _check_finite(node) -> None:
-    """Raise ConfigError at a non-finite number anywhere in a loaded config."""
-    if isinstance(node, (dict, list)):
-        for child in node.values() if isinstance(node, dict) else node:
-            _check_finite(child)
-    elif isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"non-finite number {node}")
-
-
 def load_config(path: str) -> dict:
+    """The parsed JSON (or TOML) document at ``path``; each subcommand types
+    its tables, numbers included (see :func:`gibbsnet.errors.check_value`)."""
     text = Path(path).read_text()
-    if path.endswith(".toml"):
-        try:
-            import tomllib
-        except ImportError as exc:
-            raise ConfigError("TOML configs need Python >= 3.11; use JSON") from exc
-        doc = tomllib.loads(text)
-    else:
-        doc = json.loads(text)
-    _check_finite(doc)
-    return doc
+    if not path.endswith(".toml"):
+        return json.loads(text)
+    try:
+        import tomllib
+    except ImportError as exc:
+        raise ConfigError("TOML configs need Python >= 3.11; use JSON") from exc
+    return tomllib.loads(text)
 
 
 def _out_dir(doc: dict, args) -> Path:

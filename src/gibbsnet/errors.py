@@ -1,5 +1,9 @@
 """Exception types shared across the package, and the one reader of
-config tables with its number policy."""
+config tables with its number policy: every number a config table holds is
+read by :func:`check_value`, which refuses inf, NaN and an integer too
+large for a float, so the CLI and the library refuse the same inputs."""
+
+import math
 
 import numpy as np
 
@@ -86,7 +90,8 @@ def check_value(value, kind, where: str):
     """``value`` read as ``kind``, or ConfigError naming ``where``.
 
     The one number policy: an integer is a Python or numpy integer and reads
-    as an int; a number is also a float and reads as a float; a bool or a
+    as an int; a number is also a float and reads as a finite float, so inf,
+    NaN and an integer too large for a float are refused; a bool or a
     string is never a number.  A list is a list or a tuple and reads as a
     tuple.
     """
@@ -103,7 +108,14 @@ def check_value(value, kind, where: str):
     if kind == "int" and integer:
         return int(value)
     if kind == "number" and (integer or isinstance(value, (float, np.floating))):
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # no repr: a huge int may exceed str's digit limit
+            raise ConfigError(f"{where} must be a finite number, got an integer too large "
+                              "for a float") from None
+        if not math.isfinite(number):
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
+        return number
     if kind == "any" or isinstance(value, {"str": str, "table": dict}.get(kind, ())):
         return value
     raise ConfigError(f"{where} must be {KIND_NAMES[kind]}, got {value!r}")

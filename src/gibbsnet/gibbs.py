@@ -34,7 +34,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDataset, InvalidClass, NoDraws, OutOfSupport, check_table
+from .errors import (ConfigError, EmptyDataset, GibbsNetError, InvalidClass, NoDraws,
+                     OutOfSupport, check_table)
 from .markov import stream
 from .model import Dataset
 from .network import (
@@ -73,7 +74,7 @@ class ClassDef:
             raise InvalidClass("sparsity cap must be at least 1")
         if self.sparsity > max_param_count(self.depth, self.width):
             raise InvalidClass("sparsity cap exceeds the padded parameter count")
-        if self.weight_bound <= 0 or self.output_clip <= 0:
+        if not (self.weight_bound > 0 and self.output_clip > 0):
             raise InvalidClass("bounds must be positive")
         if not math.isfinite(4.0 * self.weight_bound):
             raise InvalidClass("4 * weight_bound, a perturb's reflection period, must be finite")
@@ -107,21 +108,21 @@ class GibbsConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.support_decay < 2:
-            raise ValueError("support decay must be at least 2")
-        if self.weight_bound <= 0 or self.output_clip <= 0:
+        if not 2 <= self.support_decay < math.inf:
+            raise ValueError("support decay must be finite and at least 2")
+        if not (self.weight_bound > 0 and self.output_clip > 0):
             raise ValueError("bounds must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be nonnegative")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and nonnegative")
         probs = tuple(self.move_probs)
         object.__setattr__(self, "move_probs", probs)
-        if len(probs) != 3 or any(p < 0 for p in probs):
+        if len(probs) != 3 or not all(p >= 0 for p in probs):
             raise ValueError("need three nonnegative move probabilities")
-        if abs(sum(probs) - 1.0) > 1e-12:
+        if not abs(sum(probs) - 1.0) <= 1e-12:
             raise ValueError("move probabilities must sum to 1")
         if self.step is None:
             object.__setattr__(self, "step", self.weight_bound / 10.0)
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("perturbation step must be positive")
         if not math.isfinite(2.0 * self.weight_bound + self.step):
             raise ValueError("2 * weight_bound + step, the most a perturb's reflection "
@@ -177,8 +178,8 @@ class Prior:
     slab: float
 
     def __post_init__(self):
-        if self.decay < 2 or not 1 <= self.cap <= self.n_coords:
-            raise ValueError("need support decay >= 2 and 1 <= cap <= n_coords")
+        if not (2 <= self.decay < math.inf and 1 <= self.cap <= self.n_coords):
+            raise ValueError("need a finite support decay >= 2 and 1 <= cap <= n_coords")
         if not math.isfinite(4.0 * self.slab):
             raise ValueError("4 * slab, a perturb's reflection period, must be finite")
 
@@ -218,8 +219,8 @@ def temperature(n: int, gamma: float, bernstein_k: float) -> float:
         raise ValueError("n must be positive")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    if bernstein_k <= 0:
-        raise ValueError("Bernstein constant must be positive")
+    if not 0 < bernstein_k < math.inf:
+        raise ValueError("Bernstein constant must be positive and finite")
     return n * gamma / (32.0 * bernstein_k + 10.0)
 
 
@@ -429,9 +430,12 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
     active[on[0]] = True
     risk = yield
 
-    kept_theta = np.empty((cfg.n_keep, theta.size))
-    actives = np.empty((cfg.n_keep, n_params), dtype=bool)
-    log_scores = np.empty(cfg.n_keep)
+    try:
+        kept_theta = np.empty((cfg.n_keep, theta.size))
+        actives = np.empty((cfg.n_keep, n_params), dtype=bool)
+        log_scores = np.empty(cfg.n_keep)
+    except (ValueError, MemoryError) as exc:
+        raise GibbsNetError(f"cannot allocate {cfg.n_keep} kept draws: {exc}") from exc
     kept = 0
     proposed, accepted = np.zeros(3, dtype=np.int64), [0, 0, 0]
 

@@ -287,6 +287,9 @@ class ExperimentConfig:
         self.target = check_kinded(self.target, "target", "kind", TARGETS)
         self.chain = check_kinded(self.chain, "chain", "family", CHAINS)
         self.classdef = check_table(self.classdef, "classdef", CLASSDEF)
+        if self.classdef["constants"] is not None:  # typed even where no rule reads them
+            self.classdef["constants"] = check_table(self.classdef["constants"],
+                                                     "rule constants", RULE_CONSTANTS)
         self.gibbs = check_table(self.gibbs, "gibbs", GIBBS)
         grid = self.n_grid
         if not grid or grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):

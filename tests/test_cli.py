@@ -317,6 +317,26 @@ def test_large_finite_output_bound_runs(tmp_path, command, base):
     assert run(tmp_path, command, {**base, "classdef": classdef}) == 0
 
 
+@pytest.mark.parametrize("command, base", [("sample", SAMPLE), ("sweep", SWEEP)])
+def test_unallocatable_draws_exit_3(tmp_path, capsys, command, base):
+    # 10^18 kept draws are too big for numpy, whose ValueError escaped as a traceback.
+    doc = {**base, "gibbs": {**base["gibbs"], "iters": 10**18}}
+    assert run(tmp_path, command, doc) == 3
+    assert capsys.readouterr().err.startswith("runtime error: cannot allocate")
+    assert not (tmp_path / "draws.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, base", [("sweep", SWEEP), ("effsample", EFFSAMPLE)])
+def test_run_leaves_exactly_its_report_files(tmp_path, command, base):
+    # perfbench's sweep workload reads all three files after every pass; the
+    # partial CSV, streamed row by row, ends equal to the final one.
+    assert run(tmp_path, command, base) == 0
+    names = ["config.json", f"{command}.csv", f"{command}.json", f"{command}_partial.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(names)
+    partial = (tmp_path / f"{command}_partial.csv").read_bytes()
+    assert partial == (tmp_path / f"{command}.csv").read_bytes()
+
+
 # Valid bases for the typed-number test below, one per table shape.
 RULE_SWEEP = {**SWEEP, "classdef": {
     "rule": "holder", "output_clip": 1.2, "lipschitz_const": 1.0,
@@ -619,11 +639,12 @@ def test_bounds_overflowing_rhs_reports_inf(tmp_path):
 
 
 # Replacement values for the mutation test: every type a JSON config can
-# hold, and no number above 50, so a valid mutant stays small and fast; 2
-# also makes a bernstein_mgf network's widths[0] miss the target's input
-# dimension.
-POOL = [None, True, -1, 0, 1, 2, 2.5, 50, -0.5, 0.5, "x", "", "holder", [], [1], [1, "a"],
-        {}, {"a": 1}]
+# hold, inf and NaN, and no number above 50, so a valid mutant stays small
+# and fast (a huge int at k_max or replications would hang: the float keys
+# get theirs in test_float_keys_refuse_non_finite_values); 2 also makes a
+# bernstein_mgf network's widths[0] miss the target's input dimension.
+POOL = [None, True, -1, 0, 1, 2, 2.5, 50, -0.5, 0.5, math.inf, math.nan, "x", "", "holder", [],
+        [1], [1, "a"], {}, {"a": 1}]
 
 
 def _paths(doc, prefix=()):
@@ -724,6 +745,29 @@ def test_mutated_configs_never_traceback(case):
             doc["csv"] = str(Path(out) / "sweep.csv")
             Path(doc["csv"]).write_text(csv_text)
         assert run(Path(out), command, doc) in (0, 2, 3)
+
+
+@pytest.mark.parametrize("value", [10**400, math.inf, -math.inf, math.nan],
+                         ids=["int-above-float", "inf", "minus-inf", "nan"])
+def test_float_keys_refuse_non_finite_values(capsys, value):
+    # Every float-valued key of every fuzzed config, set to a value no
+    # finite float holds, exits 2 under the number policy; a 400-digit
+    # integer, which float() cannot convert, used to escape as OverflowError.
+    failures = []
+    for command, config in sorted(FUZZED.items()):
+        for path in _paths(config):
+            if not isinstance(reduce(lambda node, key: node[key], path, config), float):
+                continue
+            doc = copy.deepcopy(config)
+            reduce(lambda node, key: node[key], path[:-1], doc)[path[-1]] = value
+            with tempfile.TemporaryDirectory() as out:
+                try:
+                    code = run(Path(out), command, doc)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    code = repr(exc)
+            if code != 2 or "must be a finite number" not in capsys.readouterr().err:
+                failures.append((command, path, code))
+    assert not failures
 
 
 

@@ -85,10 +85,12 @@ class TestPriorNormalizer:
         small = ClassDef(depth=1, width=2, sparsity=4, weight_bound=1.5, output_clip=1.0)
         assert Prior.of_class(small, 1, 3.0) == Prior(7, 4, 3.0, 1.5)
 
+    # An infinite decay makes the normalizer 0, whose log fails later.
     @pytest.mark.parametrize("args", [(2, 2, 1.5, 1.0), (2, 3, 2.0, 1.0), (2, 0, 2.0, 1.0),
-                                      (2, 2, 2.0, 5e307)],
+                                      (2, 2, 2.0, 5e307), (2, 2, math.nan, 1.0),
+                                      (2, 2, math.inf, 1.0)],
                              ids=["decay-below-2", "cap-above-n-coords", "zero-cap",
-                                  "slab-period-overflows"])
+                                  "slab-period-overflows", "decay-nan", "decay-inf"])
     def test_invalid_rejected(self, args):
         with pytest.raises(ValueError):
             Prior(*args)
@@ -153,6 +155,12 @@ class TestTemperature:
     def test_linear_in_n(self):
         assert temperature(2000, 0.5, 1.0) == pytest.approx(2 * temperature(1000, 0.5, 1.0))
 
+    @pytest.mark.parametrize("bernstein_k", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_bernstein_k_rejected(self, bernstein_k):
+        # NaN made the temperature NaN, which every accept test passes; inf made it 0.
+        with pytest.raises(ValueError, match="Bernstein"):
+            temperature(1000, 0.5, bernstein_k)
+
 
 class TestGibbsConfig:
     @pytest.mark.parametrize("iters, burn_in", [(200, -5), (-1, -3)])
@@ -161,6 +169,19 @@ class TestGibbsConfig:
         with pytest.raises(ValueError, match="burn_in must be nonnegative"):
             GibbsConfig(support_decay=2.0, weight_bound=1.0, output_clip=5.0, temperature=1.0,
                         iters=iters, burn_in=burn_in, thin=3)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("temperature", math.nan, "temperature"), ("temperature", math.inf, "temperature"),
+        ("support_decay", math.nan, "decay"), ("support_decay", math.inf, "decay"),
+        ("output_clip", math.nan, "bounds"), ("move_probs", (math.nan, 0.5, 0.5), "probab"),
+    ], ids=["temperature-nan", "temperature-inf", "support_decay-nan", "support_decay-inf",
+            "output_clip-nan", "move_probs-nan"])
+    def test_non_finite_setting_rejected(self, field, value, message):
+        # Each NaN passed a range check written as a comparison that NaN makes false.
+        settings = {"support_decay": 2.0, "weight_bound": 1.0, "output_clip": 5.0,
+                    "temperature": 1.0, field: value}
+        with pytest.raises(ValueError, match=message):
+            GibbsConfig(**settings)
 
 
 class TestSamplerBasics:
@@ -189,6 +210,8 @@ class TestSamplerBasics:
             ClassDef(depth=0, width=1, sparsity=0, weight_bound=1.0, output_clip=1.0)
         with pytest.raises(InvalidClass):
             ClassDef(depth=0, width=1, sparsity=3, weight_bound=1.0, output_clip=1.0)
+        with pytest.raises(InvalidClass, match="positive"):
+            ClassDef(depth=0, width=1, sparsity=2, weight_bound=1.0, output_clip=math.nan)
 
     @pytest.mark.parametrize("bound", [5e307, 1e308])
     def test_weight_bound_needs_finite_reflection_period(self, bound):

@@ -99,6 +99,20 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"target": {}, "chain": {}, "n_grid": [1], "typo": 1})
 
+    @pytest.mark.parametrize("overrides", [
+        {"bernstein_k": math.nan}, {"xi": math.inf}, {"gibbs": {"support_decay": math.nan}},
+        {"classdef": {"depth": 0, "width": 1, "sparsity": 2, "weight_bound": 1.0,
+                      "constants": {"depth_scale": math.nan}}},
+    ], ids=["bernstein_k-nan", "xi-inf", "support_decay-nan", "unused-constants-nan"])
+    def test_non_finite_numbers_rejected(self, overrides):
+        # The library path meets the number policy the CLI does: a NaN
+        # Bernstein constant made the temperature NaN, so every perturb was
+        # accepted, and an infinite xi wrote infinite bounds.
+        doc = {"target": {"kind": "holder"}, "chain": {"family": "two_source", "p": 0.5},
+               "n_grid": [100], **overrides}
+        with pytest.raises(ConfigError, match="finite number"):
+            ExperimentConfig.from_dict(doc)
+
 
 class TestFitRateSlope:
     def test_exact_power_law(self):
