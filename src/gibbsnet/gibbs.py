@@ -510,7 +510,9 @@ def sample_posterior(
     at the data's inputs is not finite raises InvalidClass.  Every proposal
     stays in the slab, so where that bound is below the clip, no network
     the chain meets reaches the clip, and the forward pass skips it: for
-    finite |z| < clip, np.maximum and np.minimum return z itself.
+    finite |z| < clip, np.maximum and np.minimum return z itself.  The
+    chain's layer views are bound once at its m distinct input rows (see
+    :func:`layer_views`), so the clip bounds are (m,) arrays too.
     """
     arch, prior, bound = _chain_setup(data, classdef, cfg)
     clip = classdef.output_clip
@@ -521,7 +523,7 @@ def sample_posterior(
     clip_bounds = None if bound < clip else (np.full(points.shape[1], -clip),
                                              np.full(points.shape[1], clip))
     theta = np.zeros(prior.n_coords)
-    views = layer_views(layer_slices(arch), theta)
+    views = layer_views(layer_slices(arch), theta, points.shape[1])
 
     def price():
         return risk_fn(compose_views(views, points, act_fn, clip_bounds))
@@ -580,9 +582,13 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     pass runs when no chain's move is feasible.
     Each row's floats are those of its own network, so no chain depends on
     its batch-mates.  The chains must share their :func:`_batch_key`, else
-    ValueError.  One chain runs :func:`sample_posterior`; on the sweep
-    benchmark's cells, lockstep beats it about 1.1x on two chains, 2.0x on
-    four, 3.7x on ten, 4.8x on 25, 5.4x on fifty and 5.0x on a hundred.
+    ValueError.  One chain runs :func:`sample_posterior`.  Against the
+    one-chain loop, lockstep runs about 1.3x on two chains and 2.2x on four
+    of the sweep benchmark's depth-1 cells (3.7x on ten, 4.8x on 25, 5.4x
+    on fifty and 5.0x on a hundred, measured before the loop's views were
+    bound to its points, which left depth 1 level), and 0.88x on two and
+    1.3x on four chains of a depth-0 cell, whose loop the bound views
+    made faster.
     """
     if len(datas) == 1:
         return [sample_posterior(datas[0], loss, classdefs[0], cfgs[0])]

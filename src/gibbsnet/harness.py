@@ -26,6 +26,7 @@ from .errors import (REQUIRED, ConfigError, DimensionMismatch, InvalidClass,
 from .gibbs import (GIBBS, RISK_TERMS, ClassDef, GibbsConfig, Prior, class_output_bound,
                     lockstep_batches, posterior_predictor, sample_batch, temperature)
 from .markov import (
+    MAX_POWER,
     TransitionKernel,
     pseudo_spectral_gap,
     stationary_distribution,
@@ -297,8 +298,10 @@ class ExperimentConfig:
         self.noise = check_noise(self.noise, grid[-1])
         if self.p_grid == ():
             raise ConfigError("p_grid must be nonempty when given")
-        if self.replications < 1 or self.k_max < 1 or self.bernstein_k <= 0:
-            raise ConfigError("replications, k_max and bernstein_k must be positive")
+        if self.replications < 1 or self.bernstein_k <= 0:
+            raise ConfigError("replications and bernstein_k must be positive")
+        if not 1 <= self.k_max <= MAX_POWER:
+            raise ConfigError(f"k_max must lie in 1..{MAX_POWER} (see markov.MAX_POWER)")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.xi <= 0:

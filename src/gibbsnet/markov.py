@@ -36,6 +36,12 @@ STREAM_SALTS = {"chain": None, "noise": 0xE9, "labels": 0xC1, "bernstein": 0xB5,
 # The most floats a blocked loop here holds at once: a trajectory's uniforms
 # per block, or a pseudo-gap's stacked operators per spectral solve.
 BLOCK_FLOATS = 1 << 13
+# The most kernel powers a scan takes: a pseudo-gap's k_max and a mixing
+# time's t_cap.  A scan that never stops early (a periodic chain's) takes
+# a power per k or t, so an unbounded count would run until killed; at this
+# one a 64-state scan takes minutes.  A k past it matters only to a chain
+# whose pseudo-gap is below 1/MAX_POWER, since the k-th term is at most 1/k.
+MAX_POWER = 10**6
 # The fewest uniforms a trajectory call bins through a bucket table: below
 # it the table's dozen numpy calls cost more than bisecting every uniform
 # (at 3072 keys of a 4-state chain, 27 us against 20 us; at 4096, 29-32 us
@@ -233,13 +239,17 @@ def pseudo_spectral_gap(
 
     Each (P*)^k P^k is self-adjoint and positive semi-definite in L^2(pi),
     so the symmetric path of :func:`spectral_gap` applies.  The supremum
-    over all k in the definition is truncated at ``k_max``; for the chains
-    used here the maximum is attained at small k.  The operators are built
-    into one buffer of at most :data:`BLOCK_FLOATS` floats (but at least one
-    operator) and each full buffer is solved in one stacked call.
+    over all k in the definition is truncated at ``k_max``, at most
+    :data:`MAX_POWER`.  For ``two_source`` chains the maximum is attained
+    at k = 1; it need not be at small k elsewhere (a lifted walk on m
+    states attains it near k = 0.6 m).  The operators are built into one
+    buffer of at most :data:`BLOCK_FLOATS` floats (but at least one
+    operator) and each full buffer is solved in one stacked call.  Every
+    gap is at most 1, so the k-th term is at most 1/k, and the scan stops
+    at the first block whose 1/k cannot raise the maximum: the result is
+    the full scan's float.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _check_power("k_max", k_max)
     reversal = time_reversal(kernel, pi)
     m = kernel.states
     ops = np.empty((min(k_max, max(1, BLOCK_FLOATS // (m * m))), m, m))
@@ -248,6 +258,8 @@ def pseudo_spectral_gap(
     forward_pow = reverse_pow = np.eye(m)
     best = 0.0
     for first in range(1, k_max + 1, len(ops)):
+        if 1.0 / first <= best:
+            break
         ks = np.arange(first, min(first + len(ops), k_max + 1))
         for slot in range(len(ks)):
             forward_pow = forward_pow @ kernel.probs
@@ -261,11 +273,11 @@ def mixing_time(
     kernel: TransitionKernel, pi: StationaryDist, epsilon: float, t_cap: int
 ) -> int:
     """Smallest t <= t_cap with sup_z ||P^t(z,.) - pi||_TV <= epsilon,
-    computed by repeated kernel powering."""
+    computed by repeated kernel powering; ``t_cap`` is at most
+    :data:`MAX_POWER`."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if t_cap < 1:
-        raise ValueError("t_cap must be positive")
+    _check_power("t_cap", t_cap)
     power = np.eye(kernel.states)
     for t in range(1, t_cap + 1):
         power = power @ kernel.probs
@@ -273,6 +285,12 @@ def mixing_time(
         if worst <= epsilon:
             return t
     raise NotMixedWithinCap(f"no t <= {t_cap} reaches TV {epsilon}")
+
+
+def _check_power(name: str, count: int) -> None:
+    """ValueError unless a scan's power count lies in 1..MAX_POWER."""
+    if not 1 <= count <= MAX_POWER:
+        raise ValueError(f"{name} must lie in 1..{MAX_POWER} (see markov.MAX_POWER)")
 
 
 def _step_table(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray]:

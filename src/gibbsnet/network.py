@@ -157,25 +157,37 @@ def layer_matrices(arch: Architecture, theta: np.ndarray):
     return out
 
 
-def layer_views(slices, theta: np.ndarray):
+def layer_views(slices, theta: np.ndarray, m: int | None = None):
     """Per layer of ``slices`` (see :func:`layer_slices`): (weights, bias,
     cols), views into ``theta`` that follow its updates in place, laid out
     for :func:`compose_views`: (cols, rows, 1) weights, whose k-th entry is
-    weight column k, and a (rows, 1) bias, cut by :func:`_layer_view`."""
+    weight column k, and a (rows, 1) bias, cut by :func:`_layer_view`.
+    With a point count ``m`` the trailing axis is bound to length m, so
+    every operand the kernel meets at m input points has its output's
+    trailing shape; those views are read-only."""
     last = len(slices) - 1
     return [_layer_view(theta[w_sl].reshape(cols, rows, 1), theta[b_sl].reshape(rows, 1),
-                        cols, idx == last)
+                        cols, idx == last, m)
             for idx, (w_sl, b_sl, (rows, cols)) in enumerate(slices)]
 
 
-def _layer_view(weights, bias, cols: int, last: bool):
+def _layer_view(weights, bias, cols: int, last: bool, m: int | None = None):
     """(weights, bias, cols) of one layer from (cols, rows, ..., 1) weights
     and (rows, ..., 1) bias views: a one-output last layer drops the row
     axis, so the network's outputs come out without one, and a one-column
-    layer drops the column axis, which it has no sum over."""
+    layer drops the column axis, which it has no sum over.  A point count
+    ``m`` binds the trailing axis of both to length m with np.broadcast_to:
+    stride-0, read-only views of the same floats, so a ufunc of them and
+    (..., m) inputs takes numpy's same-shape loop, not its broadcasting
+    iterator."""
     if last and bias.shape[0] == 1:
         weights, bias = weights[:, 0], bias[0]
-    return (weights[0] if cols == 1 else weights), bias, cols
+    if cols == 1:
+        weights = weights[0]
+    if m is not None:
+        weights = np.broadcast_to(weights, weights.shape[:-1] + (m,))
+        bias = np.broadcast_to(bias, bias.shape[:-1] + (m,))
+    return weights, bias, cols
 
 
 def compose_views(views, x: np.ndarray, act_fn, clip):
@@ -194,7 +206,10 @@ def compose_views(views, x: np.ndarray, act_fn, clip):
     computes the same floats, and so does every chain of a stack: the
     lockstep sampler relies on it.  A layer with a row axis (every layer
     but a one-output last one) reads its inputs with a new axis for it, so
-    one multiply forms all its (cols, rows, ..., m) products.  The clip is
+    one multiply forms all its (cols, rows, ..., m) products.  Views bound
+    to the m points (``layer_views(..., m)``) give the same floats; at
+    depth 0 every operand then has its output's shape, which spares each
+    ufunc numpy's broadcasting iterator on a few points.  The clip is
     np.maximum then np.minimum, in place on the last layer's fresh output:
     for clip > 0 that gives the floats np.clip gives (NaN stays NaN, a
     signed zero keeps its sign), without np.clip's dispatch cost on a few

@@ -6,6 +6,7 @@ import math
 import re
 import statistics
 import tempfile
+import time
 from functools import reduce
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbsnet.cli import main
+from gibbsnet.markov import MAX_POWER
 
 SWEEP = {
     "target": {"kind": "holder", "beta": 1.0, "dim": 1},
@@ -533,6 +535,44 @@ def test_gap_reports_zero_gap(tmp_path):
     assert json.loads((tmp_path / "gap.json").read_text())["pseudo_spectral_gap"] == 0.0
 
 
+# A periodic chain: its pseudo-gap is 0 at every k and it never mixes, so
+# neither scan can stop early.
+PERIODIC = {"family": "explicit", "probs": [[0.0, 1.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("gap", {**GAP, "k_max": 10**400}), ("gap", {**GAP, "chain": PERIODIC, "k_max": 10**400}),
+     ("gap", {**GAP, "k_max": MAX_POWER + 1}),
+     ("gap", {**GAP, "chain": PERIODIC, "t_cap": 10**400}),
+     ("gap", {**GAP, "chain": PERIODIC, "t_cap": MAX_POWER + 1}),
+     ("sweep", {**SWEEP, "k_max": 10**400}), ("sample", {**SAMPLE, "k_max": 10**400}),
+     ("effsample", {**EFFSAMPLE, "k_max": 10**400}),
+     ("bounds", {"checks": [{**CHAIN_MGF, "k_max": 10**400}]})],
+    ids=["gap-k-max", "gap-periodic-k-max", "gap-k-max-past-ceiling", "gap-periodic-t-cap",
+         "gap-t-cap-past-ceiling", "sweep-k-max", "sample-k-max", "effsample-k-max",
+         "chain-mgf-k-max"],
+)
+def test_power_counts_past_ceiling_exit_2_at_once(tmp_path, capsys, command, doc):
+    # A count past markov.MAX_POWER is refused before any scan starts: a
+    # scan of 10^400 kernel powers would run until killed.
+    start = time.perf_counter()
+    assert run(tmp_path, command, doc) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"must lie in 1..{MAX_POWER}" in err
+    assert not list(tmp_path.glob("*_partial.csv"))
+
+
+def test_power_ceiling_itself_runs(tmp_path):
+    # At k_max = MAX_POWER the scan of a mixing chain stops after its first block.
+    doc = {**GAP, "k_max": MAX_POWER, "t_cap": MAX_POWER}
+    assert run(tmp_path, "gap", doc) == 0
+    report = json.loads((tmp_path / "gap.json").read_text())
+    assert report["k_max"] == MAX_POWER
+    assert report["pseudo_spectral_gap"] == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "doc",
     [{**SWEEP, "xi": "x"}, {**SWEEP, "chain": {"family": "two_source", "p": 1}},
@@ -640,7 +680,7 @@ def test_bounds_overflowing_rhs_reports_inf(tmp_path):
 
 # Replacement values for the mutation test: every type a JSON config can
 # hold, inf and NaN, and no number above 50, so a valid mutant stays small
-# and fast (a huge int at k_max or replications would hang: the float keys
+# and fast (a huge int at replications would hang: the float keys
 # get theirs in test_float_keys_refuse_non_finite_values); 2 also makes a
 # bernstein_mgf network's widths[0] miss the target's input dimension.
 POOL = [None, True, -1, 0, 1, 2, 2.5, 50, -0.5, 0.5, math.inf, math.nan, "x", "", "holder", [],

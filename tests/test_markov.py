@@ -22,6 +22,7 @@ from gibbsnet.errors import (
     ZeroStationaryMass,
 )
 from gibbsnet.markov import (
+    MAX_POWER,
     STREAM_SALTS,
     StationaryDist,
     TransitionKernel,
@@ -200,6 +201,12 @@ class TestPseudoSpectralGap:
         kernel = TransitionKernel(states=3, probs=np.eye(3))
         assert pseudo_spectral_gap(kernel, uniform_dist(3), k_max=4) == 0.0
 
+    @pytest.mark.parametrize("k_max", [0, MAX_POWER + 1, 10**400])
+    def test_k_max_outside_range_refused(self, k_max):
+        kernel = TransitionKernel(states=2, probs=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="k_max must lie in"):
+            pseudo_spectral_gap(kernel, uniform_dist(2), k_max=k_max)
+
     def test_nondecreasing_in_k_max(self):
         kernel = random_positive_kernel(4, seed=3)
         pi = stationary_distribution(kernel)
@@ -274,6 +281,12 @@ class TestMixingTime:
         kernel = TransitionKernel(states=2, probs=np.eye(2))
         with pytest.raises(NotMixedWithinCap):
             mixing_time(kernel, uniform_dist(2), epsilon=0.25, t_cap=100)
+
+    @pytest.mark.parametrize("t_cap", [0, MAX_POWER + 1, 10**400])
+    def test_t_cap_outside_range_refused(self, t_cap):
+        kernel = TransitionKernel(states=2, probs=np.eye(2))
+        with pytest.raises(ValueError, match="t_cap must lie in"):
+            mixing_time(kernel, uniform_dist(2), epsilon=0.25, t_cap=t_cap)
 
     def test_nonincreasing_in_epsilon(self):
         kernel = two_source_kernel(0.15)

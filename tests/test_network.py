@@ -561,6 +561,68 @@ class TestKernelSummationOrder:
         assert np.array_equal(stacked.view(np.int64), np.array(wants).view(np.int64))
 
 
+class TestBoundViews:
+    """layer_views bound to m points, the views sample_posterior prices
+    with: stride-0, read-only views into theta that leave compose_views's
+    floats as they are."""
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("in_cols", [1, 2, 3])
+    @pytest.mark.parametrize("clipped", [False, True], ids=["no-clip", "clip-pair"])
+    def test_same_floats_as_unbound_and_scalar_reference(self, activation, depth, in_cols,
+                                                         clipped):
+        rng = np.random.default_rng(1000 * depth + 10 * in_cols + clipped)
+        act_fn = ACTIVATIONS[activation].fn
+        m = 7
+        arch = Architecture(depth, (in_cols,) + (3,) * depth + (1,))
+        theta = rng.uniform(-1.5, 1.5, size=param_count(arch))
+        points = rng.uniform(-2, 2, size=(in_cols, m))
+        clip = 0.9 if clipped else np.inf
+        pair = (np.full(m, -clip), np.full(m, clip)) if clipped else None
+        slices = layer_slices(arch)
+        bound = compose_views(layer_views(slices, theta, m), points, act_fn, pair)
+        unbound = compose_views(layer_views(slices, theta), points, act_fn, pair)
+        want = scalar_outputs(arch, theta, points, activation, clip)
+        assert bound.shape == (m,)
+        assert np.array_equal(bound.view(np.int64), unbound.view(np.int64))
+        assert np.array_equal(bound.view(np.int64), want.view(np.int64))
+        if clipped:
+            assert np.any(np.abs(bound) == clip)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_views_follow_theta_in_place(self, depth):
+        arch = Architecture(depth, (2,) + (3,) * depth + (1,))
+        theta = np.zeros(param_count(arch))
+        m = 5
+        views = layer_views(layer_slices(arch), theta, m)
+        rng = np.random.default_rng(depth)
+        points = rng.uniform(-1, 1, size=(2, m))
+        act_fn = ACTIVATIONS["relu"].fn
+        for _ in range(4):
+            theta[rng.integers(theta.size)] = rng.uniform(-1, 1)
+            np.testing.assert_array_equal(
+                compose_views(views, points, act_fn, None),
+                compose_views(layer_views(layer_slices(arch), theta.copy()), points, act_fn,
+                              None))
+        for weights, bias, _ in views:
+            assert weights.shape[-1] == bias.shape[-1] == m
+            assert weights.strides[-1] == bias.strides[-1] == 0
+            assert np.shares_memory(weights, theta) and np.shares_memory(bias, theta)
+
+    def test_views_are_read_only(self):
+        arch = Architecture(1, (2, 3, 1))
+        theta = np.zeros(param_count(arch))
+        for weights, bias, _ in layer_views(layer_slices(arch), theta, 4):
+            for view in (weights, bias):
+                assert not view.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    view += 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    np.add(view, 1.0, out=view)
+        assert not theta.any()
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         rng = np.random.default_rng(4)

@@ -338,6 +338,30 @@ class TestPseudoGapReplay:
             k_max = int(rng.integers(1, 12))
             assert pseudo_spectral_gap(kernel, pi, k_max) == replay_pseudo_gap(kernel, pi, k_max)
 
+    @pytest.mark.parametrize("k_max", [10, 256])
+    @pytest.mark.parametrize(
+        "kernel",
+        [two_source_kernel(0.3), two_source_kernel(0.3, states=16),
+         two_source_kernel(0.1, states=32),
+         *(dirichlet(m, seed) for m, seed in [(3, 1), (16, 2), (20, 3), (40, 4)])],
+        ids=["two_source_2", "two_source_16", "two_source_32", "dirichlet_3", "dirichlet_16",
+             "dirichlet_20", "dirichlet_40"],
+    )
+    def test_early_stop_equals_full_scan(self, monkeypatch, kernel, k_max):
+        # The scan stops once 1/k cannot raise its maximum, since every gap
+        # is at most 1; the per-k replay scans every k.  Past the first
+        # block the stop must fire, so a 256-k scan of 16+ states solves
+        # fewer blocks than it would in full.
+        pi = stationary_distribution(kernel)
+        solves = []
+        original = markov._spectral_gaps
+        monkeypatch.setattr(markov, "_spectral_gaps",
+                            lambda ops, law: solves.append(len(ops)) or original(ops, law))
+        assert pseudo_spectral_gap(kernel, pi, k_max) == replay_pseudo_gap(kernel, pi, k_max)
+        block = max(1, BLOCK_FLOATS // kernel.states**2)
+        if k_max == 256 and kernel.states >= 16:
+            assert sum(solves) < k_max and len(solves) < -(-k_max // block)
+
     def test_mixed_stack_equals_per_operator_gaps(self):
         # A non-reversible kernel is not self-adjoint, so it takes the general
         # solver, while the operators around it take the symmetric one.
