@@ -582,13 +582,11 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     pass runs when no chain's move is feasible.
     Each row's floats are those of its own network, so no chain depends on
     its batch-mates.  The chains must share their :func:`_batch_key`, else
-    ValueError.  One chain runs :func:`sample_posterior`.  Against the
-    one-chain loop, lockstep runs about 1.3x on two chains and 2.2x on four
-    of the sweep benchmark's depth-1 cells (3.7x on ten, 4.8x on 25, 5.4x
-    on fifty and 5.0x on a hundred, measured before the loop's views were
-    bound to its points, which left depth 1 level), and 0.88x on two and
-    1.3x on four chains of a depth-0 cell, whose loop the bound views
-    made faster.
+    ValueError.  One chain runs :func:`sample_posterior`.  Against that
+    loop, lockstep runs about 1.3x on two and 2.2x on four of the sweep
+    benchmark's depth-1 chains (3.7x on ten, 4.8x on 25, 5.4x on fifty and
+    5.0x on a hundred before the loop bound its views to its points, which
+    left depth 1 level), but 0.88x on two and 1.3x on four depth-0 chains.
     """
     if len(datas) == 1:
         return [sample_posterior(datas[0], loss, classdefs[0], cfgs[0])]
