@@ -26,14 +26,12 @@ from .markov import (
     stream,
 )
 from .model import (
+    NOISE_FAMILIES,
     TargetSpec,
-    _draw_noise,
     excess_per_state,
     logistic_gaps,
     noise_variance,
     rate_exponent,
-    target_eta,
-    target_values,
 )
 from .network import SparseNetwork, forward
 
@@ -260,7 +258,7 @@ def exact_bernstein_constant(
     if loss == "square":
         second = per_state * (per_state + 4.0 * noise_variance(*noise))
     else:
-        eta = target_eta(target)
+        eta = target.eta
         gap_pos, gap_neg = logistic_gaps(h, eta)
         # The gap of a label with probability 0 is infinite: mask it.
         second = (eta * np.where(eta > 0.0, gap_pos, 0.0) ** 2
@@ -300,12 +298,12 @@ def mc_check_bernstein(
     paths = simulate_batch(kernel, pi, n=n, replications=replications, seed=seed)
     rng = stream(seed, "bernstein")
     if loss == "square":
-        d = h - target_values(target)
-        eps = _draw_noise(rng, *noise, paths.shape)
+        d = h - target.values
+        eps = NOISE_FAMILIES[noise[0]][1](rng, noise[1], paths.shape)
         # (h-y)^2 - (h*-y)^2 with y = h* + eps collapses to d^2 - 2 d eps.
         gaps = d[paths] ** 2 - 2.0 * d[paths] * eps
     else:
-        eta = target_eta(target)
+        eta = target.eta
         gap_pos, gap_neg = logistic_gaps(h, eta)
         gaps = np.where(rng.random(paths.shape) < eta[paths], gap_pos[paths], gap_neg[paths])
     emp_excess = gaps.mean(axis=1)

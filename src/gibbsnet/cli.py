@@ -266,8 +266,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (GibbsNetError, OSError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (GibbsNetError, OSError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

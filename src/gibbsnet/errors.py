@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the one reader of
 config tables with its number policy: every number a config table holds is
-read by :func:`check_value`, which refuses inf, NaN and an integer too
-large for a float, so the CLI and the library refuse the same inputs."""
+read by :func:`check_value`, which refuses inf, NaN, an integer too large
+for a float and an integer key outside the int64 range, so the CLI and the
+library refuse the same inputs."""
 
 import math
 
@@ -77,6 +78,7 @@ class MismatchedEffectiveSize(ConfigError):
     config alone decides it, so it is a config error."""
 
 
+INT64 = np.iinfo(np.int64)
 REQUIRED = object()  # the schema default of a key a table must hold
 
 # A schema maps each key of a config table to (kind, default).  A kind is
@@ -89,11 +91,11 @@ KIND_NAMES = {"int": "an integer", "number": "a number", "str": "a string",
 def check_value(value, kind, where: str):
     """``value`` read as ``kind``, or ConfigError naming ``where``.
 
-    The one number policy: an integer is a Python or numpy integer and reads
-    as an int; a number is also a float and reads as a finite float, so inf,
-    NaN and an integer too large for a float are refused; a bool or a
-    string is never a number.  A list is a list or a tuple and reads as a
-    tuple.
+    The one number policy: an integer is a Python or numpy integer in the
+    int64 range, numpy's index type, and reads as an int; a number is also
+    a float and reads as a finite float, so inf, NaN and an integer too
+    large for a float are refused; a bool or a string is never a number.
+    A list is a list or a tuple and reads as a tuple.
     """
     if isinstance(kind, (list, tuple)):
         if not isinstance(value, (list, tuple)) or (
@@ -106,6 +108,9 @@ def check_value(value, kind, where: str):
                      for i, (v, k) in enumerate(zip(value, kinds)))
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if kind == "int" and integer:
+        if not INT64.min <= value <= INT64.max:  # no repr, as for a number below
+            raise ConfigError(f"{where} must be an integer in the int64 range "
+                              "-2^63..2^63 - 1")
         return int(value)
     if kind == "number" and (integer or isinstance(value, (float, np.floating))):
         try:

@@ -94,9 +94,14 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
     """Kernel factory for config chain specs.
 
     Families: ``two_source`` (switch probability p, even state count) and
-    ``explicit`` (a full probability matrix).
+    ``explicit`` (a full probability matrix).  A ``p_override`` (a
+    ``p_grid`` entry or an effsample pair's p) for a family without p raises
+    ConfigError rather than go unused.
     """
     spec = check_kinded(spec, "chain", "family", CHAINS)
+    if p_override is not None and "p" not in spec:
+        raise ConfigError(f"chain family {spec['family']!r} has no p for a p_grid or an "
+                          f"effsample pair to set (got p = {p_override})")
     try:
         if spec["family"] == "two_source":
             p = spec["p"] if p_override is None else p_override
@@ -143,7 +148,7 @@ def check_noise(noise, n: int) -> tuple:
     family, scale = check_value(noise, NOISE, "noise")
     if family not in NOISE_FAMILIES or scale < 0 or not math.isfinite(64.0 * n * scale * scale):
         raise ConfigError(
-            f"noise must be [family, scale >= 0] with family in {NOISE_FAMILIES} and "
+            f"noise must be [family, scale >= 0] with family in {tuple(NOISE_FAMILIES)} and "
             f"64 n scale^2 finite at n = {n}, got {list(noise)}"
         )
     return family, scale

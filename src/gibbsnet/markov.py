@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     EigenFailure,
+    GibbsNetError,
     NonUniqueStationary,
     NotMixedWithinCap,
     UnvisitedState,
@@ -346,6 +347,15 @@ def _binner(grid: np.ndarray, keys: int):
     return bins
 
 
+def _trajectories(shape) -> np.ndarray:
+    """An empty int64 array of ``shape`` for trajectory states; a size numpy
+    cannot allocate raises GibbsNetError, a runtime failure."""
+    try:
+        return np.empty(shape, dtype=np.int64)
+    except (ValueError, MemoryError) as exc:
+        raise GibbsNetError(f"cannot allocate trajectory states of shape {shape}: {exc}") from exc
+
+
 def _first_states(pi: StationaryDist, u: np.ndarray) -> np.ndarray:
     """States drawn from pi by inverse-CDF sampling, one per uniform."""
     cum_pi = np.cumsum(pi.weights)
@@ -368,7 +378,7 @@ def simulate(
     grid, table = _step_table(kernel)
     bins_of = _binner(grid, n - 1)
     rows = table.tolist()
-    states = np.empty(n, dtype=np.int64)
+    states = _trajectories(n)
     state = states[0] = int(_first_states(pi, rng.random(1))[0])
     for start in range(1, n, BLOCK_FLOATS):
         bins = bins_of(rng.random(min(BLOCK_FLOATS, n - start)))
@@ -403,7 +413,7 @@ def simulate_batch(
     bins_of = _binner(grid, (n - 1) * replications)
     m = kernel.states
     step = table.T.ravel()  # step[b * m + s] == table[s, b]
-    paths = np.empty((replications, n), dtype=np.int64)
+    paths = _trajectories((replications, n))
     state = paths[:, 0] = _first_states(pi, rng.random(replications))
     per_block = max(1, BLOCK_FLOATS // replications)
     for start in range(1, n, per_block):

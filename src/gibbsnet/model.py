@@ -2,11 +2,12 @@
 
 Inputs live on a finite state space inherited from the chain machinery:
 state ``s`` of ``m`` is embedded at a fixed point in [0,1]^d (an equispaced
-midpoint grid by default, or any explicit table).  Because the conditional
-law given the state is known in closed form for both experiment families
-(square loss with additive noise, logistic labels with a known link table),
-risks and excess risks are computed exactly as stationary-weighted sums of
-per-state conditional expectations.
+midpoint grid by default, or any explicit table), so a target is its table
+over the states (:class:`TargetSpec`).  Because the conditional law given
+the state is known in closed form for both experiment families (square loss
+with additive noise, logistic labels with a known link table), risks and
+excess risks are computed exactly as stationary-weighted sums of per-state
+conditional expectations.
 """
 
 from __future__ import annotations
@@ -18,51 +19,49 @@ import numpy as np
 from .errors import DimensionMismatch
 from .markov import StationaryDist, TransitionKernel, simulate, stream
 
-NOISE_FAMILIES = ("gaussian", "uniform", "rademacher")
+# Each noise family's variance divisor (its variance is scale^2 / divisor
+# at sub-Gaussian proxy parameter ``scale``) and its drawer
+# ``(rng, scale, shape) -> centered draws``: gaussian, uniform on [-scale,
+# scale] and rademacher +-scale.
+NOISE_FAMILIES = {
+    "gaussian": (1.0, lambda rng, scale, shape: scale * rng.standard_normal(shape)),
+    "uniform": (3.0, lambda rng, scale, shape: rng.uniform(-scale, scale, size=shape)),
+    "rademacher": (1.0, lambda rng, scale, shape: scale * rng.choice((-1.0, 1.0), size=shape)),
+}
 
 
 def state_grid(m: int, dim: int = 1) -> np.ndarray:
     """Equispaced midpoint embedding of m states into [0,1]^dim.
 
-    For dim > 1 the states sit on the main diagonal; pass an explicit table
-    to a TargetSpec for anything fancier.
+    For dim > 1 the states sit on the main diagonal; for any other
+    embedding, pass an explicit table to a TargetSpec.
     """
     line = (np.arange(m) + 0.5) / m
     return np.tile(line[:, None], (1, dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetSpec:
-    """Ground-truth description: the target kind, its parameters, and the
-    state embedding."""
+    """Ground truth as its table over the m states: each state's input point
+    (an (m, d) array), h* there, and, for a logistic link, the probability
+    of a positive label there (None otherwise).  The arrays are read-only
+    copies; only their shapes are checked."""
 
-    kind: str
-    params: dict
     points: np.ndarray
+    values: np.ndarray
+    eta: np.ndarray | None = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "points", pts)
-        if self.kind not in ("composition", "logistic_link"):
-            raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.kind == "composition":
-            dims, actives, betas = (self.params[k] for k in ("dims", "active_coords", "betas"))
-            if not len(actives) == len(betas) == len(dims) - 1:
-                raise ValueError("need one active-coordinate count and one smoothness per stage")
-            if not all(isinstance(v, (int, np.integer)) for v in (*dims, *actives)):
-                raise ValueError("stage dimensions must be integers")
-            if pts.shape[1] != dims[0]:
-                raise ValueError("each state point needs dims[0] coordinates")
-            if min(dims) < 1 or not all(1 <= t_i <= d_i for t_i, d_i in zip(actives, dims)):
-                raise ValueError("each stage must use 1 to its input dimension coordinates")
-            if any(beta <= 0 for beta in betas):
-                raise ValueError("smoothness must be positive")
-        if self.kind == "logistic_link":
-            eta = np.asarray(self.params["eta"], dtype=float)
-            if eta.shape[0] != pts.shape[0]:
-                raise ValueError("link table length must match the state count")
-            if np.any(eta < 0) or np.any(eta > 1):
-                raise ValueError("link probabilities must lie in [0, 1]")
+        for name in ("points", "values", "eta"):
+            if getattr(self, name) is not None:
+                table = np.array(getattr(self, name), dtype=float)
+                table.flags.writeable = False
+                object.__setattr__(self, name, table)
+        rows = self.points.shape[:1]
+        if self.points.ndim != 2 or self.values.shape != rows or (
+                self.eta is not None and self.eta.shape != rows):
+            raise ValueError("a target needs (m, d) points and m values (and m link "
+                             "probabilities) for its m states")
 
 
 def holder_target(beta: float, m: int, scale: float = 1.0, dim: int = 1) -> TargetSpec:
@@ -72,54 +71,32 @@ def holder_target(beta: float, m: int, scale: float = 1.0, dim: int = 1) -> Targ
 
 
 def composition_target(dims, active_coords, betas, m: int, scale: float = 1.0) -> TargetSpec:
-    """Canonical nested target: stage i maps [0,1]^{d_i} -> [0,1]^{d_{i+1}}
-    componentwise through |mean of the first t_i coordinates - 1/2|^{beta_i},
-    and the final stage is scaled by ``scale``."""
-    return TargetSpec(
-        kind="composition",
-        params={
-            "dims": list(dims),
-            "active_coords": list(active_coords),
-            "betas": list(betas),
-            "scale": scale,
-        },
-        points=state_grid(m, dims[0]),
-    )
+    """Canonical nested target on ``state_grid(m, dims[0])``: stage i maps
+    [0,1]^{d_i} -> [0,1]^{d_{i+1}} componentwise through |mean of the first
+    t_i coordinates - 1/2|^{beta_i}, and the final stage is scaled by
+    ``scale``."""
+    if not len(active_coords) == len(betas) == len(dims) - 1:
+        raise ValueError("need one active-coordinate count and one smoothness per stage")
+    if not all(isinstance(v, (int, np.integer)) for v in (*dims, *active_coords)):
+        raise ValueError("stage dimensions must be integers")
+    if min(dims) < 1 or not all(1 <= t_i <= d_i for t_i, d_i in zip(active_coords, dims)):
+        raise ValueError("each stage must use 1 to its input dimension coordinates")
+    if any(beta <= 0 for beta in betas):
+        raise ValueError("smoothness must be positive")
+    points = out = state_grid(m, dims[0])
+    for t_i, beta, d_next in zip(active_coords, betas, dims[1:]):
+        core = np.abs(out[:, :t_i].mean(axis=1) - 0.5) ** beta
+        out = np.tile(core[:, None], (1, d_next))
+    return TargetSpec(points, scale * out[:, 0])
 
 
 def logistic_link_target(eta, m: int | None = None) -> TargetSpec:
+    """The link table ``eta`` on ``state_grid(m)`` (m defaults to its
+    length); h* is its log-odds, +-inf where eta is 1 or 0."""
     eta = np.asarray(eta, dtype=float)
-    return TargetSpec(kind="logistic_link", params={"eta": eta},
-                      points=state_grid(len(eta) if m is None else m))
-
-
-def _eval_composition(params: dict, x: np.ndarray) -> np.ndarray:
-    out = np.atleast_2d(x)
-    dims = params["dims"]
-    betas = params["betas"]
-    for t_i, beta, d_next in zip(params["active_coords"], betas, dims[1:]):
-        core = np.abs(out[:, :t_i].mean(axis=1) - 0.5) ** beta
-        out = np.tile(core[:, None], (1, d_next))
-    return params["scale"] * out[:, 0]
-
-
-def target_values(target: TargetSpec, x: np.ndarray | None = None) -> np.ndarray:
-    """h* evaluated at the given inputs (default: the state points).
-
-    For the logistic link this is the log-odds, with +-inf at eta in {0,1}.
-    """
-    pts = target.points if x is None else np.atleast_2d(np.asarray(x, dtype=float))
-    if target.kind == "composition":
-        return _eval_composition(target.params, pts)
-    if x is not None:
-        raise ValueError("logistic link targets are defined per state only")
-    return logistic_target(np.asarray(target.params["eta"], dtype=float))
-
-
-def target_eta(target: TargetSpec) -> np.ndarray:
-    if target.kind != "logistic_link":
-        raise ValueError("only logistic link targets carry a probability table")
-    return np.asarray(target.params["eta"], dtype=float)
+    if np.any(eta < 0) or np.any(eta > 1):
+        raise ValueError("link probabilities must lie in [0, 1]")
+    return TargetSpec(state_grid(len(eta) if m is None else m), logistic_target(eta), eta)
 
 
 @dataclass(frozen=True)
@@ -221,9 +198,11 @@ def excess_per_state(h, target: TargetSpec, loss: str) -> np.ndarray:
     (h - h*)^2 for the square loss (the noise cancels), and
     :func:`conditional_excess_logistic` for the logistic loss."""
     if loss == "square":
-        return (h - target_values(target)) ** 2
+        return (h - target.values) ** 2
     if loss == "logistic":
-        return conditional_excess_logistic(target_eta(target), h)
+        if target.eta is None:
+            raise ValueError("the logistic loss needs a target with a link table")
+        return conditional_excess_logistic(target.eta, h)
     raise ValueError(f"unknown loss {loss!r}")
 
 
@@ -239,28 +218,9 @@ def excess_risk_mc(predictor, target: TargetSpec, pi: StationaryDist, loss: str)
 
 
 def noise_variance(family: str, scale: float) -> float:
-    """Variance of a noise draw whose sub-Gaussian proxy parameter is
-    ``scale``: gaussian scale^2, uniform on [-scale, scale] scale^2/3,
-    rademacher +-scale scale^2."""
-    if family == "gaussian":
-        return scale**2
-    if family == "uniform":
-        return scale**2 / 3.0
-    if family == "rademacher":
-        return scale**2
-    raise ValueError(f"unknown noise family {family!r}")
-
-
-def _draw_noise(rng: np.random.Generator, family: str, scale: float, shape) -> np.ndarray:
-    """Centered noise of the given family and scale, an array of ``shape``
-    (an int or a tuple)."""
-    if family == "gaussian":
-        return scale * rng.standard_normal(shape)
-    if family == "uniform":
-        return rng.uniform(-scale, scale, size=shape)
-    if family == "rademacher":
-        return scale * rng.choice((-1.0, 1.0), size=shape)
-    raise ValueError(f"unknown noise family {family!r}")
+    """Variance of a noise draw of ``family`` (see :data:`NOISE_FAMILIES`)
+    whose sub-Gaussian proxy parameter is ``scale``."""
+    return scale**2 / NOISE_FAMILIES[family][0]
 
 
 def generate_regression(
@@ -276,8 +236,8 @@ def generate_regression(
     family, scale = noise
     states = simulate(kernel, pi, n=n, seed=seed)
     x = target.points[states]
-    eps = _draw_noise(stream(seed, "noise"), family, scale, n) if scale > 0 else np.zeros(n)
-    y = target_values(target)[states] + eps
+    eps = NOISE_FAMILIES[family][1](stream(seed, "noise"), scale, n) if scale > 0 else np.zeros(n)
+    y = target.values[states] + eps
     return Dataset(inputs=x, outputs=y)
 
 
@@ -291,7 +251,7 @@ def generate_classification(
     """Inputs are the embedded stationary trajectory; labels in {-1, +1}
     are positive with the logistic link target's per-state probability."""
     states = simulate(kernel, pi, n=n, seed=seed)
-    labels = np.where(stream(seed, "labels").random(n) < target_eta(target)[states], 1.0, -1.0)
+    labels = np.where(stream(seed, "labels").random(n) < target.eta[states], 1.0, -1.0)
     return Dataset(inputs=target.points[states], outputs=labels)
 
 

@@ -34,7 +34,6 @@ from gibbsnet.model import (
     holder_target,
     logistic_target,
     subgaussian_envelope,
-    target_values,
 )
 from gibbsnet.network import (
     ACTIVATIONS,
@@ -247,7 +246,7 @@ class TestCriterion8:
         kernel = two_source_kernel(0.5, states=4)
         pi = stationary_distribution(kernel)
         target = holder_target(beta=1.0, m=4)
-        sup_target = float(np.max(np.abs(target_values(target))))
+        sup_target = float(np.max(np.abs(target.values)))
         n, delta, sigma, reps = 100, 0.05, 1.0, 2000
         envelope = subgaussian_envelope(sup_target, sigma, n, delta)
         violations = 0

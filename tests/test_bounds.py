@@ -29,7 +29,6 @@ from gibbsnet.model import (
     holder_target,
     logistic_link_target,
     noise_variance,
-    target_values,
 )
 from gibbsnet.network import Architecture, SparseNetwork
 
@@ -217,7 +216,7 @@ class TestExactBernsteinConstant:
         kernel = two_source_kernel(0.5)
         pi = stationary_distribution(kernel)
         target = holder_target(beta=1.0, m=2)
-        h = target_values(target) + np.array([0.2, -0.1])
+        h = target.values + np.array([0.2, -0.1])
         k, excess = exact_bernstein_constant(h, target, pi, "square", ("gaussian", 0.5))
         d2 = np.array([0.04, 0.01])
         want_excess = float(np.dot(pi.weights, d2))
@@ -231,7 +230,7 @@ class TestExactBernsteinConstant:
         pi = stationary_distribution(kernel)
         target = holder_target(beta=1.0, m=2)
         k, excess = exact_bernstein_constant(
-            target_values(target), target, pi, "square", ("gaussian", 1.0)
+            target.values, target, pi, "square", ("gaussian", 1.0)
         )
         assert k == 0.0 and excess == 0.0
 

@@ -111,6 +111,7 @@ SLOPE = {"csv": str(Path(__file__).parent / "data" / "golden_sweep.csv")}
 # State 0 is transient: the stationary law puts no mass on it.
 TRANSIENT = {"family": "explicit", "probs": [[0.5, 0.5], [0.0, 1.0]]}
 NON_SQUARE = {"family": "explicit", "probs": [[0.5, 0.5]]}
+EXPLICIT = {"family": "explicit", "probs": [[0.5, 0.5], [0.2, 0.8]]}
 # A rule class cannot be sized at n * gamma <= e: here at p = 0.02 only.
 UNSIZABLE_GRID = {**SWEEP, "classdef": {"rule": "holder"}, "n_grid": [30, 60],
                   "p_grid": [0.5, 0.02]}
@@ -231,6 +232,21 @@ def run(tmp_path, command, doc):
         ("sweep", {**SWEEP, "classdef": OVERFLOWING_OUTPUTS}),
         ("sample", {**SAMPLE, **OVERFLOWING_STEP}),
         ("sweep", {**SWEEP, **OVERFLOWING_STEP}),
+        # Integers past int64 used to escape numpy or float() as OverflowError.
+        ("sample", {**SAMPLE, "n": 10**400}),
+        ("sweep", {**SWEEP, "n_grid": [10**400]}),
+        ("sample", {**SAMPLE, "classdef": {**SAMPLE["classdef"], "depth": 10**400}}),
+        ("sample", {**SAMPLE, "classdef": {**SAMPLE["classdef"], "width": 10**400}}),
+        ("sample", {**SAMPLE, "gibbs": {**SAMPLE["gibbs"], "thin": 10**400}}),
+        ("sample", {**SAMPLE, "gibbs": {**SAMPLE["gibbs"], "burn_in": 10**400}}),
+        ("sample", {**SAMPLE, "target": {"kind": "holder", "dim": 10**400}}),
+        ("sweep", {**SWEEP, "target": {**COMPOSITION, "dims": [1, 10**400, 1]}}),
+        ("bounds", {"checks": [{**CHAIN_MGF, "n": 10**400}]}),
+        ("bounds", {"checks": [{**KL, "n_max": 10**400}]}),
+        ("sample", {**SAMPLE, "seed": 2**63}),
+        # An explicit chain has no p: these ran one chain under every p label.
+        ("sweep", {**SWEEP, "chain": EXPLICIT, "p_grid": [0.5, 0.1]}),
+        ("effsample", {**EFFSAMPLE, "chain": EXPLICIT, "pairs": [[100, 0.5], [100, 0.1]]}),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -269,6 +285,11 @@ def run(tmp_path, command, doc):
         "sample-negative-burn-in", "effsample-negative-burn-in",
         "sample-outputs-may-overflow", "sweep-outputs-may-overflow",
         "sample-reflection-overflows", "sweep-reflection-overflows",
+        "sample-n-past-int64", "sweep-n-grid-past-int64", "classdef-depth-past-int64",
+        "classdef-width-past-int64", "gibbs-thin-past-int64", "gibbs-burn-in-past-int64",
+        "holder-dim-past-int64", "composition-dims-past-int64", "chain-mgf-n-past-int64",
+        "kl-n-max-past-int64", "seed-past-int64", "explicit-chain-p-grid",
+        "explicit-chain-effsample-pairs",
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -328,6 +349,28 @@ def test_unallocatable_draws_exit_3(tmp_path, capsys, command, base):
     assert not (tmp_path / "draws.jsonl").exists()
 
 
+# 10^15 int64 states or floats are 7.1 PiB, past the x86-64 address space,
+# so each allocation fails at once instead of being granted and paged; numpy
+# refuses 2 * 10^18 states before it asks for memory at all.
+@pytest.mark.parametrize(
+    "command, doc",
+    [("sample", {**SAMPLE, "n": 10**15}), ("sweep", {**SWEEP, "n_grid": [10**15]}),
+     ("effsample", {**EFFSAMPLE, "pairs": [[10**15, 0.5]]}),
+     ("bounds", {"checks": [{**BERNSTEIN, "n": 10**15}]}),
+     ("gap", {"chain": {**CHAIN, "states": 10**15}}),
+     ("simulate", {**SIMULATE, "n": 2 * 10**18})],
+    ids=["sample-n", "sweep-n-grid", "effsample-pair-n", "bernstein-n", "gap-states",
+         "simulate-past-intp"],
+)
+def test_unallocatable_arrays_exit_3_at_once(tmp_path, capsys, command, doc):
+    # numpy's MemoryError (and a trajectory's "array is too big" ValueError)
+    # escaped as a traceback; each is a runtime failure of an in-range config.
+    start = time.perf_counter()
+    assert run(tmp_path, command, doc) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("runtime error: ")
+
+
 @pytest.mark.parametrize("command, base", [("sweep", SWEEP), ("effsample", EFFSAMPLE)])
 def test_run_leaves_exactly_its_report_files(tmp_path, command, base):
     # perfbench's sweep workload reads all three files after every pass; the
@@ -347,7 +390,7 @@ RULE_SWEEP = {**SWEEP, "classdef": {
 COMPOSITION_SWEEP = {**SWEEP, "target": COMPOSITION, "classdef": {
     "rule": {"kind": "composition", "betas": [1.0, 0.5], "active_coords": [1, 2]},
     "constants": {"depth_scale": 0.1, "width_scale": 0.1, "sparsity_scale": 0.1}}}
-EXPLICIT_SWEEP = {**SWEEP, "chain": {"family": "explicit", "probs": [[0.5, 0.5], [0.2, 0.8]]}}
+EXPLICIT_SWEEP = {**SWEEP, "chain": EXPLICIT}
 LOGISTIC_SWEEP = {**SWEEP, "target": {"kind": "logistic_link", "eta": [0.2, 0.4, 0.7, 0.9]},
                   "loss": "logistic"}
 FULL_SWEEP = {**SWEEP, "p_grid": [0.5], "noise": ["gaussian", 0.1],
@@ -540,27 +583,34 @@ def test_gap_reports_zero_gap(tmp_path):
 PERIODIC = {"family": "explicit", "probs": [[0.0, 1.0], [1.0, 0.0]]}
 
 
+PAST_INT64 = "must be an integer in the int64 range"  # the integer policy's refusal
+PAST_CEILING = f"must lie in 1..{MAX_POWER}"
+
+
 @pytest.mark.parametrize(
-    "command, doc",
-    [("gap", {**GAP, "k_max": 10**400}), ("gap", {**GAP, "chain": PERIODIC, "k_max": 10**400}),
-     ("gap", {**GAP, "k_max": MAX_POWER + 1}),
-     ("gap", {**GAP, "chain": PERIODIC, "t_cap": 10**400}),
-     ("gap", {**GAP, "chain": PERIODIC, "t_cap": MAX_POWER + 1}),
-     ("sweep", {**SWEEP, "k_max": 10**400}), ("sample", {**SAMPLE, "k_max": 10**400}),
-     ("effsample", {**EFFSAMPLE, "k_max": 10**400}),
-     ("bounds", {"checks": [{**CHAIN_MGF, "k_max": 10**400}]})],
+    "command, doc, message",
+    [("gap", {**GAP, "k_max": 10**400}, PAST_INT64),
+     ("gap", {**GAP, "chain": PERIODIC, "k_max": 10**400}, PAST_INT64),
+     ("gap", {**GAP, "k_max": MAX_POWER + 1}, PAST_CEILING),
+     ("gap", {**GAP, "chain": PERIODIC, "t_cap": 10**400}, PAST_INT64),
+     ("gap", {**GAP, "chain": PERIODIC, "t_cap": MAX_POWER + 1}, PAST_CEILING),
+     ("sweep", {**SWEEP, "k_max": 10**400}, PAST_INT64),
+     ("sample", {**SAMPLE, "k_max": 10**400}, PAST_INT64),
+     ("effsample", {**EFFSAMPLE, "k_max": 10**400}, PAST_INT64),
+     ("bounds", {"checks": [{**CHAIN_MGF, "k_max": 10**400}]}, PAST_INT64)],
     ids=["gap-k-max", "gap-periodic-k-max", "gap-k-max-past-ceiling", "gap-periodic-t-cap",
          "gap-t-cap-past-ceiling", "sweep-k-max", "sample-k-max", "effsample-k-max",
          "chain-mgf-k-max"],
 )
-def test_power_counts_past_ceiling_exit_2_at_once(tmp_path, capsys, command, doc):
+def test_power_counts_past_ceiling_exit_2_at_once(tmp_path, capsys, command, doc, message):
     # A count past markov.MAX_POWER is refused before any scan starts: a
-    # scan of 10^400 kernel powers would run until killed.
+    # scan of 10^400 kernel powers would run until killed.  A count past
+    # int64 is refused by the integer policy before the ceiling is read.
     start = time.perf_counter()
     assert run(tmp_path, command, doc) == 2
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and f"must lie in 1..{MAX_POWER}" in err
+    assert err.startswith("config error: ") and message in err
     assert not list(tmp_path.glob("*_partial.csv"))
 
 
@@ -679,12 +729,13 @@ def test_bounds_overflowing_rhs_reports_inf(tmp_path):
 
 
 # Replacement values for the mutation test: every type a JSON config can
-# hold, inf and NaN, and no number above 50, so a valid mutant stays small
-# and fast (a huge int at replications would hang: the float keys
-# get theirs in test_float_keys_refuse_non_finite_values); 2 also makes a
-# bernstein_mgf network's widths[0] miss the target's input dimension.
-POOL = [None, True, -1, 0, 1, 2, 2.5, 50, -0.5, 0.5, math.inf, math.nan, "x", "", "holder", [],
-        [1], [1, "a"], {}, {"a": 1}]
+# hold, inf and NaN, 10^400, which no integer or number key takes, and
+# otherwise no number above 50, so a valid mutant stays small and fast (a
+# huge int64 at replications would hang: the float keys get theirs in
+# test_float_keys_refuse_non_finite_values); 2 also makes a bernstein_mgf
+# network's widths[0] miss the target's input dimension.
+POOL = [None, True, -1, 0, 1, 2, 2.5, 50, -0.5, 0.5, math.inf, math.nan, 10**400, "x", "",
+        "holder", [], [1], [1, "a"], {}, {"a": 1}]
 
 
 def _paths(doc, prefix=()):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gibbsnet.bounds import mc_check_bernstein
 from gibbsnet.gibbs import _per_state_risk
 from gibbsnet.markov import simulate, stationary_distribution, two_source_kernel
 from gibbsnet.model import (
@@ -12,6 +13,7 @@ from gibbsnet.model import (
     TargetSpec,
     composition_target,
     conditional_excess_logistic,
+    excess_per_state,
     excess_risk_mc,
     generate_classification,
     generate_regression,
@@ -24,8 +26,14 @@ from gibbsnet.model import (
     rate_exponents,
     state_grid,
     subgaussian_envelope,
-    target_values,
 )
+from gibbsnet.network import Architecture, SparseNetwork
+
+
+def h_star(target, x):
+    """h* at inputs ``x`` that are ``target``'s state points, which
+    ``state_grid`` sorts along the first coordinate."""
+    return target.values[np.searchsorted(target.points[:, 0], np.atleast_2d(x)[:, 0])]
 
 
 class TestLosses:
@@ -112,9 +120,7 @@ class TestRateExponents:
 class TestTargets:
     def test_holder_values_on_grid(self):
         target = holder_target(beta=1.0, m=4)
-        np.testing.assert_allclose(
-            target_values(target), np.abs(state_grid(4)[:, 0] - 0.5)
-        )
+        np.testing.assert_allclose(target.values, np.abs(state_grid(4)[:, 0] - 0.5))
 
     def test_composition_structure_validated(self):
         with pytest.raises(ValueError):
@@ -139,23 +145,37 @@ class TestTargets:
         with pytest.raises(ValueError):
             composition_target(dims=dims, active_coords=active, betas=betas, m=4)
 
-    def test_points_must_match_input_dimension(self):
-        params = {"dims": [1, 1], "active_coords": [1], "betas": [1.0], "scale": 1.0}
-        with pytest.raises(ValueError):
-            TargetSpec(kind="composition", params=params, points=np.zeros((4, 2)))
+    def test_table_shapes_must_agree(self):
+        # One point row, one value and one link probability per state.
+        good = np.zeros((4, 1))
+        for points, values, eta in [(np.zeros((4, 2)), np.zeros(3), None),
+                                    (np.zeros(4), np.zeros(4), None),
+                                    (good, np.zeros((4, 1)), None),
+                                    (good, np.zeros(4), np.zeros(3))]:
+            with pytest.raises(ValueError):
+                TargetSpec(points, values, eta)
+        assert TargetSpec(good, np.zeros(4), np.zeros(4)).points.shape == (4, 1)
+
+    def test_tables_refuse_writes(self):
+        eta = np.array([0.2, 0.4, 0.7, 0.9])
+        target = logistic_link_target(eta)
+        for table in (target.points, target.values, target.eta):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.5
+        eta[0] = 0.5  # the target holds its own copy
+        assert target.eta[0] == 0.2
 
     @pytest.mark.parametrize("beta, dim, scale", [(0.5, 1, 1.0), (1.0, 2, 1.3), (2.5, 3, 0.7)])
     def test_holder_is_one_stage_composition(self, beta, dim, scale):
         holder = holder_target(beta=beta, m=6, scale=scale, dim=dim)
         stage = composition_target([dim, 1], [dim], [beta], m=6, scale=scale)
-        x = np.random.default_rng(0).random((9, dim))
-        for points in (None, x):
-            assert (target_values(holder, points).tobytes()
-                    == target_values(stage, points).tobytes())
-        # ... and both are the closed form scale * |mean(x) - 1/2|^beta, bit for bit.
-        for points in (holder.points, x):
-            closed = scale * np.abs(points.mean(axis=1) - 0.5) ** beta
-            assert target_values(holder, points).tobytes() == closed.tobytes()
+        grid = state_grid(6, dim)
+        closed = scale * np.abs(grid.mean(axis=1) - 0.5) ** beta
+        # ... both are the closed form scale * |mean(x) - 1/2|^beta on the grid, bit for bit.
+        for target in (holder, stage):
+            assert target.points.tobytes() == grid.tobytes()
+            assert target.values.tobytes() == closed.tobytes()
+            assert target.eta is None
 
     def test_composition_evaluates(self):
         target = composition_target(
@@ -164,7 +184,33 @@ class TestTargets:
         x = target.points
         inner = np.abs(x[:, 0] - 0.5)
         expected = 2.0 * np.abs(inner - 0.5) ** 0.5
-        np.testing.assert_allclose(target_values(target), expected)
+        np.testing.assert_allclose(target.values, expected)
+
+    def test_logistic_loss_needs_link_table(self):
+        with pytest.raises(ValueError, match="link table"):
+            excess_per_state(np.zeros(4), holder_target(beta=1.0, m=4), "logistic")
+
+    def test_hand_built_table_matches_constructor(self):
+        # A target is only its table: the same points and values written out
+        # by hand give the same floats in the risk, the data and the bound check.
+        kernel = two_source_kernel(0.3, states=4)
+        pi = stationary_distribution(kernel)
+        built = holder_target(beta=1.0, m=4)
+        points = np.array([[0.125], [0.375], [0.625], [0.875]])
+        hand = TargetSpec(points, np.abs(points[:, 0] - 0.5))
+        predictor = lambda x: 0.3 * x[:, 0]
+        assert (excess_risk_mc(predictor, hand, pi, "square")
+                == excess_risk_mc(predictor, built, pi, "square"))
+        a, b = (generate_regression(t, kernel, pi, n=50, noise=("uniform", 0.3), seed=2)
+                for t in (hand, built))
+        assert a.inputs.tobytes() == b.inputs.tobytes()
+        assert a.outputs.tobytes() == b.outputs.tobytes()
+        net = SparseNetwork(arch=Architecture(0, (1, 1)), theta=np.array([0.6, -0.2]),
+                            active=np.array([0, 1]), weight_bound=1.0, output_clip=5.0)
+        a, b = (mc_check_bernstein(net, t, kernel, pi, "square", lam=0.5, n=40,
+                                   replications=50, seed=3, noise=("gaussian", 0.3))
+                for t in (hand, built))
+        assert a.to_dict() == b.to_dict()
 
 
 def sampler_risk(predictor, data, loss):
@@ -187,7 +233,7 @@ class TestEmpiricalRisk:
         pi = stationary_distribution(kernel)
         target = holder_target(beta=1.0, m=4)
         data = generate_regression(target, kernel, pi, n=50, noise=("gaussian", 0.0), seed=3)
-        risk = sampler_risk(lambda x: target_values(target, x), data, loss="square")
+        risk = sampler_risk(lambda x: h_star(target, x), data, loss="square")
         # w.h^2 - 2 ybar.h + mean(y^2) cancels to zero only up to rounding.
         assert risk == pytest.approx(0.0, abs=1e-15)
 
@@ -204,7 +250,7 @@ class TestExcessRisk:
         pi = stationary_distribution(kernel)
         target = holder_target(beta=1.0, m=4)
         excess = excess_risk_mc(
-            lambda x: target_values(target, x), target, pi, loss="square"
+            lambda x: h_star(target, x), target, pi, loss="square"
         )
         assert excess == pytest.approx(0.0, abs=1e-15)
 
@@ -214,7 +260,7 @@ class TestExcessRisk:
         target = holder_target(beta=1.0, m=6)
         c = 0.37
         excess = excess_risk_mc(
-            lambda x: target_values(target, x) + c, target, pi, loss="square"
+            lambda x: h_star(target, x) + c, target, pi, loss="square"
         )
         assert excess == pytest.approx(c**2, abs=1e-14)
 
@@ -248,7 +294,7 @@ class TestExcessRisk:
         target = holder_target(beta=1.0, m=4)
         predictor = lambda x: np.zeros(len(x))
         exact = excess_risk_mc(predictor, target, pi, loss="square")
-        per_state = (predictor(target.points) - target_values(target)) ** 2
+        per_state = (predictor(target.points) - target.values) ** 2
         approx = float(per_state[simulate(kernel, pi, n=200_000, seed=5)].mean())
         assert approx == pytest.approx(exact, abs=0.01)
 
@@ -260,7 +306,7 @@ class TestGenerators:
         target = holder_target(beta=1.0, m=4)
         data = generate_regression(target, kernel, pi, n=100, noise=("gaussian", 0.0), seed=0)
         np.testing.assert_allclose(
-            data.outputs, target_values(target, data.inputs), atol=1e-15
+            data.outputs, h_star(target, data.inputs), atol=1e-15
         )
 
     def test_noise_is_centered(self):
@@ -270,7 +316,7 @@ class TestGenerators:
         data = generate_regression(
             target, kernel, pi, n=100_000, noise=("gaussian", 1.0), seed=11
         )
-        residual = data.outputs - target_values(target, data.inputs)
+        residual = data.outputs - h_star(target, data.inputs)
         assert abs(residual.mean()) < 0.02
 
     def test_same_seed_identical(self):
@@ -324,7 +370,7 @@ class TestSubgaussianEnvelope:
         kernel = two_source_kernel(0.5, states=4)
         pi = stationary_distribution(kernel)
         target = holder_target(beta=1.0, m=4)
-        k_bound = float(np.abs(target_values(target)).max())
+        k_bound = float(np.abs(target.values).max())
         delta, n, reps = 0.05, 100, 500
         env = subgaussian_envelope(k_bound, 1.0, n, delta)
         violations = 0
@@ -350,5 +396,5 @@ class TestNoiseVariance:
         data = generate_regression(
             target, kernel, pi, n=200_000, noise=("uniform", 1.0), seed=21
         )
-        residual = data.outputs - target_values(target, data.inputs)
+        residual = data.outputs - h_star(target, data.inputs)
         assert residual.var() == pytest.approx(noise_variance("uniform", 1.0), abs=0.01)
