@@ -53,6 +53,13 @@ from .network import (
 )
 
 UNIFORM_CHUNK = 512  # sampler steps per block of uniforms
+# The most parameters a class's padded frame, max_param_count(depth, width),
+# may hold.  A network of the class is a vector of up to that many floats
+# (8 GiB at this one) and a chain keeps one per kept draw, so a larger
+# class cannot be sampled on a desk machine.  It is refused before its
+# depth + 2 layer widths are built: at a depth of 2^40 those alone exhaust
+# memory, with a MemoryError that names neither key.
+MAX_PARAMS = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -70,6 +77,9 @@ class ClassDef:
     def __post_init__(self):
         if self.depth < 0 or self.width < 1:
             raise InvalidClass("need depth >= 0 and width >= 1")
+        if max_param_count(self.depth, self.width) > MAX_PARAMS:
+            raise InvalidClass(f"depth {self.depth} and width {self.width} pad to more than "
+                               f"{MAX_PARAMS} parameters (see gibbs.MAX_PARAMS)")
         if self.sparsity < 1:
             raise InvalidClass("sparsity cap must be at least 1")
         if self.sparsity > max_param_count(self.depth, self.width):

@@ -35,7 +35,10 @@ MULTIPLICITY_TOL = 1e-10
 STREAM_SALTS = {"chain": None, "noise": 0xE9, "labels": 0xC1, "bernstein": 0xB5,
                 "sampler": 0x5A}
 # The most floats a blocked loop here holds at once: a trajectory's uniforms
-# per block, or a pseudo-gap's stacked operators per spectral solve.
+# per block, or a pseudo-gap's stacked operators per spectral solve.  The
+# pseudo-gap's blocks grow 1, 2, 4, ... operators up to this cap, so a scan
+# that stops after k = 1 solves one operator; the block sizes change no
+# float, since a stacked solve equals a solo one.
 BLOCK_FLOATS = 1 << 13
 # The most kernel powers a scan takes: a pseudo-gap's k_max and a mixing
 # time's t_cap.  A scan that never stops early (a periodic chain's) takes
@@ -245,10 +248,15 @@ def pseudo_spectral_gap(
     at k = 1; it need not be at small k elsewhere (a lifted walk on m
     states attains it near k = 0.6 m).  The operators are built into one
     buffer of at most :data:`BLOCK_FLOATS` floats (but at least one
-    operator) and each full buffer is solved in one stacked call.  Every
-    gap is at most 1, so the k-th term is at most 1/k, and the scan stops
-    at the first block whose 1/k cannot raise the maximum: the result is
-    the full scan's float.
+    operator) and solved in blocks of 1, 2, 4, ... operators, each block
+    in one stacked call, until a block fills the buffer.  Every gap is at
+    most 1, so the k-th term is at most 1/k, and the scan stops at the
+    first block whose 1/k cannot raise the maximum: a chain whose k = 1
+    gap is at least 1/2 pays one solve of one operator, and one that
+    peaks late about log2 of the buffer's operators more solves than a
+    scan in full buffers.  A stacked solve equals a solo one (see
+    :func:`_spectral_gaps`) and the powers are the same products, so the
+    result is the full scan's float whatever the block sizes.
     """
     _check_power("k_max", k_max)
     reversal = time_reversal(kernel, pi)
@@ -257,16 +265,15 @@ def pseudo_spectral_gap(
     # The powers start from the identity, as products: a product's rounding
     # depends on its operands' memory order, and eye @ X is X in C order.
     forward_pow = reverse_pow = np.eye(m)
-    best = 0.0
-    for first in range(1, k_max + 1, len(ops)):
-        if 1.0 / first <= best:
-            break
-        ks = np.arange(first, min(first + len(ops), k_max + 1))
+    best, first, size = 0.0, 1, 1
+    while first <= k_max and 1.0 / first > best:
+        ks = np.arange(first, min(first + size, k_max + 1))
         for slot in range(len(ks)):
             forward_pow = forward_pow @ kernel.probs
             reverse_pow = reverse_pow @ reversal.probs
             np.matmul(reverse_pow, forward_pow, out=ops[slot])
         best = max(best, float(np.max(_spectral_gaps(ops[: len(ks)], pi) / ks)))
+        first, size = first + len(ks), min(2 * size, len(ops))
     return best
 
 
@@ -396,14 +403,15 @@ def simulate_batch(
     seed's chain stream, so one replication equals ``simulate(kernel, pi,
     n, seed)``.  The uniforms are drawn step-major in blocks of at most
     :data:`BLOCK_FLOATS` and binned at once by :func:`_binner`; each step is
-    then one add and one indexed read of the step table.  Both loops stay
-    because each is the faster one on a measured shape (one core of a
-    2-core Xeon, numpy 2.4): this one on many short paths, as in the Monte
-    Carlo bound checks (400 paths of 110 steps of a 4-state chain in
-    0.6-1.0 ms, against 28-31 ms for 400 calls of :func:`simulate`), the
-    scalar walk on one long path (100 000 steps of a 16-state chain in
-    5.4-8.6 ms, against 320-385 ms here, where each step costs about 3.5 us
-    of numpy calls whatever the width).
+    then one add and one read of the step table by its own ``take``
+    method (``np.take`` adds a Python-level wrapper call per step).  Both
+    loops stay because each is the faster one on a measured shape (one
+    core of a 2-core Xeon, numpy 2.4): this one on many short paths, as in
+    the Monte Carlo bound checks (400 paths of 110 steps of a 4-state
+    chain in 0.7-1.1 ms, against 27-42 ms for 400 calls of
+    :func:`simulate`), the scalar walk on one long path (100 000 steps of
+    a 16-state chain in 6.3-10.4 ms, against 123-230 ms here, where each
+    step costs about 1.2-2.3 us of numpy calls whatever the width).
     """
     if n < 1 or replications < 1:
         raise ValueError("n and replications must be positive")
@@ -422,7 +430,7 @@ def simulate_batch(
         block *= m
         for row in block:  # each row's bin offsets become that step's states
             row += state
-            np.take(step, row, out=row, mode="clip")  # in range: b <= len(grid), s < m
+            step.take(row, out=row, mode="clip")  # in range: b <= len(grid), s < m
             state = row
         paths[:, start:stop] = block.T
     return paths

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, GibbsNetError
 from .markov import StationaryDist, TransitionKernel, simulate, stream
 
 # Each noise family's variance divisor (its variance is scale^2 / divisor
@@ -36,8 +36,23 @@ def state_grid(m: int, dim: int = 1) -> np.ndarray:
     For dim > 1 the states sit on the main diagonal; for any other
     embedding, pass an explicit table to a TargetSpec.
     """
-    line = (np.arange(m) + 0.5) / m
-    return np.tile(line[:, None], (1, dim))
+    return _columns((np.arange(m) + 0.5) / m, dim)
+
+
+def _columns(column: np.ndarray, dim: int) -> np.ndarray:
+    """The (m, dim) table whose every column is ``column``.  A shape past
+    int64 raises ValueError naming ``dim``, a config error; one numpy
+    cannot allocate raises GibbsNetError naming the shape, a runtime
+    failure, as a trajectory's does."""
+    shape = (len(column), int(dim))
+    if shape[0] * shape[1] > np.iinfo(np.int64).max:
+        raise ValueError(f"dim {dim}: a {shape} state table has more than 2^63 - 1 entries")
+    try:
+        table = np.empty(shape)
+    except (ValueError, MemoryError) as exc:
+        raise GibbsNetError(f"cannot allocate a state table of shape {shape}: {exc}") from exc
+    table[:] = column[:, None]
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +101,7 @@ def composition_target(dims, active_coords, betas, m: int, scale: float = 1.0) -
     points = out = state_grid(m, dims[0])
     for t_i, beta, d_next in zip(active_coords, betas, dims[1:]):
         core = np.abs(out[:, :t_i].mean(axis=1) - 0.5) ** beta
-        out = np.tile(core[:, None], (1, d_next))
+        out = _columns(core, d_next)
     return TargetSpec(points, scale * out[:, 0])
 
 

@@ -115,6 +115,22 @@ EXPLICIT = {"family": "explicit", "probs": [[0.5, 0.5], [0.2, 0.8]]}
 # A rule class cannot be sized at n * gamma <= e: here at p = 0.02 only.
 UNSIZABLE_GRID = {**SWEEP, "classdef": {"rule": "holder"}, "n_grid": [30, 60],
                   "p_grid": [0.5, 0.02]}
+# In-range sizes no machine can build, each with the key its refusal names:
+# classes past gibbs.MAX_PARAMS padded parameters (their layer widths alone
+# ran out of memory) and state tables past int64 entries (numpy read the
+# overflowed shape as negative).
+UNBUILDABLE = {
+    "classdef-depth-past-max-params": (
+        {**SAMPLE, "classdef": {**SAMPLE["classdef"], "depth": 2**63 - 1}}, "depth"),
+    "classdef-depth-2-40": ({**SAMPLE, "classdef": {**SAMPLE["classdef"], "depth": 2**40}},
+                            "depth"),
+    "classdef-width-past-max-params": (
+        {**SAMPLE, "classdef": {**SAMPLE["classdef"], "width": 2**63 - 1}}, "width"),
+    "holder-dim-table-past-int64": ({**SAMPLE, "target": {"kind": "holder", "dim": 2**63 - 1}},
+                                    "target: dim"),
+    "composition-stage-table-past-int64": (
+        {**SAMPLE, "target": {**COMPOSITION, "dims": [1, 2**62, 1]}}, "target: dim"),
+}
 
 
 def run(tmp_path, command, doc):
@@ -247,6 +263,7 @@ def run(tmp_path, command, doc):
         # An explicit chain has no p: these ran one chain under every p label.
         ("sweep", {**SWEEP, "chain": EXPLICIT, "p_grid": [0.5, 0.1]}),
         ("effsample", {**EFFSAMPLE, "chain": EXPLICIT, "pairs": [[100, 0.5], [100, 0.1]]}),
+        *(("sample", doc) for doc, _ in UNBUILDABLE.values()),
     ],
     ids=[
         "odd-two-source-states", "gibbs-iter-typo", "gibbs-burnin-typo",
@@ -289,7 +306,7 @@ def run(tmp_path, command, doc):
         "classdef-width-past-int64", "gibbs-thin-past-int64", "gibbs-burn-in-past-int64",
         "holder-dim-past-int64", "composition-dims-past-int64", "chain-mgf-n-past-int64",
         "kl-n-max-past-int64", "seed-past-int64", "explicit-chain-p-grid",
-        "explicit-chain-effsample-pairs",
+        "explicit-chain-effsample-pairs", *UNBUILDABLE,
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
@@ -299,6 +316,7 @@ def test_config_errors_exit_2(tmp_path, capsys, command, doc):
     assert not list(tmp_path.glob("*_partial.csv"))
     if doc == {"checks": [KL_CARD_ABOVE_N_MAX]}:
         assert "card 6" in err and "n_max 5" in err
+    assert all(key in err for unbuildable, key in UNBUILDABLE.values() if doc == unbuildable)
 
 
 @pytest.mark.parametrize(
@@ -351,16 +369,18 @@ def test_unallocatable_draws_exit_3(tmp_path, capsys, command, base):
 
 # 10^15 int64 states or floats are 7.1 PiB, past the x86-64 address space,
 # so each allocation fails at once instead of being granted and paged; numpy
-# refuses 2 * 10^18 states before it asks for memory at all.
+# refuses 2 * 10^18 states before it asks for memory at all.  A holder dim
+# of 2^45 on 4 states is a 1 PiB state table, past it too.
 @pytest.mark.parametrize(
     "command, doc",
     [("sample", {**SAMPLE, "n": 10**15}), ("sweep", {**SWEEP, "n_grid": [10**15]}),
      ("effsample", {**EFFSAMPLE, "pairs": [[10**15, 0.5]]}),
      ("bounds", {"checks": [{**BERNSTEIN, "n": 10**15}]}),
      ("gap", {"chain": {**CHAIN, "states": 10**15}}),
-     ("simulate", {**SIMULATE, "n": 2 * 10**18})],
+     ("simulate", {**SIMULATE, "n": 2 * 10**18}),
+     ("sample", {**SAMPLE, "target": {"kind": "holder", "dim": 2**45}})],
     ids=["sample-n", "sweep-n-grid", "effsample-pair-n", "bernstein-n", "gap-states",
-         "simulate-past-intp"],
+         "simulate-past-intp", "holder-dim-table"],
 )
 def test_unallocatable_arrays_exit_3_at_once(tmp_path, capsys, command, doc):
     # numpy's MemoryError (and a trajectory's "array is too big" ValueError)

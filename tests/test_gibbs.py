@@ -213,6 +213,15 @@ class TestSamplerBasics:
         with pytest.raises(InvalidClass, match="positive"):
             ClassDef(depth=0, width=1, sparsity=2, weight_bound=1.0, output_clip=math.nan)
 
+    def test_padded_parameters_capped(self):
+        # Width 1 pads to 2 * (depth + 1) parameters; nothing is built here.
+        ClassDef(depth=gibbs.MAX_PARAMS // 2 - 1, width=1, sparsity=2, weight_bound=1.0,
+                 output_clip=1.0)
+        for depth, width in [(gibbs.MAX_PARAMS // 2, 1), (2**40, 1), (0, 2**15)]:
+            with pytest.raises(InvalidClass, match="depth .* and width .*MAX_PARAMS"):
+                ClassDef(depth=depth, width=width, sparsity=2, weight_bound=1.0,
+                         output_clip=1.0)
+
     @pytest.mark.parametrize("bound", [5e307, 1e308])
     def test_weight_bound_needs_finite_reflection_period(self, bound):
         # A perturb folds its weight back with period 4 * bound; an infinite

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gibbsnet.bounds import mc_check_bernstein
+from gibbsnet.errors import GibbsNetError
 from gibbsnet.gibbs import _per_state_risk
 from gibbsnet.markov import simulate, stationary_distribution, two_source_kernel
 from gibbsnet.model import (
@@ -176,6 +177,17 @@ class TestTargets:
             assert target.points.tobytes() == grid.tobytes()
             assert target.values.tobytes() == closed.tobytes()
             assert target.eta is None
+
+    def test_state_tables_past_int64_or_memory_refused(self):
+        # 4 x (2^63 - 1) entries overflow int64, which numpy read as a
+        # negative dimension; 4 x 2^45 floats are 1 PiB, past the x86-64
+        # address space, so the allocation fails at once.
+        with pytest.raises(ValueError, match="dim 9223372036854775807"):
+            holder_target(beta=1.0, m=4, dim=2**63 - 1)
+        with pytest.raises(ValueError, match="dim 4611686018427387904"):
+            composition_target([1, 2**62, 1], [1, 2], [1.0, 0.5], m=4)
+        with pytest.raises(GibbsNetError, match=r"shape \(4, 35184372088832\)"):
+            state_grid(4, 2**45)
 
     def test_composition_evaluates(self):
         target = composition_target(

@@ -362,6 +362,25 @@ class TestPseudoGapReplay:
         if k_max == 256 and kernel.states >= 16:
             assert sum(solves) < k_max and len(solves) < -(-k_max // block)
 
+    @pytest.mark.parametrize("kernel, k_max, blocks", [
+        (two_source_kernel(0.3), 10, [1]),
+        (KERNELS["late_peak_30"], 13, [1, 2, 4, 6]),
+        (KERNELS["late_peak_30"], 40, [1, 2, 4, 8, BLOCK_FLOATS // 900, BLOCK_FLOATS // 900]),
+    ], ids=["two_source_2", "late_peak_30_k13", "late_peak_30_k40"])
+    def test_blocks_grow_from_one_operator(self, monkeypatch, kernel, k_max, blocks):
+        # Blocks of 1, 2, 4, ... operators up to the buffer's BLOCK_FLOATS // m^2:
+        # a chain whose k = 1 gap is at least 1/2 stops after one solve of one
+        # operator, and a late peak pays a few small solves more.  At k_max 40
+        # the 30-state scan fills 9-operator buffers, then stops at k = 34.
+        assert 8 < BLOCK_FLOATS // 900 < 16
+        pi = stationary_distribution(kernel)
+        solves = []
+        original = markov._spectral_gaps
+        monkeypatch.setattr(markov, "_spectral_gaps",
+                            lambda ops, law: solves.append(len(ops)) or original(ops, law))
+        assert pseudo_spectral_gap(kernel, pi, k_max) == replay_pseudo_gap(kernel, pi, k_max)
+        assert solves == blocks
+
     def test_mixed_stack_equals_per_operator_gaps(self):
         # A non-reversible kernel is not self-adjoint, so it takes the general
         # solver, while the operators around it take the symmetric one.
