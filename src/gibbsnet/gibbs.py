@@ -17,11 +17,15 @@ dimension-matching factors collapse, leaving acceptance ratios
 The chain is strictly sequential per seed; draws are immutable afterwards.
 One generator, ``_chain``, states its step once: the sampler stream, the
 support bookkeeping, the accept test, the acceptance counts and the kept
-draws.  Each step resumes it once with the risk of its last proposal.
-``sample_posterior`` prices one chain's proposals with its one-network
-forward pass; ``sample_batch`` advances many independent chains in
-lockstep and prices all their proposals with one stacked forward pass, so
-each chain is bit for bit the chain ``sample_posterior`` runs.
+draws.  The support is sparse, so most proposals move a coordinate whose
+every path to the output runs through an inactive weight or a silent
+unit; the chain gives such a proposal the current risk, which is its risk
+bit for bit, and asks for a price only for the others.  It yields when it
+needs one and is resumed with it.  ``sample_posterior`` prices one chain's
+proposals with its one-network forward pass; ``sample_batch`` runs many
+independent chains side by side and prices the proposals of every chain
+waiting for a price with one stacked forward pass, so each chain is bit
+for bit the chain ``sample_posterior`` runs.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .network import (
     max_param_count,
     output_bound,
     param_count,
+    unit_links,
 )
 
 UNIFORM_CHUNK = 512  # sampler steps per block of uniforms
@@ -404,21 +409,36 @@ def _chain_setup(data: Dataset, classdef: ClassDef, cfg: GibbsConfig):
     return arch, Prior.of_class(classdef, arch.input_dim, cfg.support_decay), bound
 
 
-def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
+def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, links, at_zero: float):
     """One chain's reversible-jump steps on its own sampler stream, the one
     step both samplers take.
 
     The chain's flat coordinate k lives at ``theta[slots[k]]``: each step
-    writes its proposal there and restores it on a reject.  The support is
-    two sorted lists, ``on`` and ``off``, of the active and inactive
-    coordinates: a move's pool is one of them, and an accepted jump moves
-    its coordinate from one to the other.  A kept step
-    copies all of ``theta``, and the draws gather their coordinates through
-    ``slots`` once, at the end.  The chain yields before its first step and
-    is sent its start risk; then each step yields whether its move is
-    feasible and, in the resume that takes the next step, is sent its
-    proposal's risk (ignored after an infeasible move).  The last resume
-    yields the chain's draws as :class:`PosteriorDraws` fields.
+    writes its proposal there and restores it on a reject, so every
+    inactive coordinate stays +0.0.  The support is two sorted lists,
+    ``on`` and ``off``, of the active and inactive coordinates: a move's
+    pool is one of them, and an accepted jump moves its coordinate from one
+    to the other.  A kept step copies all of ``theta``, and the draws gather
+    their coordinates through ``slots`` once, at the end.
+
+    A proposal is cut off from the output when its coordinate feeds a
+    hidden unit with no active outgoing weight or, for an activation with
+    act(0) = ``at_zero`` = 0, weighs a hidden unit with no active incoming
+    coordinate (``links`` is the :func:`unit_links` table of the chain's
+    architecture).  Every path from it to the output then multiplies by an
+    inactive +0.0 or by a silent unit's act(+0.0) = 0, so the proposal's
+    outputs differ from the current network's at most in the sign of a
+    zero, and its risk under either loss is the current ``risk`` bit for
+    bit: the chain takes that risk without asking for a price.  Two
+    per-unit counts, of active incoming coordinates and active outgoing
+    weights, change only with an accepted jump; the entry past the hidden
+    units, which stands for none, starts at 1 and never reaches 0, and so
+    does every incoming count where act(0) is not 0.
+
+    The chain yields True whenever it needs a price, first for its start
+    network and then for each proposal that is not cut off, and is sent
+    that network's risk; the resume after its last step yields its draws
+    as :class:`PosteriorDraws` fields.
     """
     p_add, p_remove, _ = cfg.move_probs
     log_decay = math.log(prior.decay)
@@ -438,7 +458,16 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
     support = 1
     active = np.zeros(n_params, dtype=bool)
     active[on[0]] = True
-    risk = yield
+    # The first layer's weights weigh no hidden unit, so the table's largest
+    # entry is the one that stands for none.
+    hidden = int(links.max())
+    links = [tuple(pair) for pair in links.tolist()]
+    fan_in = [0 if at_zero == 0.0 else 1] * hidden + [1]
+    fan_out = [0] * hidden + [1]
+    fed, weighed = links[on[0]]
+    fan_in[fed] += 1
+    fan_out[weighed] += 1
+    risk = yield True
 
     try:
         kept_theta = np.empty((cfg.n_keep, theta.size))
@@ -474,7 +503,8 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
                 old = theta.item(slot)
                 theta[slot] = (add_value if move == 0 else 0.0 if move == 1
                                else _reflect(old + shift, slab))
-                new_risk = yield True
+                fed, weighed = links[j]
+                new_risk = (yield True) if fan_out[fed] and fan_in[weighed] else risk
                 # exp(min(0.0, x)) without the builtin call, NaN and -0.0 included.
                 x = -lam * (new_risk - risk) + log_ratio
                 if u_accept < math.exp(x if x < 0.0 else 0.0):
@@ -485,15 +515,17 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots):
                         insort(on, j)
                         support += 1
                         active[j] = True
+                        fan_in[fed] += 1
+                        fan_out[weighed] += 1
                     elif move == 1:
                         del on[i]
                         insort(off, j)
                         support -= 1
                         active[j] = False
+                        fan_in[fed] -= 1
+                        fan_out[weighed] -= 1
                 else:
                     theta[slot] = old
-            else:
-                yield False
 
             if keep:
                 kept_theta[kept] = theta
@@ -522,11 +554,14 @@ def sample_posterior(
     the chain meets reaches the clip, and the forward pass skips it: for
     finite |z| < clip, np.maximum and np.minimum return z itself.  The
     chain's layer views are bound once at its m distinct input rows (see
-    :func:`layer_views`), so the clip bounds are (m,) arrays too.
+    :func:`layer_views`), so the clip bounds are (m,) arrays too.  The
+    chain (see :func:`_chain`) asks for a price only for its start network
+    and for each proposal that can reach the output, so this runs one
+    forward pass for each of those; at depth 0 every proposal can.
     """
     arch, prior, bound = _chain_setup(data, classdef, cfg)
     clip = classdef.output_clip
-    act_fn = ACTIVATIONS[classdef.activation].fn
+    activation = ACTIVATIONS[classdef.activation]
     points, risk_fn = _per_state_risk(data, loss)
     points = np.ascontiguousarray(points.T)
     # The clip, idle (see above) or as prebuilt (m,) bounds.
@@ -536,17 +571,15 @@ def sample_posterior(
     views = layer_views(layer_slices(arch), theta, points.shape[1])
 
     def price():
-        return risk_fn(compose_views(views, points, act_fn, clip_bounds))
+        return risk_fn(compose_views(views, points, activation.fn, clip_bounds))
 
-    steps = _chain(cfg, prior, theta, np.arange(prior.n_coords))
-    next(steps)
-    risk = price()
-    for _ in range(cfg.iters):
-        if steps.send(risk):
-            risk = price()
-    draws = steps.send(risk)
+    steps = _chain(cfg, prior, theta, np.arange(prior.n_coords), unit_links(arch),
+                   activation.at_zero)
+    state = next(steps)
+    while state is True:
+        state = steps.send(price())
     return PosteriorDraws(arch=arch, prior=prior, output_clip=clip,
-                          activation=classdef.activation, **draws)
+                          activation=classdef.activation, **state)
 
 
 # Floats a lockstep batch may allocate for its chains' kept draws, so a
@@ -586,17 +619,19 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
 
     Every chain is a :func:`_chain` on its own sampler stream, writing its
     proposals into its row of one (C, F) array, its padded (depth, width)
-    frame, through :func:`frame_slots`.  Each step resumes every chain
-    once, then one :func:`compose_views` of the frames at the chains'
-    (in_cols, C, m) inputs and one row-wise risk price all proposals; no
-    pass runs when no chain's move is feasible.
-    Each row's floats are those of its own network, so no chain depends on
-    its batch-mates.  The chains must share their :func:`_batch_key`, else
-    ValueError.  One chain runs :func:`sample_posterior`.  Against that
-    loop, lockstep runs about 1.3x on two and 2.2x on four of the sweep
-    benchmark's depth-1 chains (3.7x on ten, 4.8x on 25, 5.4x on fifty and
-    5.0x on a hundred before the loop bound its views to its points, which
-    left depth 1 level), but 0.88x on two and 1.3x on four depth-0 chains.
+    frame, through :func:`frame_slots`.  One :func:`compose_views` of the
+    frames at the chains' (in_cols, C, m) inputs and one row-wise risk
+    price every row; then only the chains waiting for a price are resumed,
+    each with its own, and each runs on to its next priced proposal or to
+    its end.  So a batch runs 1 + (the most priced proposals of any of its
+    chains) passes.  Each row's floats are those of its own network, so no
+    chain depends on its batch-mates.  The chains must share their
+    :func:`_batch_key`, else ValueError.  One chain runs
+    :func:`sample_posterior`.  Against that loop, which also prices only
+    the proposals that can reach the output, lockstep runs about 1.3x on
+    two, 1.8x on four and 2.7x on ten of the sweep benchmark's depth-1
+    chains, 1.0x on two and 1.6x on four depth-0 chains (medians of four
+    rounds on one core).
     """
     if len(datas) == 1:
         return [sample_posterior(datas[0], loss, classdefs[0], cfgs[0])]
@@ -606,37 +641,41 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
               for classdef, cfg, (points, _) in zip(classdefs, cfgs, states)}
     if len(shared) != 1:
         raise ValueError("chains must share depth, activation, distinct input rows and iters")
-    ((depth, activation, m, iters),) = shared
+    ((depth, activation, m, _),) = shared
     archs, priors, _ = zip(*setups)
     width = max(max(arch.widths) for arch in archs)
     in_cols = max(arch.input_dim for arch in archs)
     frames = np.zeros((len(setups), max_param_count(depth, width)))
     inputs = np.zeros((in_cols, len(setups), m))
+    act = ACTIVATIONS[activation]
     chains = []
     for c, (arch, prior, cfg, (points, _)) in enumerate(zip(archs, priors, cfgs, states)):
         inputs[:arch.input_dim, c] = points.T
-        chains.append(_chain(cfg, prior, frames[c], frame_slots(arch, depth, width)))
+        chains.append(_chain(cfg, prior, frames[c], frame_slots(arch, depth, width),
+                             unit_links(arch), act.at_zero))
     views = frame_views(frames, depth, width, in_cols)
-    act_fn = ACTIVATIONS[activation].fn
     # (C, m) clip bounds, the outputs' shape: numpy serves it faster than a broadcast.
     clip = np.repeat(np.array([cd.output_clip for cd in classdefs])[:, None], m, axis=1)
     clip_bounds = (-clip, clip)
     risk_fn = _batch_risk([tables for _, tables in states], loss)
 
     def risks_of():
-        return risk_fn(compose_views(views, inputs, act_fn, clip_bounds)).tolist()
+        return risk_fn(compose_views(views, inputs, act.fn, clip_bounds)).tolist()
 
-    # Each chain yields once before its first step; its one active
-    # coordinate starts at 0, so its start risk is its zero row's.
-    for steps in chains:
-        next(steps)
-    risks = risks_of()
-    for _ in range(iters):
-        if any([steps.send(risk) for steps, risk in zip(chains, risks)]):
-            risks = risks_of()
+    # Every chain first waits for the price of its start network.  Each
+    # pass prices all rows, and only the chains waiting for a price are
+    # resumed with theirs; each runs on to its next priced proposal or to
+    # its end, where it yields its draws.
+    replies = [next(steps) for steps in chains]
+    waiting = list(range(len(chains)))
+    while waiting:
+        risks = risks_of()
+        for c in waiting:
+            replies[c] = chains[c].send(risks[c])
+        waiting = [c for c in waiting if replies[c] is True]
     return [PosteriorDraws(arch=arch, prior=prior, output_clip=classdef.output_clip,
-                           activation=activation, **steps.send(risk))
-            for steps, risk, arch, prior, classdef in zip(chains, risks, archs, priors, classdefs)]
+                           activation=activation, **draws)
+            for draws, arch, prior, classdef in zip(replies, archs, priors, classdefs)]
 
 
 def posterior_predictor(draws: PosteriorDraws, mode: str = "single_draw"):

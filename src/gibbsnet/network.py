@@ -342,6 +342,28 @@ def frame_slots(arch: Architecture, depth: int, width: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def unit_links(arch: Architecture) -> np.ndarray:
+    """The (param_count(arch), 2) table whose row k is (the hidden unit
+    flat coordinate k feeds, the hidden unit it weighs).
+
+    Hidden units are numbered layer by layer from 0, and H, the hidden
+    width total, stands for no hidden unit.  Weight (row, col) of layer l
+    feeds unit row of layer l and weighs unit col of layer l - 1; a bias
+    feeds its row's unit and weighs none.  The last layer feeds the output
+    and the first weighs the inputs, so neither names a hidden unit there.
+    """
+    hidden = sum(arch.widths[1:-1])
+    starts = np.cumsum((0,) + arch.widths[1:-1])
+    parts = []
+    for layer, (_, _, (rows, cols)) in enumerate(layer_slices(arch)):
+        fed = starts[layer] + np.arange(rows) if layer < arch.depth else np.full(rows, hidden)
+        weighed = starts[layer - 1] + np.arange(cols) if layer else np.full(cols, hidden)
+        # Column-major weights: the row runs fastest.
+        parts.append(np.column_stack((np.tile(fed, cols), np.repeat(weighed, rows))))
+        parts.append(np.column_stack((fed, np.full(rows, hidden))))
+    return np.concatenate(parts)
+
+
 def frame_views(frames: np.ndarray, depth: int, width: int, in_cols: int):
     """:func:`layer_views` of a stack of padded (depth, width) frames (see
     :func:`frame_slots`), the (C, max_param_count(depth, width)) array

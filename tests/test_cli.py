@@ -33,11 +33,21 @@ SAMPLE = {
 }
 
 
-# Fixed-seed `sample` runs, each compared with tests/data/golden_sample_<name>.jsonl;
-# CI's entry-point step also runs each through the installed script.  On
-# "idle_clip" (depth 0, slab 1, inputs below 1) no output reaches the clip
-# of 5, so the sampler skips it; "rule_temperature" has a clip that binds.
+# Fixed-seed `sample` runs, each compared byte for byte with
+# tests/data/golden_sample_<name>.jsonl; CI's entry-point step also runs each
+# through the installed script.  On "idle_clip" (depth 0, slab 1, inputs
+# below 1) no output reaches the clip of 5, so the sampler skips it;
+# "rule_temperature" has a clip that binds.  "depth2" is a depth-2, width-3
+# ReLU class whose sparse supports leave most proposals cut off from the
+# output, so the sampler takes their risk without a forward pass.
 GOLDEN_SAMPLES = {
+    "depth2": {
+        **SAMPLE,
+        "classdef": {"depth": 2, "width": 3, "sparsity": 6, "weight_bound": 1.5,
+                     "output_clip": 2.0},
+        "gibbs": {"iters": 600, "burn_in": 100, "thin": 10, "temperature": 2.0},
+        "seed": 29,
+    },
     "idle_clip": {
         **SAMPLE,
         "gibbs": {"iters": 600, "burn_in": 100, "thin": 5, "temperature": 2.0},
@@ -711,7 +721,7 @@ def test_sample_temperature_override_accepted(tmp_path):
 def test_sample_golden_draws(tmp_path, name):
     assert run(tmp_path, "sample", GOLDEN_SAMPLES[name]) == 0
     golden = Path(__file__).parent / "data" / f"golden_sample_{name}.jsonl"
-    assert (tmp_path / "draws.jsonl").read_text() == golden.read_text()
+    assert (tmp_path / "draws.jsonl").read_bytes() == golden.read_bytes()
 
 
 def test_bounds_golden_report(tmp_path):

@@ -39,7 +39,18 @@ from gibbsnet.model import (
     logistic_link_target,
     logistic_loss,
 )
-from gibbsnet.network import Architecture, SparseNetwork, forward
+from gibbsnet.network import (
+    ACTIVATIONS,
+    Architecture,
+    SparseNetwork,
+    compose_views,
+    forward,
+    layer_matrices,
+    layer_slices,
+    layer_views,
+    param_count,
+    unit_links,
+)
 
 
 def empirical_risk(predictor, data, loss):
@@ -445,7 +456,7 @@ class TestDrawContract:
 
 
 def recorded_clips(monkeypatch):
-    """The clip argument of every forward pass ``sample_posterior`` makes."""
+    """The clip argument of every forward pass the samplers make."""
     clips = []
 
     def recording(views, x, act_fn, clip):
@@ -498,6 +509,190 @@ class TestIdleClip:
         assert_replays(draws, data, "square", classdef, cfg)
         if clip < 1.75:
             assert np.max(0.75 * draws.thetas[:, 0] + draws.thetas[:, 1]) > clip
+
+
+def random_case(rng, depth, activation):
+    """(data, classdef) of a random class of ``depth``: width 1-4, input
+    dimension 1-2, 3-6 distinct input rows, regression outputs."""
+    in_dim, width = int(rng.integers(1, 3)), int(rng.integers(1, 5))
+    points = rng.uniform(-1.0, 1.0, size=(int(rng.integers(3, 7)), in_dim))
+    inputs = points[rng.integers(0, len(points), size=40)]
+    data = Dataset(inputs=inputs, outputs=rng.normal(0.0, 1.0, size=40))
+    classdef = ClassDef(depth=depth, width=width, sparsity=1, weight_bound=1.5,
+                        output_clip=float(rng.choice([0.3, 50.0])), activation=activation)
+    return data, classdef
+
+
+def rule_cut_off(links, active, at_zero):
+    """The coordinates the sampler prices without a forward pass: those that
+    feed a hidden unit with no active outgoing weight or, where act(0) = 0,
+    weigh a hidden unit with no active incoming coordinate (see gibbs._chain)."""
+    hidden = int(links.max())
+    fan_in = np.bincount(links[active, 0], minlength=hidden + 1)
+    fan_out = np.bincount(links[active, 1], minlength=hidden + 1)
+    fed, weighed = links[:, 0], links[:, 1]
+    dead = (fed < hidden) & (fan_out[fed] == 0)
+    silent = (weighed < hidden) & (fan_in[weighed] == 0)
+    return dead | (silent & (at_zero == 0.0))
+
+
+def layer_cut_off(arch, active, j, silent_units):
+    """Whether coordinate j, by its place in the layer matrices, feeds a
+    hidden unit whose outgoing weights are all inactive or, with
+    ``silent_units``, weighs a hidden unit whose incoming weights and bias are
+    all inactive: the rule written out from the flat layout, independently of
+    :func:`unit_links`."""
+    mask = layer_matrices(arch, active)
+    for layer, (w, b) in enumerate(layer_matrices(arch, np.arange(active.size) == j)):
+        if w.any():
+            (row,), (col,) = np.nonzero(w)
+        elif b.any():
+            (row,), col = np.nonzero(b), None
+        else:
+            continue
+        dead = layer < arch.depth and not mask[layer + 1][0][:, row].any()
+        silent = (col is not None and layer > 0 and not mask[layer - 1][0][col].any()
+                  and not mask[layer - 1][1][col])
+        return dead or (silent_units and silent)
+
+
+def priced_proposals(data, classdef, cfg, draws):
+    """(feasible, priced) proposal counts of the chain whose every state
+    ``draws`` keeps (burn_in 0, thin 1), replayed from the sampler stream
+    with :func:`layer_cut_off`."""
+    assert cfg.burn_in == 0 and cfg.thin == 1 and len(draws) == cfg.iters
+    arch = classdef.architecture(data.inputs.shape[1])
+    rng = markov.stream(cfg.seed, "sampler")
+    start = rng.random()
+    block = rng.random((cfg.iters, 4))
+    active = np.arange(draws.prior.n_coords) == int(start * draws.prior.n_coords)
+    p_add, p_remove, _ = cfg.move_probs
+    silent_units = ACTIVATIONS[classdef.activation].at_zero == 0.0
+    feasible = priced = 0
+    for t, (u_move, u_index, _, _) in enumerate(block):
+        support = int(active.sum())
+        if u_move < p_add:
+            pool, ok = np.flatnonzero(~active), support < draws.prior.cap
+        elif u_move < p_add + p_remove:
+            pool, ok = np.flatnonzero(active), support > 1
+        else:
+            pool, ok = np.flatnonzero(active), True
+        if ok:
+            j = int(pool[int(u_index * pool.size)])
+            feasible += 1
+            priced += not layer_cut_off(arch, active, j, silent_units)
+        active = draws.actives[t]
+    return feasible, priced
+
+
+class TestCutOffProposals:
+    """The sampler takes a proposal's risk without a forward pass where the
+    proposed coordinate cannot reach the output."""
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_cut_off_coordinates_keep_the_risk(self, activation, seed):
+        # Every coordinate the rule marks, set to a random slab value, leaves
+        # the full forward pass's risk the same float under both losses.
+        rng = np.random.default_rng(500 + seed)
+        data, classdef = random_case(rng, 1 + seed % 3, activation)
+        arch = classdef.architecture(data.inputs.shape[1])
+        links, n = unit_links(arch), param_count(arch)
+        act = ACTIVATIONS[activation]
+        labels = Dataset(inputs=data.inputs, outputs=np.where(data.outputs > 0, 1.0, -1.0))
+        risks = {}
+        for loss, sample in (("square", data), ("logistic", labels)):
+            points, risk_fn = gibbs._per_state_risk(sample, loss)
+            risks[loss] = lambda theta, points=points, risk_fn=risk_fn: risk_fn(compose_views(
+                layer_views(layer_slices(arch), theta), points.T, act.fn, classdef.output_clip))
+        marked = 0
+        for _ in range(20):
+            active = rng.random(n) < rng.uniform(0.05, 0.6)
+            theta = np.where(active, rng.uniform(-1.5, 1.5, size=n), 0.0)
+            before = {loss: risk(theta).hex() for loss, risk in risks.items()}
+            for j in np.flatnonzero(rule_cut_off(links, active, act.at_zero)):
+                proposal = theta.copy()
+                proposal[j] = rng.uniform(-1.5, 1.5)
+                marked += 1
+                for loss, risk in risks.items():
+                    assert risk(proposal).hex() == before[loss], (loss, j)
+        assert marked > 0
+
+    def test_sigmoid_rule_never_fires_through_a_silent_unit(self):
+        # A sigmoid unit with no active incoming coordinate still outputs
+        # 1/2, so a weight on it moves the risk: the rule must price it.
+        rng = np.random.default_rng(3)
+        arch = Architecture(1, (1, 2, 1))
+        links = unit_links(arch)
+        # Only the output weight on hidden unit 0 is active.
+        active = np.arange(param_count(arch)) == 4
+        assert not rule_cut_off(links, active, ACTIVATIONS["sigmoid"].at_zero)[4:6].any()
+        assert rule_cut_off(links, active, ACTIVATIONS["relu"].at_zero)[4:6].all()
+        points = rng.uniform(-1.0, 1.0, size=(1, 5))
+        for j in (4, 5):
+            theta = np.zeros(param_count(arch))
+            out = compose_views(layer_views(layer_slices(arch), theta), points,
+                                ACTIVATIONS["sigmoid"].fn, None)
+            theta[j] = 0.7
+            moved = compose_views(layer_views(layer_slices(arch), theta), points,
+                                  ACTIVATIONS["sigmoid"].fn, None)
+            assert np.all(moved == out + 0.35)
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_sample_posterior_prices_only_live_proposals(self, monkeypatch, activation, depth):
+        # One pass for the start network, then one per proposal that is not
+        # cut off; at depth 0 every coordinate reaches the output.
+        data, _, _ = tiny_regression_data(seed=8)
+        classdef = ClassDef(depth=depth, width=3, sparsity=6, weight_bound=1.5,
+                            output_clip=2.0, activation=activation)
+        cfg = GibbsConfig(support_decay=2.0, weight_bound=1.5, output_clip=2.0, temperature=4.0,
+                          move_probs=(0.3, 0.3, 0.4), iters=2000, burn_in=0, thin=1, seed=7)
+        passes = recorded_clips(monkeypatch)
+        draws = sample_posterior(data, "square", classdef, cfg)
+        feasible, priced = priced_proposals(data, classdef, cfg, draws)
+        assert len(passes) == 1 + priced
+        if depth == 0:
+            assert priced == feasible
+        elif activation == "relu":
+            assert priced < feasible
+
+    def test_sample_batch_runs_one_pass_per_price_of_its_busiest_chain(self, monkeypatch):
+        # Each chain is resumed only while it waits for a price, so the batch
+        # runs its start pass, then one pass per price of its busiest chain.
+        data, _, _ = tiny_regression_data(seed=9)
+        cases = []
+        for c in range(4):
+            classdef = ClassDef(depth=1, width=2 + c % 2, sparsity=4, weight_bound=1.5,
+                                output_clip=2.0)
+            cfg = GibbsConfig(support_decay=2.0, weight_bound=1.5, output_clip=2.0,
+                              temperature=2.0 + 3.0 * c, iters=1500, burn_in=0, thin=1,
+                              seed=30 + c)
+            cases.append((data, classdef, cfg))
+        passes = recorded_clips(monkeypatch)
+        _, classdefs, cfgs = zip(*cases)
+        batch = sample_batch([data] * len(cases), "square", classdefs, cfgs)
+        counts = [priced_proposals(*case, draws) for case, draws in zip(cases, batch)]
+        assert len(passes) == 1 + max(priced for _, priced in counts)
+        assert all(priced < feasible for feasible, priced in counts)
+        assert len({priced for _, priced in counts}) > 1
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_inactive_coordinates_stay_positive_zero(self, activation):
+        # The rule rests on every inactive coordinate being +0.0, so that a
+        # product with it is a zero of either sign and never a number.
+        data, _, _ = tiny_regression_data(seed=5)
+        classdef = ClassDef(depth=2, width=3, sparsity=8, weight_bound=1.0, output_clip=2.0,
+                            activation=activation)
+        cfgs = [GibbsConfig(support_decay=2.0, weight_bound=1.0, output_clip=2.0,
+                            temperature=10.0, step=0.4, iters=3000, burn_in=0, thin=1, seed=s)
+                for s in (1, 2)]
+        one = sample_posterior(data, "square", classdef, cfgs[0])
+        batch = sample_batch([data, data], "square", [classdef] * 2, cfgs)
+        for draws in (one, *batch):
+            inactive = draws.thetas[~draws.actives]
+            assert inactive.size and np.all(inactive == 0.0) and not np.signbit(inactive).any()
+            assert (draws.support_sizes > 1).any()
 
 
 class TestPriorSampling:

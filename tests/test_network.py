@@ -20,6 +20,7 @@ from gibbsnet.network import (
     output_bound,
     param_count,
     param_distance,
+    unit_links,
 )
 
 
@@ -430,6 +431,37 @@ class TestEmbedSlots:
                         for i, value in enumerate(b):
                             want[max_frame_slot(3, layer, i, None)] = value
                     np.testing.assert_array_equal(flat, want)
+
+
+class TestUnitLinks:
+    def test_hand_table(self):
+        # Widths (1, 2, 1): hidden units 0 and 1, and 2 for none.  Layer 0
+        # is weights (0, 0), (1, 0), then biases 0, 1; layer 1 is weights
+        # (0, 0), (0, 1), then its bias.
+        table = unit_links(Architecture(1, (1, 2, 1)))
+        np.testing.assert_array_equal(
+            table, [[0, 2], [1, 2], [0, 2], [1, 2], [2, 0], [2, 1], [2, 2]])
+
+    def test_every_weight_links_its_layer_matrix_position(self):
+        # Each coordinate's place in layer_matrices names the units it links.
+        for widths in [(1, 1), (2, 3, 1), (1, 2, 3, 1), (3, 1, 2, 2, 1)]:
+            arch = Architecture(len(widths) - 2, widths)
+            table = unit_links(arch)
+            hidden = sum(widths[1:-1])
+            starts = np.cumsum((0,) + widths[1:-1])
+            assert table.shape == (param_count(arch), 2)
+            for k in range(param_count(arch)):
+                onehot = np.arange(param_count(arch)) == k
+                for layer, (w, b) in enumerate(layer_matrices(arch, onehot)):
+                    if w.any():
+                        (row,), (col,) = np.nonzero(w)
+                    elif b.any():
+                        (row,), col = np.nonzero(b), None
+                    else:
+                        continue
+                    fed = starts[layer] + row if layer < arch.depth else hidden
+                    weighed = starts[layer - 1] + col if layer and col is not None else hidden
+                    assert tuple(table[k]) == (fed, weighed)
 
 
 class TestFrameSlots:
