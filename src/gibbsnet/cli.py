@@ -3,6 +3,11 @@
 Each subcommand reads one JSON (or, on Python 3.11+, TOML) configuration
 document and writes result files; there is no interactive surface.  Exit
 codes: 0 on success, 2 for configuration problems, 3 for runtime failures.
+:func:`main` is the one failure boundary: a ConfigError, which
+:func:`load_config` raises for every file it cannot read or parse, exits 2
+with a ``config error:`` line; any other GibbsNetError, OSError or
+MemoryError exits 3 with a ``runtime error:`` line, since the config is in
+range and the machine cannot run it.
 """
 
 from __future__ import annotations
@@ -73,17 +78,32 @@ CHECKS = {
 }
 
 
-def load_config(path: str) -> dict:
-    """The parsed JSON (or TOML) document at ``path``; each subcommand types
-    its tables, numbers included (see :func:`gibbsnet.errors.check_value`)."""
-    text = Path(path).read_text()
-    if not path.endswith(".toml"):
-        return json.loads(text)
+def _read_text(path: str, label: str = "") -> str:
+    """The UTF-8 text of the file at ``path``; a file that cannot be read or
+    decoded raises ConfigError, its message prefixed by ``label``."""
     try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{label}{exc}") from exc
+
+
+def load_config(path: str) -> dict:
+    """The parsed JSON (or TOML) document at ``path``, the one place a config
+    file becomes a document: every read or parse failure, a nesting past the
+    parser's recursion limit included, raises ConfigError.  Each subcommand
+    types its tables, numbers included (see :func:`gibbsnet.errors.check_value`)."""
+    text = _read_text(path)
+    try:
+        if not path.endswith(".toml"):
+            return json.loads(text)
         import tomllib
+        return tomllib.loads(text)
     except ImportError as exc:
         raise ConfigError("TOML configs need Python >= 3.11; use JSON") from exc
-    return tomllib.loads(text)
+    except RecursionError as exc:
+        raise ConfigError(f"the document is nested too deeply to parse ({exc})") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _out_dir(doc: dict, args) -> Path:
@@ -228,11 +248,7 @@ def cmd_effsample(doc: dict, args) -> int:
 
 def cmd_slope(doc: dict, args) -> int:
     doc = check_table(doc, "slope config", SLOPE)
-    try:
-        text = Path(doc["csv"]).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"slope csv: {exc}") from exc
-    result = SweepResult.from_csv(text)
+    result = SweepResult.from_csv(_read_text(doc["csv"], "slope csv: "))
     slope, stderr = fit_rate_slope(result)
     payload = {"slope": slope, "stderr": stderr}
     print(json.dumps(payload, indent=2))
@@ -257,12 +273,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
     try:
-        doc = load_config(args.config)
-    except (OSError, ValueError, ConfigError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return COMMANDS[args.command](doc, args)
+        return COMMANDS[args.command](load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

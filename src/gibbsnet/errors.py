@@ -65,10 +65,6 @@ class LambdaOutOfRange(GibbsNetError):
     """Temperature outside the admissible open interval."""
 
 
-class TooFewPoints(GibbsNetError):
-    """Not enough distinct grid points for a least-squares fit."""
-
-
 class ConfigError(GibbsNetError):
     """Experiment configuration is malformed."""
 
@@ -76,6 +72,11 @@ class ConfigError(GibbsNetError):
 class MismatchedEffectiveSize(ConfigError):
     """Experiment pairs do not share a common effective sample size; the
     config alone decides it, so it is a config error."""
+
+
+class TooFewPoints(ConfigError):
+    """Not enough distinct grid points for a least-squares fit; the sweep CSV
+    alone decides it, so it is a config error."""
 
 
 INT64 = np.iinfo(np.int64)

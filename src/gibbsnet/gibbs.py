@@ -587,9 +587,10 @@ def sample_posterior(
 BATCH_FLOATS = 1 << 23
 
 
-def _batch_key(classdef: ClassDef, cfg: GibbsConfig, m: int) -> tuple:
-    """What one batch's chains share: depth, activation, m distinct input rows, iters."""
-    return classdef.depth, classdef.activation, m, cfg.iters
+def _batch_key(classdef: ClassDef, m: int) -> tuple:
+    """What one batch's chains share: depth, activation and m distinct input
+    rows; each chain keeps its own iters, burn_in and thin."""
+    return classdef.depth, classdef.activation, m
 
 
 def lockstep_batches(datas, classdefs, cfgs) -> list:
@@ -598,8 +599,8 @@ def lockstep_batches(datas, classdefs, cfgs) -> list:
     floats of kept draws a batch, a kept draw costing a chain a row of the
     group's widest frame, its mask at a byte a coordinate and its coordinates."""
     groups: dict = {}
-    for i, (data, classdef, cfg) in enumerate(zip(datas, classdefs, cfgs)):
-        key = _batch_key(classdef, cfg, len(np.unique(data.inputs, axis=0)))
+    for i, (data, classdef) in enumerate(zip(datas, classdefs)):
+        key = _batch_key(classdef, len(np.unique(data.inputs, axis=0)))
         groups.setdefault(key, []).append(i)
     batches = []
     for (depth, *_), rows in groups.items():
@@ -626,7 +627,8 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     its end.  So a batch runs 1 + (the most priced proposals of any of its
     chains) passes.  Each row's floats are those of its own network, so no
     chain depends on its batch-mates.  The chains must share their
-    :func:`_batch_key`, else ValueError.  One chain runs
+    :func:`_batch_key` (depth, activation and distinct input rows), else
+    ValueError; each runs its own iters, burn_in and thin.  One chain runs
     :func:`sample_posterior`.  Against that loop, which also prices only
     the proposals that can reach the output, lockstep runs about 1.3x on
     two, 1.8x on four and 2.7x on ten of the sweep benchmark's depth-1
@@ -637,11 +639,11 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
         return [sample_posterior(datas[0], loss, classdefs[0], cfgs[0])]
     setups = [_chain_setup(*chain) for chain in zip(datas, classdefs, cfgs)]
     states = [_state_tables(data, loss) for data in datas]
-    shared = {_batch_key(classdef, cfg, len(points))
-              for classdef, cfg, (points, _) in zip(classdefs, cfgs, states)}
+    shared = {_batch_key(classdef, len(points))
+              for classdef, (points, _) in zip(classdefs, states)}
     if len(shared) != 1:
-        raise ValueError("chains must share depth, activation, distinct input rows and iters")
-    ((depth, activation, m, _),) = shared
+        raise ValueError("chains must share depth, activation and distinct input rows")
+    ((depth, activation, m),) = shared
     archs, priors, _ = zip(*setups)
     width = max(max(arch.widths) for arch in archs)
     in_cols = max(arch.input_dim for arch in archs)

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import statistics
+import sys
 import tempfile
 import time
 from functools import reduce
@@ -270,6 +271,8 @@ def run(tmp_path, command, doc):
         ("bounds", {"checks": [{**CHAIN_MGF, "n": 10**400}]}),
         ("bounds", {"checks": [{**KL, "n_max": 10**400}]}),
         ("sample", {**SAMPLE, "seed": 2**63}),
+        # A 400-digit p is an integer too large for a float.
+        ("gap", {"chain": {**CHAIN, "p": 10**400}}),
         # An explicit chain has no p: these ran one chain under every p label.
         ("sweep", {**SWEEP, "chain": EXPLICIT, "p_grid": [0.5, 0.1]}),
         ("effsample", {**EFFSAMPLE, "chain": EXPLICIT, "pairs": [[100, 0.5], [100, 0.1]]}),
@@ -315,18 +318,22 @@ def run(tmp_path, command, doc):
         "sample-n-past-int64", "sweep-n-grid-past-int64", "classdef-depth-past-int64",
         "classdef-width-past-int64", "gibbs-thin-past-int64", "gibbs-burn-in-past-int64",
         "holder-dim-past-int64", "composition-dims-past-int64", "chain-mgf-n-past-int64",
-        "kl-n-max-past-int64", "seed-past-int64", "explicit-chain-p-grid",
+        "kl-n-max-past-int64", "seed-past-int64", "chain-p-past-float", "explicit-chain-p-grid",
         "explicit-chain-effsample-pairs", *UNBUILDABLE,
     ],
 )
 def test_config_errors_exit_2(tmp_path, capsys, command, doc):
+    start = time.perf_counter()
     assert run(tmp_path, command, doc) == 2
+    seconds = time.perf_counter() - start
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert not list(tmp_path.glob("*_partial.csv"))
     if doc == {"checks": [KL_CARD_ABOVE_N_MAX]}:
         assert "card 6" in err and "n_max 5" in err
-    assert all(key in err for unbuildable, key in UNBUILDABLE.values() if doc == unbuildable)
+    for unbuildable, key in UNBUILDABLE.values():
+        if doc == unbuildable:  # refused before any layer or table is built
+            assert key in err and seconds < 1.0
 
 
 @pytest.mark.parametrize(
@@ -343,6 +350,57 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, suffix, number):
         path.write_text(f'{{"chain": {json.dumps(CHAIN)}, "n": {number}}}')
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+# Config files that never become a document, each with its file name and a
+# writer, and what the message names: the path, the byte position, the line
+# or the table.  A nesting past the parser's recursion limit escaped as a
+# RecursionError traceback (exit 1); TOML configs exit 2 on Python 3.10.
+TOML_TOO_DEEP = ("nested too deeply" if sys.version_info >= (3, 11)
+                 else "TOML configs need Python >= 3.11")
+UNLOADABLE = {
+    "missing": ("config.json", lambda path: None, "config.json"),
+    "directory": ("config.json", lambda path: path.mkdir(), "config.json"),
+    "not-utf-8": ("config.json", lambda path: path.write_bytes(b'{"chain": "\xe4"}'),
+                  "position 11"),
+    "invalid-json": ("config.json", lambda path: path.write_text('{"chain": '), "line 1"),
+    "json-list": ("config.json", lambda path: path.write_text(json.dumps([GAP])),
+                  "config must be a table"),
+    "array-100000-deep": ("config.json",
+                          lambda path: path.write_text("[" * 100_000 + "]" * 100_000),
+                          "nested too deeply"),
+    "object-100000-deep": ("config.json",
+                           lambda path: path.write_text('{"a": ' * 100_000 + "1" + "}" * 100_000),
+                           "nested too deeply"),
+    "toml-5000-deep": ("config.toml",
+                       lambda path: path.write_text("a = " + "[" * 5000 + "]" * 5000 + "\n"),
+                       TOML_TOO_DEEP),
+}
+
+
+@pytest.mark.parametrize("name, make, named", UNLOADABLE.values(), ids=list(UNLOADABLE))
+def test_unloadable_config_exits_2_at_once(tmp_path, capsys, name, make, named):
+    path = tmp_path / name
+    make(path)
+    start = time.perf_counter()
+    assert main(["gap", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and named in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [({**SWEEP, "delta": 0}, "delta"), ({**SWEEP, "delta": 1}, "delta"),
+     ({**SWEEP, "classdef": {"rule": "smooth"}}, "rule 'smooth'")],
+    ids=["delta-zero", "delta-one", "unknown-rule"],
+)
+def test_sweep_refusals_name_their_key(tmp_path, capsys, doc, key):
+    assert run(tmp_path, "sweep", doc) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err, err
+    assert not (tmp_path / "sweep_partial.csv").exists()
 
 
 @pytest.mark.parametrize("command, base", [("sample", SAMPLE), ("sweep", SWEEP)])
@@ -545,8 +603,11 @@ GOLDEN_ROW = GOLDEN_CSV.splitlines()[1]
         ("", None),
         (GOLDEN_CSV.replace(GOLDEN_ROW, "100,1,100", 1), 2),
         (GOLDEN_CSV.replace(GOLDEN_ROW, GOLDEN_ROW.replace("100,1,100,", "100,1,90,"), 1), 2),
+        (GOLDEN_CSV.replace(GOLDEN_ROW, GOLDEN_ROW.replace(",0.210236153844,", ",nan,"), 1), 2),
+        (GOLDEN_CSV.replace(GOLDEN_ROW, GOLDEN_ROW.replace("100,1,100,", "100,0,0,"), 1), 2),
     ],
-    ids=["non-numeric-field", "empty-file", "short-row", "n-eff-not-n-gamma"],
+    ids=["non-numeric-field", "empty-file", "short-row", "n-eff-not-n-gamma", "nan-excess-risk",
+         "zero-n-eff"],
 )
 def test_slope_malformed_csv_exits_2(tmp_path, capsys, text, line):
     (tmp_path / "sweep.csv").write_text(text)
@@ -572,6 +633,18 @@ def test_slope_unreadable_csv_exits_2(tmp_path, capsys, make):
 
 def _reject_constant(name):
     raise ValueError(f"a report file holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_slope_needs_four_n_eff_values_exit_2(tmp_path, capsys, rows):
+    # The CSV alone decides it, as the config alone decides effsample pairs.
+    header = GOLDEN_CSV.splitlines()[0]
+    lines = [f"{n},1,{n},0.5,1,0,0.0" for n in (100, 200)][:rows]
+    (tmp_path / "sweep.csv").write_text("\n".join([header, *lines]) + "\n")
+    assert run(tmp_path, "slope", {"csv": str(tmp_path / "sweep.csv")}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: need >= 4 distinct n_eff values, got {rows}"), err
+    assert not (tmp_path / "slope.json").exists()
 
 
 def test_slope_groups_tiny_n_eff_apart(tmp_path):

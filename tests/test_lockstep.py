@@ -131,9 +131,19 @@ def test_batch_needs_one_depth_and_state_count():
     fewer = Dataset(inputs=data.inputs[:3], outputs=data.outputs[:3])
     with pytest.raises(ValueError, match="share depth"):
         sample_batch([data, fewer], "square", [classdef, classdef], [cfg, cfg])
-    longer = replace(cfg, iters=cfg.iters + 1)
-    with pytest.raises(ValueError, match="share depth"):
-        sample_batch([data, data], "square", [classdef, classdef], [cfg, longer])
+    # iters is no part of the key: chains of 300 to 899 iterations, each with
+    # its own burn_in and thin, share a batch and each equals its own run.
+    cases = []
+    for c, (iters, burn_in, thin) in enumerate([(300, 0, 1), (899, 400, 7), (601, 600, 1),
+                                                (450, 50, 13)]):
+        data, classdef, cfg = chain_case(c, "square", "relu", 1)
+        cases.append((data, classdef, replace(cfg, iters=iters, burn_in=burn_in, thin=thin)))
+    datas, classdefs, cfgs = zip(*cases)
+    for draws, (data, classdef, cfg) in zip(sample_batch(datas, "square", classdefs, cfgs),
+                                            cases):
+        scalar = sample_posterior(data, "square", classdef, cfg)
+        assert_same_chain(draws, scalar.thetas, scalar.actives, scalar.log_scores,
+                          scalar.acceptance_rates)
 
 
 def test_batch_chains_keep_their_own_draws():
