@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, LambdaOutOfRange, ThetaOutOfRange
+from .errors import LambdaOutOfRange, ThetaOutOfRange
 from .gibbs import Prior
 from .markov import (
     StationaryDist,
@@ -91,6 +91,8 @@ def bernstein_mgf_rhs(
         raise ValueError("excess risk must be nonnegative")
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     if not 0.0 < lam < n * gap / 10.0:
         raise LambdaOutOfRange(f"lambda must lie in (0, {n * gap / 10.0})")
     moment = 1.0 if (excess == 0.0 and kappa == 0.0) else excess**kappa
@@ -171,11 +173,11 @@ def composition_rate_rhs(
     return xi3 * (main + (math.log(1.0 / delta) + lipschitz_const) / n_eff)
 
 
-def _mgf_estimate(label: str, exponents: np.ndarray, groups: int = 20):
+def _mgf_estimate(exponents: np.ndarray, groups: int = 20):
     """Mean of exp(exponents) and its standard error from group-batched
     means, which stabilise heavy-tailed exponential-moment estimates.  An
-    estimate or standard error that overflows a float raises ConfigError
-    naming the check ``label``: its settings admit no finite estimate."""
+    estimate or standard error that overflows a float raises ValueError:
+    the check's settings admit no finite estimate."""
     if exponents.size < 2:
         raise ValueError("a standard error needs at least 2 replications")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -188,8 +190,8 @@ def _mgf_estimate(label: str, exponents: np.ndarray, groups: int = 20):
             batch_means = values[:usable].reshape(groups, -1).mean(axis=1)
             se = float(batch_means.std(ddof=1) / math.sqrt(groups))
     if not (math.isfinite(estimate) and math.isfinite(se)):
-        raise ConfigError(
-            f"{label}: the Monte Carlo estimate ({estimate}) or its standard error ({se}) "
+        raise ValueError(
+            f"the Monte Carlo estimate ({estimate}) or its standard error ({se}) "
             "overflows a float; lower the exponent (theta or lambda) or n"
         )
     return estimate, se
@@ -218,7 +220,7 @@ def mc_check_chain_mgf(
     rhs = chain_mgf_rhs(n, var_f, gap, theta)  # validates theta's interval
     paths = simulate_batch(kernel, pi, n=n, replications=replications, seed=seed)
     sums = centered[paths].sum(axis=1)
-    estimate, se = _mgf_estimate("chain_mgf", theta * sums)
+    estimate, se = _mgf_estimate(theta * sums)
     return BoundReport(
         label="chain_mgf",
         rhs_value=rhs,
@@ -307,8 +309,8 @@ def mc_check_bernstein(
         gap_pos, gap_neg = logistic_gaps(h, eta)
         gaps = np.where(rng.random(paths.shape) < eta[paths], gap_pos[paths], gap_neg[paths])
     emp_excess = gaps.mean(axis=1)
-    upper, upper_se = _mgf_estimate("bernstein_mgf", lam * (emp_excess - excess))
-    lower, lower_se = _mgf_estimate("bernstein_mgf", lam * (excess - emp_excess))
+    upper, upper_se = _mgf_estimate(lam * (emp_excess - excess))
+    lower, lower_se = _mgf_estimate(lam * (excess - emp_excess))
     worst = max(upper - 2.0 * upper_se, lower - 2.0 * lower_se)
     return BoundReport(
         label="bernstein_mgf",

@@ -20,11 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import kl_numeric_check, mc_check_bernstein, mc_check_chain_mgf
-from .errors import (REQUIRED, ConfigError, GibbsNetError, ZeroStationaryMass, check_kinded,
-                     check_table)
-from .gibbs import GIBBS, sample_posterior
+from .errors import REQUIRED, ConfigError, GibbsNetError, check_kinded, check_table
+from .gibbs import sample_posterior
 from .harness import (
     CONFIG,
+    GIBBS,
     NOISE,
     ExperimentConfig,
     SweepResult,
@@ -125,7 +125,7 @@ def cmd_gap(doc: dict, args) -> int:
         }
         if doc["mixing_epsilon"] is not None:
             result["mixing_time"] = mixing_time(kernel, pi, doc["mixing_epsilon"], doc["t_cap"])
-    except (ValueError, ZeroStationaryMass) as exc:
+    except ValueError as exc:
         raise ConfigError(f"gap: {exc}") from exc
     print(json.dumps(result, indent=2))
     out = _out_dir(doc, args)
@@ -155,6 +155,8 @@ def cmd_sample(doc: dict, args) -> int:
     gibbs = check_table(doc["gibbs"], "gibbs", {**GIBBS, "temperature": ("number", None)})
     lam = gibbs.pop("temperature")
     n = doc.pop("n")
+    if n < 1:
+        raise ConfigError(f"sample n must be at least 1, got {n}")
     cfg = _experiment_config({**doc, "gibbs": gibbs, "n_grid": [n]}, args)
     chain = solve_chain(cfg.chain, cfg.k_max)
     kernel, _, gamma = chain
@@ -199,7 +201,7 @@ def cmd_bounds(doc: dict, args) -> int:
                     net, target, kernel, pi, lam=table.pop("lambda"),
                     noise=check_noise(table.pop("noise"), table["n"]), **table,
                 ))
-        except (ValueError, IndexError, ZeroStationaryMass) as exc:
+        except (ValueError, IndexError) as exc:
             raise ConfigError(f"{kind} check: {exc}") from exc
     width = max((len(r.label) for r in reports), default=10)
     print(f"{'check':<{width}}  {'rhs':>12}  {'empirical':>12}  holds")

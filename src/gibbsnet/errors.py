@@ -2,7 +2,15 @@
 config tables with its number policy: every number a config table holds is
 read by :func:`check_value`, which refuses inf, NaN, an integer too large
 for a float and an integer key outside the int64 range, so the CLI and the
-library refuse the same inputs."""
+library refuse the same inputs.
+
+The refusal rule: a library module (``markov``, ``model``, ``network``,
+``gibbs``, ``bounds``) rejects a value with a ValueError, or a GibbsNetError
+that is also one, and never makes a ConfigError; the config layer
+(``harness``, ``cli``) alone turns the ValueError a config's value raises
+into a ConfigError labelled with its key.  A solver failure
+(:class:`EigenFailure`) and a plain GibbsNetError, an allocation the
+machine cannot hold, reject no value."""
 
 import math
 
@@ -13,11 +21,11 @@ class GibbsNetError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonUniqueStationary(GibbsNetError):
+class NonUniqueStationary(GibbsNetError, ValueError):
     """Eigenvalue 1 of the transition operator is numerically multiple."""
 
 
-class ZeroStationaryMass(GibbsNetError):
+class ZeroStationaryMass(GibbsNetError, ValueError):
     """A stationary weight is too small to divide by."""
 
 
@@ -25,43 +33,43 @@ class EigenFailure(GibbsNetError):
     """The eigenvalue solver did not converge."""
 
 
-class DimensionMismatch(GibbsNetError):
+class DimensionMismatch(GibbsNetError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class NotMixedWithinCap(GibbsNetError):
+class NotMixedWithinCap(GibbsNetError, ValueError):
     """No time below the cap brings every start state within tolerance."""
 
 
-class UnvisitedState(GibbsNetError):
+class UnvisitedState(GibbsNetError, ValueError):
     """A state never appears as a transition source in the trajectory."""
 
 
-class ArchitectureTooLarge(GibbsNetError):
+class ArchitectureTooLarge(GibbsNetError, ValueError):
     """Network does not fit inside the requested maximal architecture."""
 
 
-class EmptyDataset(GibbsNetError):
+class EmptyDataset(GibbsNetError, ValueError):
     """Operation requires at least one observation."""
 
 
-class OutOfSupport(GibbsNetError):
+class OutOfSupport(GibbsNetError, ValueError):
     """Parameter vector lies outside the prior support."""
 
 
-class InvalidClass(GibbsNetError):
+class InvalidClass(GibbsNetError, ValueError):
     """Network class description is inconsistent."""
 
 
-class NoDraws(GibbsNetError):
+class NoDraws(GibbsNetError, ValueError):
     """Posterior sample is empty."""
 
 
-class ThetaOutOfRange(GibbsNetError):
+class ThetaOutOfRange(GibbsNetError, ValueError):
     """MGF argument outside the admissible open interval."""
 
 
-class LambdaOutOfRange(GibbsNetError):
+class LambdaOutOfRange(GibbsNetError, ValueError):
     """Temperature outside the admissible open interval."""
 
 

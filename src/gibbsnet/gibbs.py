@@ -38,8 +38,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (ConfigError, EmptyDataset, GibbsNetError, InvalidClass, NoDraws,
-                     OutOfSupport, check_table)
+from .errors import EmptyDataset, GibbsNetError, InvalidClass, NoDraws, OutOfSupport
 from .markov import stream
 from .model import Dataset
 from .network import (
@@ -153,31 +152,6 @@ class GibbsConfig:
     def n_keep(self) -> int:
         """The number of draws a chain retains: every thin-th step from burn_in on."""
         return (self.iters - self.burn_in + self.thin - 1) // self.thin
-
-    @classmethod
-    def from_doc(
-        cls, doc: dict, classdef: ClassDef, temperature: float, seed: int
-    ) -> "GibbsConfig":
-        """Sampler settings from a config's ``gibbs`` table (schema
-        :data:`GIBBS`), bounded by the class; any malformed value raises
-        :class:`ConfigError`."""
-        table = check_table(doc, "gibbs", GIBBS)
-        try:
-            return cls(**table, weight_bound=classdef.weight_bound,
-                       output_clip=classdef.output_clip, temperature=temperature, seed=seed)
-        except ValueError as exc:
-            raise ConfigError(f"gibbs: {exc}") from exc
-
-
-# The config's ``gibbs`` table: sampler settings, at GibbsConfig's defaults.
-GIBBS = {
-    "support_decay": ("number", 2.0),
-    "move_probs": (["number"], GibbsConfig.move_probs),
-    "step": ("number", GibbsConfig.step),
-    "iters": ("int", GibbsConfig.iters),
-    "burn_in": ("int", GibbsConfig.burn_in),
-    "thin": ("int", GibbsConfig.thin),
-}
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import composition_rate_rhs, oracle_rhs
-from .errors import (REQUIRED, ConfigError, DimensionMismatch, InvalidClass,
-                     MismatchedEffectiveSize, NonUniqueStationary, TooFewPoints,
-                     ZeroStationaryMass, check_kinded, check_table, check_value)
-from .gibbs import (GIBBS, RISK_TERMS, ClassDef, GibbsConfig, Prior, class_output_bound,
+from .errors import (REQUIRED, ConfigError, InvalidClass, MismatchedEffectiveSize,
+                     NonUniqueStationary, TooFewPoints, ZeroStationaryMass, check_kinded,
+                     check_table, check_value)
+from .gibbs import (RISK_TERMS, ClassDef, GibbsConfig, Prior, class_output_bound,
                     lockstep_batches, posterior_predictor, sample_batch, temperature)
 from .markov import (
     MAX_POWER,
@@ -78,6 +78,11 @@ RULE_CONSTANTS = {"depth_scale": ("number", 1.0), "width_scale": ("number", 1.0)
 
 NOISE = ("str", "number")  # [family, scale]
 
+# The config's ``gibbs`` table: sampler settings, at GibbsConfig's defaults.
+GIBBS = {"support_decay": ("number", 2.0), "move_probs": (["number"], GibbsConfig.move_probs),
+         "step": ("number", GibbsConfig.step), "iters": ("int", GibbsConfig.iters),
+         "burn_in": ("int", GibbsConfig.burn_in), "thin": ("int", GibbsConfig.thin)}
+
 # The top-level table of a sweep, effsample or sample config.
 CONFIG = {
     "target": ("table", REQUIRED), "chain": ("table", REQUIRED),
@@ -110,7 +115,7 @@ def build_chain(spec: dict, p_override: float | None = None) -> TransitionKernel
             return two_source_kernel(p, states=spec["states"])
         probs = np.asarray(spec["probs"], dtype=float)
         return TransitionKernel(states=probs.shape[0], probs=probs)
-    except (ValueError, DimensionMismatch) as exc:
+    except ValueError as exc:
         raise ConfigError(f"chain: {exc}") from exc
 
 
@@ -383,14 +388,19 @@ def cell_settings(cfg: ExperimentConfig, n: int, gamma: float, seed: int, target
     sampler settings at ``seed`` and temperature ``lam`` (default from
     :func:`temperature`); pure, so a sweep checks them all before fitting.
     A class whose pre-clip outputs may overflow at ``target``'s states
-    (see :func:`gibbsnet.gibbs.class_output_bound`) raises ConfigError."""
+    (see :func:`gibbsnet.gibbs.class_output_bound`), or sampler settings
+    :class:`gibbsnet.gibbs.GibbsConfig` refuses, raise ConfigError."""
     classdef = resolve_classdef(cfg.classdef, cfg.target, n * gamma)
     try:
         class_output_bound(classdef, target.points)
     except InvalidClass as exc:
         raise ConfigError(f"classdef: {exc}") from exc
     lam = temperature(n, gamma, cfg.bernstein_k) if lam is None else lam
-    return classdef, GibbsConfig.from_doc(cfg.gibbs, classdef, lam, seed)
+    try:
+        return classdef, GibbsConfig(**cfg.gibbs, weight_bound=classdef.weight_bound,
+                                     output_clip=classdef.output_clip, temperature=lam, seed=seed)
+    except ValueError as exc:
+        raise ConfigError(f"gibbs: {exc}") from exc
 
 
 def cell_data(cfg: ExperimentConfig, n: int, chain, target: TargetSpec, seed: int):

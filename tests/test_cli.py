@@ -118,7 +118,8 @@ SIMULATE = {"chain": CHAIN, "n": 50, "seed": 1}
 CHAIN_MGF = {"kind": "chain_mgf", "chain": {"family": "two_source", "p": 0.5},
              "f_table": [1.0, -1.0], "n": 50, "theta": 0.01, "replications": 20}
 BOUNDS = {"checks": [CHAIN_MGF, BERNSTEIN, KL]}
-SLOPE = {"csv": str(Path(__file__).parent / "data" / "golden_sweep.csv")}
+# Four distinct n_eff (168, 200, 336, 400): enough points to fit a slope.
+SLOPE = {"csv": str(Path(__file__).parent / "data" / "golden_sweep_uniform_grid.csv")}
 # State 0 is transient: the stationary law puts no mass on it.
 TRANSIENT = {"family": "explicit", "probs": [[0.5, 0.5], [0.0, 1.0]]}
 NON_SQUARE = {"family": "explicit", "probs": [[0.5, 0.5]]}
@@ -592,7 +593,8 @@ def test_typed_number_bases_run(tmp_path, command, doc):
     assert run(tmp_path, command, json.loads(doc)) == 0
 
 
-GOLDEN_CSV = Path(SLOPE["csv"]).read_text()
+# The one-row sweep CSV, each malformed CSV below a string edit of its row.
+GOLDEN_CSV = (Path(__file__).parent / "data" / "golden_sweep.csv").read_text()
 GOLDEN_ROW = GOLDEN_CSV.splitlines()[1]
 
 
@@ -657,6 +659,53 @@ def test_slope_groups_tiny_n_eff_apart(tmp_path):
     assert run(tmp_path, "slope", {"csv": str(tmp_path / "sweep.csv")}) == 0
     doc = json.loads((tmp_path / "slope.json").read_text(), parse_constant=_reject_constant)
     assert doc["slope"] == pytest.approx(-0.5, abs=1e-9)
+
+
+def test_slope_fuzz_base_fits(tmp_path):
+    # The fuzz's slope base runs through to the fit and its report, so its
+    # mutants reach them too.
+    assert run(tmp_path, "slope", SLOPE) == 0
+    doc = json.loads((tmp_path / "slope.json").read_text(), parse_constant=_reject_constant)
+    assert doc["slope"] == pytest.approx(-1.0030, abs=1e-4)
+
+
+# Values outside the range a library function takes, each with the start of
+# its message: the library raises a ValueError, and the config layer labels
+# it with the check or subcommand (a sample's n it refuses itself).
+LIBRARY_REFUSALS = {
+    "theta-outside-interval": (
+        "bounds", {"checks": [{**CHAIN_MGF, "chain": CHAIN, "f_table": [0.7, -0.4, 0.3, -0.9],
+                               "n": 110, "theta": 5.0}]},
+        "chain_mgf check: theta must lie in (0, 0.09"),
+    "zero-gap-chain-theta": (
+        "bounds", {"checks": [{**CHAIN_MGF, "chain": {"family": "two_source", "p": 1}}]},
+        "chain_mgf check: theta must lie in (0, 0.0)"),
+    "lambda-outside-interval": (
+        "bounds", {"checks": [{**BERNSTEIN, "chain": {"family": "two_source", "p": 0.3,
+                                                      "states": 4},
+                               "lambda": 500, "n": 110}]},
+        "bernstein_mgf check: lambda must lie in (0, 9.2"),
+    "bernstein-n-zero": ("bounds", {"checks": [{**BERNSTEIN, "n": 0}]},
+                         "bernstein_mgf check: n must be at least 1, got 0"),
+    "bernstein-n-negative": ("bounds", {"checks": [{**BERNSTEIN, "n": -1}]},
+                             "bernstein_mgf check: n must be at least 1, got -1"),
+    "overflowing-estimate": (
+        "bounds", {"checks": [{**CHAIN_MGF, "f_table": [100, -100], "n": 20000,
+                               "theta": 0.05}]},
+        "chain_mgf check: the Monte Carlo estimate (inf)"),
+    "mixing-time-past-cap": (
+        "gap", {"chain": {"family": "two_source", "p": 0.01}, "mixing_epsilon": 0.01, "t_cap": 2},
+        "gap: no t <= 2 reaches TV 0.01"),
+    "sample-n-zero": ("sample", {**SAMPLE, "n": 0}, "sample n must be at least 1, got 0"),
+    "sample-n-negative": ("sample", {**SAMPLE, "n": -1}, "sample n must be at least 1, got -1"),
+}
+
+
+@pytest.mark.parametrize("command, doc, message", LIBRARY_REFUSALS.values(),
+                         ids=LIBRARY_REFUSALS)
+def test_library_refusals_exit_2_labelled(tmp_path, capsys, command, doc, message):
+    assert run(tmp_path, command, doc) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 @pytest.mark.parametrize("check", [CHAIN_MGF, BERNSTEIN], ids=["chain-mgf", "bernstein-mgf"])
@@ -861,9 +910,9 @@ CSV_POOL = ["x", "", "nan", "inf", "-1", "1e999"]
 
 @st.composite
 def mutated_csv(draw):
-    """The golden sweep CSV with one defect: two fields of a line swapped, a
-    column dropped, one field replaced, or no content at all."""
-    rows = [line.split(",") for line in GOLDEN_CSV.splitlines()]
+    """The ``slope`` base's CSV with one defect: two fields of a line
+    swapped, a column dropped, one field replaced, or no content at all."""
+    rows = [line.split(",") for line in Path(SLOPE["csv"]).read_text().splitlines()]
     defect = draw(st.sampled_from(["swap", "drop", "replace", "empty"]))
     if defect == "empty":
         return ""
@@ -909,6 +958,7 @@ DELETE = object()  # as a mutation value: remove the key or item
 def test_every_single_mutation_exits_cleanly():
     # Every path of every fuzzed config set to every POOL value, or deleted:
     # the one-step neighbourhood the sampled fuzz below may never reach.
+    # Each mutant's config alone decides its fate, so it runs or exits 2.
     failures = []
     for command, config in sorted(FUZZED.items()):
         for path in _paths(config):
@@ -924,7 +974,7 @@ def test_every_single_mutation_exits_cleanly():
                         code = run(Path(out), command, doc)
                     except Exception as exc:  # noqa: BLE001 - reported below
                         code = repr(exc)
-                if code not in (0, 2, 3):
+                if code not in (0, 2):
                     failures.append((command, path, value, code))
     assert not failures
 
