@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_gibbs import (
     ConstantStream,
     RecordingStream,
@@ -205,6 +207,20 @@ class TestSamplerBasics:
         with pytest.raises(EmptyDataset):
             sample_posterior(data, "square", tiny_classdef(), cfg)
 
+    def test_empty_data_in_a_batch_rejected(self):
+        # An empty sample has no distinct rows, so it batches alone and
+        # the sampler refuses it; neither step may fail on its empty table.
+        empty = Dataset(inputs=np.zeros((0, 1)), outputs=np.zeros(0))
+        data, _, _ = tiny_regression_data()
+        cfg = GibbsConfig(
+            support_decay=2.0, weight_bound=1.0, output_clip=5.0, temperature=1.0,
+            iters=100, burn_in=10,
+        )
+        datas, classdefs = [empty, data], [tiny_classdef()] * 2
+        assert gibbs.lockstep_batches(datas, classdefs, [cfg] * 2) == [[0], [1]]
+        with pytest.raises(EmptyDataset):
+            sample_batch(datas, "square", classdefs, [cfg] * 2)
+
     def test_unknown_loss_rejected(self):
         data, _, _ = tiny_regression_data()
         cfg = GibbsConfig(
@@ -349,6 +365,43 @@ class TestSamplerBasics:
         assert "log_score" in doc
         restored = SparseNetwork.from_json(json.dumps({k: v for k, v in doc.items() if k != "log_score"}))
         np.testing.assert_allclose(restored.theta, draws.thetas[-1])
+
+
+def assert_distinct_rows_match_unique(inputs):
+    points, inverse = gibbs._distinct_rows(inputs)
+    want_points, want_inverse = np.unique(inputs, axis=0, return_inverse=True)
+    assert points.shape == want_points.shape
+    assert points.tobytes() == want_points.tobytes()
+    assert inverse.dtype == want_inverse.dtype == np.intp
+    assert inverse.shape == want_inverse.shape == (len(inputs),)
+    assert np.array_equal(inverse, want_inverse)
+
+
+# Few values, so rows repeat; no -0.0, whose copy np.unique may keep apart.
+ROW_VALUES = st.sampled_from([-1.5, -0.25, 0.0, 0.5, 1.0, 3.0])
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 500])
+    def test_seeded_tables_match_unique(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        grid = rng.standard_normal((4, d))
+        assert_distinct_rows_match_unique(grid[rng.integers(0, 4, n)])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_all_equal_rows_are_one(self, d):
+        inputs = np.tile(np.arange(1.0, d + 1.0), (9, 1))
+        assert_distinct_rows_match_unique(inputs)
+        points, inverse = gibbs._distinct_rows(inputs)
+        assert points.shape == (1, d) and not inverse.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(ROW_VALUES, min_size=d, max_size=d), max_size=40)
+        .map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), d))))
+    def test_any_table_matches_unique(self, inputs):
+        assert_distinct_rows_match_unique(inputs)
 
 
 class TestLockstepBatches:
