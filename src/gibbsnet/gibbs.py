@@ -411,8 +411,17 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, links, at_z
     inactive coordinate stays +0.0.  The support is two sorted lists,
     ``on`` and ``off``, of the active and inactive coordinates: a move's
     pool is one of them, and an accepted jump moves its coordinate from one
-    to the other.  A kept step copies all of ``theta``, and the draws gather
-    their coordinates through ``slots`` once, at the end.
+    to the other.  A kept step copies all of ``theta`` and the mask, and
+    the draws gather their coordinates through ``slots`` once, at the end.
+
+    The step reads and writes ``theta``, the mask and the kept draws only
+    through memoryviews of their buffers, the kept ones flat, so a kept
+    draw is two slice copies at running offsets and one score.  A
+    memoryview stores a Python float as the same C double numpy's setitem
+    stores, in under half numpy's time per access on one core (best of 7,
+    timeit's 10 ns loop included; BENCH_memoryviews.json): a read 64-67 ns
+    by ``item`` against 28, a scalar write or mask flip 48-52 against
+    27-29, a kept row of parameters or mask 160-179 against 76-77.
 
     A proposal is cut off from the output when its coordinate feeds a
     hidden unit with no active outgoing weight or, for an activation with
@@ -451,6 +460,7 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, links, at_z
     support = 1
     active = np.zeros(n_params, dtype=bool)
     active[on[0]] = True
+    theta_mv, active_mv = memoryview(theta), memoryview(active)
     # The first layer's weights weigh no hidden unit, so the table's largest
     # entry is the one that stands for none.
     hidden = int(links.max())
@@ -468,7 +478,12 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, links, at_z
         log_scores = np.empty(cfg.n_keep)
     except (ValueError, MemoryError) as exc:
         raise GibbsNetError(f"cannot allocate {cfg.n_keep} kept draws: {exc}") from exc
-    kept = 0
+    kept_theta_mv = memoryview(kept_theta.reshape(-1))
+    actives_mv = memoryview(actives.reshape(-1))
+    log_scores_mv = memoryview(log_scores)
+    # The kept draw's index and its rows' offsets in the flat kept buffers.
+    width = theta.size
+    kept = theta_at = active_at = 0
     proposed, accepted = np.zeros(3, dtype=np.int64), [0, 0, 0]
 
     for t, block in zip(range(0, cfg.iters, UNIFORM_CHUNK), blocks):
@@ -493,9 +508,9 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, links, at_z
                     i = int(u_index * support)
                     j = on[i]
                 slot = slot_of[j]
-                old = theta.item(slot)
-                theta[slot] = (add_value if move == 0 else 0.0 if move == 1
-                               else _reflect(old + shift, slab))
+                old = theta_mv[slot]
+                theta_mv[slot] = (add_value if move == 0 else 0.0 if move == 1
+                                  else _reflect(old + shift, slab))
                 fed, weighed = links[j]
                 new_risk = (yield True) if fan_out[fed] and fan_in[weighed] else risk
                 # exp(min(0.0, x)) without the builtin call, NaN and -0.0 included.
@@ -507,24 +522,26 @@ def _chain(cfg: GibbsConfig, prior: Prior, theta: np.ndarray, slots, links, at_z
                         del off[i]
                         insort(on, j)
                         support += 1
-                        active[j] = True
+                        active_mv[j] = True
                         fan_in[fed] += 1
                         fan_out[weighed] += 1
                     elif move == 1:
                         del on[i]
                         insort(off, j)
                         support -= 1
-                        active[j] = False
+                        active_mv[j] = False
                         fan_in[fed] -= 1
                         fan_out[weighed] -= 1
                 else:
-                    theta[slot] = old
+                    theta_mv[slot] = old
 
             if keep:
-                kept_theta[kept] = theta
-                actives[kept] = active
-                log_scores[kept] = -lam * risk
+                kept_theta_mv[theta_at:theta_at + width] = theta_mv
+                actives_mv[active_at:active_at + n_params] = active_mv
+                log_scores_mv[kept] = -lam * risk
                 kept += 1
+                theta_at += width
+                active_at += n_params
 
     # Each move's accepted / proposed, 0.0 where none was proposed.
     rates = {move: (accepted[i] / int(proposed[i]) if proposed[i] else 0.0)
@@ -624,9 +641,9 @@ def sample_batch(datas, loss: str, classdefs, cfgs) -> list:
     ValueError; each runs its own iters, burn_in and thin.  One chain runs
     :func:`sample_posterior`.  Against that loop, which also prices only
     the proposals that can reach the output, lockstep runs about 1.3x on
-    two, 1.8x on four and 2.7x on ten of the sweep benchmark's depth-1
+    two, 1.9x on four and 2.9x on ten of the sweep benchmark's depth-1
     chains, 1.0x on two and 1.6x on four depth-0 chains (medians of four
-    rounds on one core).
+    rounds on one core; BENCH_memoryviews.json).
     """
     if len(datas) == 1:
         return [sample_posterior(datas[0], loss, classdefs[0], cfgs[0])]

@@ -367,6 +367,58 @@ class TestSamplerBasics:
         np.testing.assert_allclose(restored.theta, draws.thetas[-1])
 
 
+class TestDrawFormats:
+    """Both samplers keep C-ordered float64 parameter rows, bool mask rows
+    and float64 scores, one per kept step: the chain stores each kept draw
+    as flat slice copies into exactly these layouts.  The replay tests'
+    array_equal does not compare dtypes, so these do."""
+
+    @staticmethod
+    def classdef(width):
+        return ClassDef(depth=1, width=width, sparsity=5, weight_bound=1.0, output_clip=2.0)
+
+    @staticmethod
+    def cfg(thin, seed):
+        # 900 kept steps: thin 7 keeps 129 draws, the last block short.
+        return GibbsConfig(support_decay=2.0, weight_bound=1.0, output_clip=2.0,
+                           temperature=10.0, step=0.4, iters=1000, burn_in=100, thin=thin,
+                           seed=seed)
+
+    @staticmethod
+    def assert_formats(draws, cfg, n_coords):
+        n_keep = (cfg.iters - cfg.burn_in + cfg.thin - 1) // cfg.thin
+        for array, dtype, shape in ((draws.thetas, np.float64, (n_keep, n_coords)),
+                                    (draws.actives, np.bool_, (n_keep, n_coords)),
+                                    (draws.log_scores, np.float64, (n_keep,))):
+            assert array.dtype == dtype
+            assert array.shape == shape
+            assert array.flags.c_contiguous
+
+    @pytest.mark.parametrize("thin", [1, 7])
+    def test_sample_posterior_draws(self, thin):
+        data, _, _ = tiny_regression_data(seed=2)
+        classdef, cfg = self.classdef(2), self.cfg(thin, seed=3)
+        draws = sample_posterior(data, "square", classdef, cfg)
+        self.assert_formats(draws, cfg, param_count(classdef.architecture(1)))
+        assert_replays(draws, data, "square", classdef, cfg)
+
+    @pytest.mark.parametrize("thin", [1, 7])
+    def test_sample_batch_draws_of_a_frame_wider_than_the_chain(self, thin):
+        # Width 2 beside width 4: the narrow chain's row of the (C, F) frame
+        # stack holds more slots than its coordinates.
+        data, _, _ = tiny_regression_data(seed=2)
+        classdefs = [self.classdef(2), self.classdef(4)]
+        cfgs = [self.cfg(thin, seed=3), self.cfg(thin, seed=4)]
+        n_coords = [param_count(classdef.architecture(1)) for classdef in classdefs]
+        assert n_coords[0] < network.max_param_count(1, 4)
+        batch = sample_batch([data] * 2, "square", classdefs, cfgs)
+        for draws, classdef, cfg, n in zip(batch, classdefs, cfgs, n_coords):
+            self.assert_formats(draws, cfg, n)
+            one = sample_posterior(data, "square", classdef, cfg)
+            for field in ("thetas", "actives", "log_scores"):
+                assert getattr(draws, field).tobytes() == getattr(one, field).tobytes()
+
+
 def assert_distinct_rows_match_unique(inputs):
     points, inverse = gibbs._distinct_rows(inputs)
     want_points, want_inverse = np.unique(inputs, axis=0, return_inverse=True)
